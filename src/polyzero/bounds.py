@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import GearWheel
-from .norms import Interval, NormProfile, b_norm
+from .norms import NormProfile, b_norm_interval
 
 DISCREPANCY_IDS = (
     "ET16",
@@ -82,12 +82,10 @@ class BoundEntry:
     applicable: bool
     kind: str = "upper"
     hypothesis_notes: str = ""
-    params: dict = field(default_factory=dict)
 
 
 @dataclass
 class BoundTable:
-    n: int
     entries: dict[str, BoundEntry] = field(default_factory=dict)
 
     def add(self, entry: BoundEntry):
@@ -104,20 +102,6 @@ def _sqrt_term(value: float, n: int) -> float:
     return math.sqrt(max(value, 0.0) / n)
 
 
-def _b_inf_interval(profile: NormProfile) -> Interval:
-    return Interval(
-        b_norm(profile, math.inf, "certify_lower"),
-        b_norm(profile, math.inf, "certify_upper"),
-    )
-
-
-def _b_p_interval(profile: NormProfile, p: float) -> Interval:
-    return Interval(
-        b_norm(profile, p, "certify_lower"),
-        b_norm(profile, p, "certify_upper"),
-    )
-
-
 def discrepancy_bounds(
     profile: NormProfile,
     n: int,
@@ -131,9 +115,9 @@ def discrepancy_bounds(
     ``CorollaryKnErf`` replaces ``1 - |E|`` by an erf expression coming from
     a Gaussian heuristic and is report-only.
     """
-    table = BoundTable(n=n)
+    table = BoundTable()
     c0_ok = profile.c0_abs > 0.0
-    binf = _b_inf_interval(profile)
+    binf = b_norm_interval(profile, math.inf)
     binf_ok = c0_ok and binf.lo > 0.0
     note_b = "" if binf_ok else "conservative B_inf <= 0 or P(0) = 0"
     for bound_id, coeff in (
@@ -176,7 +160,7 @@ def discrepancy_bounds(
             )
         )
     for p in p_list:
-        bp = _b_p_interval(profile, p)
+        bp = b_norm_interval(profile, p)
         ok = c0_ok and profile.pnorm_at_least_one(p)
         table.add(
             BoundEntry(
@@ -185,7 +169,6 @@ def discrepancy_bounds(
                 value_favorable=CARNEIRO_C * _sqrt_term(bp.hi, n),
                 applicable=ok,
                 hypothesis_notes="" if ok else f"needs ||P||_{p:g} >= 1 and P(0) != 0",
-                params={"p": p},
             )
         )
     coeff = 2.0 * math.sqrt(2.0) / math.sqrt(math.pi)
@@ -213,6 +196,14 @@ def discrepancy_bounds(
         )
     )
     return table
+
+
+_RADIUS_COEFFICIENTS = {"sup_7": 7.0, "p_9": 9.0}
+
+
+def _radius(n: int, B: float, theta: float, variant: str) -> float:
+    """Disk and gear radius ``c (2 B)^theta / sqrt(n)``; ``c`` = 7 (sup_7), 9 (p_9)."""
+    return _RADIUS_COEFFICIENTS[variant] * (2.0 * B) ** theta / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -250,7 +241,7 @@ def disk_lower_bound(
         raise ValueError("degree must be >= 1")
     notes = []
     if variant == "sup_7":
-        gamma = 7.0 * (2.0 * B) ** theta / math.sqrt(n)
+        gamma = _radius(n, B, theta, variant)
         min_zeros = math.sqrt(n) * (2.0 * B) ** theta
         ok = c0_nonzero and B > 0
         if not c0_nonzero:
@@ -258,7 +249,7 @@ def disk_lower_bound(
         if B <= 0:
             notes.append("B_inf not certified positive")
     elif variant == "p_9":
-        gamma = 9.0 * (2.0 * B) ** theta / math.sqrt(n)
+        gamma = _radius(n, B, theta, variant)
         min_zeros = math.sqrt(n) * (2.0 * B) ** theta
         ok = c0cn_ge_1 and pnorm_ge_1 and B > 0
         if not c0cn_ge_1:
@@ -316,9 +307,9 @@ def annular_bounds(
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0, 1)")
-    table = BoundTable(n=n)
-    bp = _b_p_interval(profile, p)
-    binf = _b_inf_interval(profile)
+    table = BoundTable()
+    bp = b_norm_interval(profile, p)
+    binf = b_norm_interval(profile, math.inf)
     hyp_ok = profile.c0cn_at_least_one and profile.pnorm_at_least_one(p)
     notes = "" if hyp_ok else "needs |c0 cn| >= 1 and ||P||_p >= 1"
     outside = lambda b: 2.0 * b / (n * (1.0 - rho))
@@ -329,11 +320,6 @@ def annular_bounds(
             value_favorable=outside(bp.hi),
             applicable=hyp_ok,
             hypothesis_notes=notes,
-            params={
-                "p": p,
-                "rho": rho,
-                "intermediate_scaled_mahler": outside(profile.log_mahler_scaled),
-            },
         )
     )
     annular = lambda b_p, b_i: (
@@ -346,7 +332,6 @@ def annular_bounds(
             value_favorable=annular(bp.hi, binf.hi),
             applicable=hyp_ok,
             hypothesis_notes=notes,
-            params={"p": p, "rho": rho},
         )
     )
     # Refined annular entries: epsilon' from the explicit recipe
@@ -363,7 +348,6 @@ def annular_bounds(
             applicable=profile.c0cn_at_least_one,
             kind="report",
             hypothesis_notes="asymptotic: degree threshold n(eps, rho) unquantified",
-            params={"p": p, "rho": rho, "eps_prime": eps_prime},
         )
     )
     factor = 1.0 - e_mid + 1.0 / (math.e * math.log(n + 1.0))
@@ -378,7 +362,6 @@ def annular_bounds(
             applicable=gn_member,
             kind="report",
             hypothesis_notes="asymptotic: degree threshold n(eps, rho) unquantified",
-            params={"p": p, "rho": rho, "C": c_val, "eps_dprime": eps_dprime},
         )
     )
     return table
@@ -410,15 +393,12 @@ def gear_zero_upper_bound(
     ``c = 7`` (sup variant) or ``9`` (p variant).  The exact form is the one
     certified against counts.
     """
-    if variant == "sup_7":
-        c = 7.0
-    elif variant == "p_9":
-        c = 9.0
-    else:
+    if variant not in _RADIUS_COEFFICIENTS:
         raise ValueError(f"unknown variant {variant!r}")
     if not 0.5 <= theta <= 1.0:
         raise ValueError("theta must be in [1/2, 1]")
-    gamma = c * (2.0 * B) ** theta / math.sqrt(n)
+    c = _RADIUS_COEFFICIENTS[variant]
+    gamma = _radius(n, B, theta, variant)
     notes = []
     ok = True
     if gamma > 0.5:

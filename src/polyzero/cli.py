@@ -95,7 +95,29 @@ def _load_polynomial(path: str, format: str) -> Polynomial:
         return read_polynomial(fh, format=format)
 
 
+def _usage_error(exc: ValueError) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return USAGE_ERROR
+
+
 def _run_analyze(args) -> int:
+    try:
+        cfg = SweepConfig(
+            family=args.family or "explicit",
+            p_list=args.p,
+            theta_list=args.theta,
+            rho_list=args.rho,
+            disk_centers=args.centers,
+            seed=args.seed,
+            record_disk_counts=True,
+            tolerances=ToleranceConfig(
+                root_tol=args.root_tol, quad_tol=args.quad_tol, sup_tol=args.sup_tol
+            ),
+        )
+        if args.family:
+            poly = make_family(FamilySpec(args.family, args.degree, seed=args.seed))
+    except ValueError as exc:
+        return _usage_error(exc)
     if args.poly:
         try:
             with open(args.poly, "rb") as fh:
@@ -112,20 +134,7 @@ def _run_analyze(args) -> int:
             "sha256": hashlib.sha256(raw).hexdigest(),
         }
     else:
-        poly = make_family(FamilySpec(args.family, args.degree, seed=args.seed))
         descriptor = {"family": args.family, "degree": poly.degree, "seed": args.seed}
-    cfg = SweepConfig(
-        family=args.family or "explicit",
-        p_list=args.p,
-        theta_list=args.theta,
-        rho_list=args.rho,
-        disk_centers=args.centers,
-        seed=args.seed,
-        record_disk_counts=True,
-        tolerances=ToleranceConfig(
-            root_tol=args.root_tol, quad_tol=args.quad_tol, sup_tol=args.sup_tol
-        ),
-    )
     report = certify(poly, cfg, descriptor=descriptor)
     text = report_json(report)
     if args.out:
@@ -148,16 +157,19 @@ def _run_analyze(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    cfg = SweepConfig(
-        family=args.family,
-        degrees=args.degrees,
-        trials=args.trials,
-        seed=args.seed,
-        p_list=args.p,
-        theta_list=args.theta,
-        rho_list=args.rho,
-        disk_centers=args.centers,
-    )
+    try:
+        cfg = SweepConfig(
+            family=args.family,
+            degrees=args.degrees,
+            trials=args.trials,
+            seed=args.seed,
+            p_list=args.p,
+            theta_list=args.theta,
+            rho_list=args.rho,
+            disk_centers=args.centers,
+        )
+    except ValueError as exc:
+        return _usage_error(exc)
     result = sweep(cfg)
     if args.out_json:
         with open(args.out_json, "w") as fh:

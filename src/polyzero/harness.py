@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import geometry
-from .norms import NormProfile, ProfileTolerances, b_norm, compute_profile
+from .norms import NormProfile, ProfileTolerances, b_norm_interval, compute_profile
 from .poly import FamilySpec, Polynomial, is_g_class, is_unimodular, make_family
 from .roots import RootFindingError, RootSet, find_roots
 from .zerostats import (
@@ -94,8 +94,16 @@ class SweepConfig:
     tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for ok, message in (
+            (all(0.5 <= t <= 1.0 for t in self.theta_list), "theta must be in [1/2, 1]"),
+            (all(math.isfinite(p) and p > 0 for p in self.p_list), "p must be finite and > 0"),
+            (all(0.0 < r < 1.0 for r in self.rho_list), "rho must be in (0, 1)"),
+            (self.trials >= 1, "trials must be >= 1"),
+            (all(d >= 1 for d in self.degrees), "degrees must be >= 1"),
+            (self.disk_centers >= 1, "disk_centers must be >= 1"),
+        ):
+            if not ok:
+                raise ValueError(message)
 
 
 @dataclass
@@ -177,30 +185,45 @@ def _profile_summary(profile: NormProfile, p_list) -> dict:
         "b_values": {},
     }
     for p in tuple(p_list) + (math.inf,):
-        key = "inf" if math.isinf(p) else f"{p:g}"
-        out["b_values"][key] = [
-            b_norm(profile, p, "certify_lower"),
-            b_norm(profile, p, "certify_upper"),
-        ]
+        b = b_norm_interval(profile, p)
+        out["b_values"]["inf" if math.isinf(p) else f"{p:g}"] = [b.lo, b.hi]
     return out
+
+
+def _verdict(margin_conservative: float, margin_favorable: float, tangency: bool = False) -> str:
+    """The verdict of one comparison from its two enclosure-side margins.
+
+    VIOLATION needs even the favorable margin to fail.  ``tangency`` (a
+    material tangent level set ``|P| = 1``) downgrades a PASS to
+    INDETERMINATE.
+    """
+    if margin_conservative >= 0:
+        return INDETERMINATE if tangency else PASS
+    return INDETERMINATE if margin_favorable >= 0 else VIOLATION
+
+
+def _inapplicable(bound_id: str, kind: str, bound: float, bound_favorable: float, notes: str) -> VerdictEntry:
+    return VerdictEntry(
+        bound_id=bound_id,
+        kind=kind,
+        observed=None,
+        bound=bound,
+        bound_favorable=bound_favorable,
+        margin_conservative=math.nan,
+        margin_favorable=math.nan,
+        verdict=INAPPLICABLE,
+        notes=notes,
+    )
 
 
 def _upper_entry(entry: bounds_mod.BoundEntry, observed: float, e_tangency: bool) -> VerdictEntry:
     margin_c = entry.value - observed
     margin_f = entry.value_favorable - observed
+    verdict = _verdict(margin_c, margin_f, e_tangency and _uses_e(entry.bound_id))
     if not entry.applicable:
         verdict = INAPPLICABLE
-    elif entry.kind == "report":
-        # Margin-only entries are never hard verdicts.
-        verdict = PASS if margin_c >= 0 else INDETERMINATE
-    elif margin_c >= 0:
-        verdict = PASS
-    elif margin_f >= 0:
-        verdict = INDETERMINATE
-    else:
-        verdict = VIOLATION
-    if verdict == PASS and e_tangency and _uses_e(entry.bound_id):
-        verdict = INDETERMINATE
+    elif entry.kind == "report" and verdict == VIOLATION:
+        verdict = INDETERMINATE  # margin-only entries are never hard verdicts
     return VerdictEntry(
         bound_id=entry.bound_id,
         kind=entry.kind,
@@ -252,7 +275,8 @@ def certify(
 
     ``roots`` may be supplied when known analytically; otherwise the solver
     runs at the configured tolerance.  Root-finding failure yields a partial
-    (norm-only) report rather than an exception.
+    (norm-only) report rather than an exception.  The report is built in
+    stages: profile, angular, annular, disk, gear.
     """
     cfg = cfg or SweepConfig()
     t0 = time.monotonic()
@@ -260,15 +284,41 @@ def certify(
     descriptor = dict(descriptor or {})
     descriptor.setdefault("degree", n)
     descriptor.setdefault("label", p.label)
+    roots, root_failure, profile = _profile_stage(p, cfg, roots)
+    kn_member = descriptor["kn_member"] = is_unimodular(p)
+    gn_member = descriptor["gn_member"] = is_g_class(p)
+    observed: dict = {}
+    if roots is None or n < 1:
+        # Norm-only report: every root-dependent entry is out of reach.
+        entries = [
+            _inapplicable(e.bound_id, e.kind, e.value, e.value_favorable, root_failure or "degree < 1")
+            for e in bounds_mod.discrepancy_bounds(profile, max(n, 1), cfg.p_list, kn_member)
+        ]
+    else:
+        entries = (
+            _angular_stage(roots, profile, cfg, kn_member, observed)
+            + _annular_stage(roots, profile, cfg, gn_member, observed)
+            + _disk_stage(p, roots, profile, cfg, gn_member, center_salt, observed)
+            + _gear_stage(roots, profile, cfg, observed)
+        )
+    return BoundReport(
+        descriptor=descriptor,
+        profile=_profile_summary(profile, cfg.p_list),
+        observed=observed,
+        entries=entries,
+        runtime_seconds=time.monotonic() - t0,
+        root_failure=root_failure,
+    )
 
+
+def _profile_stage(p: Polynomial, cfg: SweepConfig, roots: RootSet | None):
+    """Roots (unless supplied) and the norm profile; a solver failure leaves no roots."""
     root_failure = ""
-    if roots is None and n >= 1:
+    if roots is None and p.degree >= 1:
         try:
             roots = find_roots(p, tol=cfg.tolerances.root_tol, max_iter=cfg.tolerances.max_iter)
         except RootFindingError as exc:
             root_failure = str(exc)
-            roots = None
-
     profile = compute_profile(
         p,
         roots=roots,
@@ -276,48 +326,23 @@ def certify(
         tols=cfg.tolerances.profile_tolerances(),
         with_mahler_plus=cfg.tolerances.compute_mahler_plus,
     )
-    kn_member = is_unimodular(p)
-    gn_member = is_g_class(p)
-    descriptor["kn_member"] = kn_member
-    descriptor["gn_member"] = gn_member
+    return roots, root_failure, profile
 
-    observed: dict = {}
-    entries: list[VerdictEntry] = []
 
-    if roots is None or n < 1:
-        # Norm-only report: every root-dependent entry is out of reach.
-        for entry in bounds_mod.discrepancy_bounds(profile, max(n, 1), cfg.p_list, kn_member):
-            entries.append(
-                VerdictEntry(
-                    bound_id=entry.bound_id,
-                    kind=entry.kind,
-                    observed=None,
-                    bound=entry.value,
-                    bound_favorable=entry.value_favorable,
-                    margin_conservative=math.nan,
-                    margin_favorable=math.nan,
-                    verdict=INAPPLICABLE,
-                    notes=root_failure or "degree < 1",
-                )
-            )
-        return BoundReport(
-            descriptor=descriptor,
-            profile=_profile_summary(profile, cfg.p_list),
-            observed=observed,
-            entries=entries,
-            runtime_seconds=time.monotonic() - t0,
-            root_failure=root_failure,
-        )
-
+def _angular_stage(roots, profile, cfg, kn_member, observed) -> list[VerdictEntry]:
     disc = angular_discrepancy_report(roots)
     observed["angular_discrepancy"] = disc["value"]
     observed["angular_discrepancy_attained"] = disc["attained"]
+    return [
+        _upper_entry(entry, disc["value"], profile.e_tangency)
+        for entry in bounds_mod.discrepancy_bounds(profile, profile.degree, cfg.p_list, kn_member)
+    ]
 
-    for entry in bounds_mod.discrepancy_bounds(profile, n, cfg.p_list, kn_member):
-        entries.append(_upper_entry(entry, disc["value"], profile.e_tangency))
 
-    # Annular statistics: worst configured arc per rho.
-    annular_observed: dict[str, dict] = {}
+def _annular_stage(roots, profile, cfg, gn_member, observed) -> list[VerdictEntry]:
+    """Worst configured arc per rho, and the mass outside the annulus."""
+    entries = []
+    annular_observed = observed["annular"] = {}
     for rho in cfg.rho_list:
         tau_out = tau_outside_annulus(roots, rho)
         worst = 0.0
@@ -334,37 +359,27 @@ def certify(
             "arcs": per_arc,
         }
         for p_exp in cfg.p_list:
-            table = bounds_mod.annular_bounds(profile, n, rho, p_exp, gn_member=gn_member)
-            for entry in table:
+            for entry in bounds_mod.annular_bounds(profile, profile.degree, rho, p_exp, gn_member=gn_member):
                 obs = tau_out if entry.bound_id.startswith("Lem2_tau_outside") else worst
                 entries.append(_upper_entry(entry, obs, profile.e_tangency))
-    observed["annular"] = annular_observed
+    return entries
 
-    # Disk lower bounds at sampled centers.
+
+def _disk_stage(p, roots, profile, cfg, gn_member, center_salt, observed) -> list[VerdictEntry]:
+    """Disk lower bounds against the minimum open count over sampled centers."""
+    n = profile.degree
     center_angles = stratified_center_angles(cfg.disk_centers, cfg.seed, salt=center_salt)
     observed["disk_centers"] = len(center_angles)
-    disk_obs: dict[str, dict] = {}
+    disk_obs = observed["disks"] = {}
+    entries = []
     refined_roots: RootSet | None = None
+    cases = [("Thm2_disk", "sup_7", None)]
+    cases += [("Thm2_disk_p", "p_9", p_exp) for p_exp in cfg.p_list]
+    cases.append(("Thm3_disk", "Gn_9", None))
     for theta in cfg.theta_list:
-        variants: list[tuple[str, float, float, dict]] = []
-        b_inf_lo = b_norm(profile, math.inf, "certify_lower")
-        b_inf_hi = b_norm(profile, math.inf, "certify_upper")
-        variants.append(("Thm2_disk", b_inf_lo, b_inf_hi, {"theta": theta}))
-        for p_exp in cfg.p_list:
-            variants.append(
-                (
-                    "Thm2_disk_p",
-                    b_norm(profile, p_exp, "certify_lower"),
-                    b_norm(profile, p_exp, "certify_upper"),
-                    {"theta": theta, "p": p_exp},
-                )
-            )
-        variants.append(("Thm3_disk", math.nan, math.nan, {"theta": theta}))
-        for base_id, b_lo, b_hi, params in variants:
-            key = ",".join(f"{k}={v:g}" for k, v in sorted(params.items()))
-            bound_id = f"{base_id}[{key}]"
-            variant = {"Thm2_disk": "sup_7", "Thm2_disk_p": "p_9", "Thm3_disk": "Gn_9"}[base_id]
-            p_exp = params.get("p")
+        for base_id, variant, p_exp in cases:
+            p_key = "" if p_exp is None else f"p={p_exp:g},"
+            bound_id = f"{base_id}[{p_key}theta={theta:g}]"
             kwargs = dict(
                 c0_nonzero=profile.c0_abs > 0,
                 c0cn_ge_1=profile.c0cn_at_least_one,
@@ -374,153 +389,38 @@ def certify(
             if variant == "Gn_9":
                 cons = fav = bounds_mod.disk_lower_bound(n, 0.0, theta, variant, **kwargs)
             else:
+                b = b_norm_interval(profile, p_exp or math.inf)
                 # Conservative: smallest disk must hold the largest requirement.
-                cons = bounds_mod.disk_lower_bound(n, b_lo, theta, variant, **kwargs)
-                fav = bounds_mod.disk_lower_bound(n, b_hi, theta, variant, **kwargs)
+                cons = bounds_mod.disk_lower_bound(n, b.lo, theta, variant, **kwargs)
+                fav = bounds_mod.disk_lower_bound(n, b.hi, theta, variant, **kwargs)
             if not (cons.applicable and fav.applicable):
                 notes = cons.hypothesis_notes or fav.hypothesis_notes
-                entries.append(
-                    VerdictEntry(
-                        bound_id=bound_id,
-                        kind="lower",
-                        observed=None,
-                        bound=fav.min_zeros if variant != "Gn_9" else cons.min_zeros,
-                        bound_favorable=cons.min_zeros,
-                        margin_conservative=math.nan,
-                        margin_favorable=math.nan,
-                        verdict=INAPPLICABLE,
-                        notes=notes,
-                    )
-                )
+                entries.append(_inapplicable(bound_id, "lower", fav.min_zeros, cons.min_zeros, notes))
                 continue
-            entry, obs = _disk_check(
-                p, cfg, roots, center_angles, cons, fav, bound_id, profile.e_tangency and variant == "p_9",
-            )
-            if entry.verdict == VIOLATION and refined_roots is None and root_failure == "":
+            tangency = profile.e_tangency and variant == "p_9"
+            entry, obs = _disk_check(cfg, roots, center_angles, cons, fav, bound_id, tangency)
+            if entry.verdict == VIOLATION and refined_roots is None:
                 # Re-examine at 10x root tolerance before reporting failure.
                 try:
                     refined_roots = find_roots(
                         p, tol=cfg.tolerances.root_tol / 10.0, max_iter=cfg.tolerances.max_iter
                     )
                 except RootFindingError:
-                    refined_roots = None
+                    pass
                 if refined_roots is not None:
-                    entry, obs = _disk_check(
-                        p, cfg, refined_roots, center_angles, cons, fav, bound_id,
-                        profile.e_tangency and variant == "p_9",
-                    )
+                    entry, obs = _disk_check(cfg, refined_roots, center_angles, cons, fav, bound_id, tangency)
             entries.append(entry)
             disk_obs[bound_id] = obs
-    observed["disks"] = disk_obs
-
-    # Gear-wheel upper bounds.
-    gear_obs: dict[str, dict] = {}
-    gear_cases = [("sup_7", math.inf, "")]
-    for p_exp in cfg.p_list:
-        gear_cases.append(("p_9", p_exp, f",p={p_exp:g}"))
-    for theta in cfg.theta_list:
-        for delta in cfg.gear_deltas:
-            for variant, exponent, p_tag in gear_cases:
-                b_lo = b_norm(profile, exponent, "certify_lower")
-                b_hi = b_norm(profile, exponent, "certify_upper")
-                bound_id = f"GearUpper_exact[variant={variant}{p_tag},theta={theta:g},delta={delta:g}]"
-                hyp_ok = True
-                if variant == "p_9":
-                    hyp_ok = profile.c0cn_at_least_one and profile.pnorm_at_least_one(exponent)
-                sides = []
-                if hyp_ok and profile.c0_abs > 0:
-                    for b_val in (b_lo, b_hi):
-                        sides.append(_gear_side(roots, n, b_val, theta, delta, variant))
-                if not sides or any(s is None for s in sides):
-                    notes = "radius > 1/2 or hypotheses fail"
-                    entries.append(
-                        VerdictEntry(
-                            bound_id=bound_id,
-                            kind="upper",
-                            observed=None,
-                            bound=math.nan,
-                            bound_favorable=math.nan,
-                            margin_conservative=math.nan,
-                            margin_favorable=math.nan,
-                            verdict=INAPPLICABLE,
-                            notes=notes,
-                        )
-                    )
-                    continue
-                margins = [s["margin"] for s in sides]
-                order = int(np.argmin(margins))
-                cons_side, fav_side = sides[order], sides[1 - order]
-                margin_c, margin_f = cons_side["margin"], fav_side["margin"]
-                if margin_c >= 0:
-                    verdict = PASS
-                elif margin_f >= 0:
-                    verdict = INDETERMINATE
-                else:
-                    verdict = VIOLATION
-                if verdict == PASS and profile.e_tangency and variant == "p_9":
-                    verdict = INDETERMINATE
-                entries.append(
-                    VerdictEntry(
-                        bound_id=bound_id,
-                        kind="upper",
-                        observed=float(cons_side["count"]),
-                        bound=cons_side["exact_form"],
-                        bound_favorable=fav_side["exact_form"],
-                        margin_conservative=margin_c,
-                        margin_favorable=margin_f,
-                        verdict=verdict,
-                    )
-                )
-                closed_id = f"GearUpper_closed[variant={variant}{p_tag},theta={theta:g},delta={delta:g}]"
-                closed_margins = [s["closed_form"] - s["count"] for s in sides]
-                entries.append(
-                    VerdictEntry(
-                        bound_id=closed_id,
-                        kind="upper",
-                        observed=float(cons_side["count"]),
-                        bound=min(s["closed_form"] for s in sides),
-                        bound_favorable=max(s["closed_form"] for s in sides),
-                        margin_conservative=min(closed_margins),
-                        margin_favorable=max(closed_margins),
-                        verdict=PASS if min(closed_margins) >= 0 else (
-                            INDETERMINATE if max(closed_margins) >= 0 else VIOLATION
-                        ),
-                    )
-                )
-                gear_obs[bound_id] = {
-                    "teeth": cons_side["teeth"],
-                    "gamma": cons_side["gamma"],
-                    "count": cons_side["count"],
-                }
-    observed["gear"] = gear_obs
-
-    return BoundReport(
-        descriptor=descriptor,
-        profile=_profile_summary(profile, cfg.p_list),
-        observed=observed,
-        entries=entries,
-        runtime_seconds=time.monotonic() - t0,
-        root_failure=root_failure,
-    )
+    return entries
 
 
-def _disk_check(p, cfg, roots, center_angles, cons, fav, bound_id, tangency):
+def _disk_check(cfg, roots, center_angles, cons, fav, bound_id, tangency):
     open_c, closed_c = _disk_counts(roots, center_angles, cons.gamma)
-    open_f, closed_f = (
-        (open_c, closed_c) if fav.gamma == cons.gamma else _disk_counts(roots, center_angles, fav.gamma)
-    )
+    open_f = open_c if fav.gamma == cons.gamma else _disk_counts(roots, center_angles, fav.gamma)[0]
     # Lower-bound margins: observed open count minus the required count,
     # requirement taken from the opposite enclosure side than the radius.
     margin_c = float(open_c.min() - fav.min_zeros)
     margin_f = float(open_f.min() - cons.min_zeros)
-    if margin_c >= 0:
-        verdict = PASS
-    elif margin_f >= 0:
-        verdict = INDETERMINATE
-    else:
-        verdict = VIOLATION
-    if verdict == PASS and tangency:
-        verdict = INDETERMINATE
     obs = {
         "radius_conservative": cons.gamma,
         "radius_favorable": fav.gamma,
@@ -540,17 +440,77 @@ def _disk_check(p, cfg, roots, center_angles, cons, fav, bound_id, tangency):
         bound_favorable=cons.min_zeros,
         margin_conservative=margin_c,
         margin_favorable=margin_f,
-        verdict=verdict,
+        verdict=_verdict(margin_c, margin_f, tangency),
         notes=cons.hypothesis_notes,
     )
     return entry, obs
 
 
+def _gear_stage(roots, profile, cfg, observed) -> list[VerdictEntry]:
+    """Gear-wheel upper bounds, exact and closed form, on both B endpoints."""
+    n = profile.degree
+    gear_obs = observed["gear"] = {}
+    entries = []
+    cases = [("sup_7", math.inf, "")] + [("p_9", p_exp, f",p={p_exp:g}") for p_exp in cfg.p_list]
+    for theta in cfg.theta_list:
+        for delta in cfg.gear_deltas:
+            for variant, exponent, p_tag in cases:
+                b = b_norm_interval(profile, exponent)
+                tag = f"[variant={variant}{p_tag},theta={theta:g},delta={delta:g}]"
+                hyp_ok = variant == "sup_7" or (
+                    profile.c0cn_at_least_one and profile.pnorm_at_least_one(exponent)
+                )
+                sides = []
+                if hyp_ok and profile.c0_abs > 0:
+                    sides = [_gear_side(roots, n, b_val, theta, delta, variant) for b_val in (b.lo, b.hi)]
+                if not sides or any(s is None for s in sides):
+                    entries.append(
+                        _inapplicable(
+                            f"GearUpper_exact{tag}", "upper", math.nan, math.nan,
+                            "radius > 1/2 or hypotheses fail",
+                        )
+                    )
+                    continue
+                order = int(np.argmin([s["margin"] for s in sides]))
+                cons_side, fav_side = sides[order], sides[1 - order]
+                margin_c, margin_f = cons_side["margin"], fav_side["margin"]
+                entries.append(
+                    VerdictEntry(
+                        bound_id=f"GearUpper_exact{tag}",
+                        kind="upper",
+                        observed=float(cons_side["count"]),
+                        bound=cons_side["exact_form"],
+                        bound_favorable=fav_side["exact_form"],
+                        margin_conservative=margin_c,
+                        margin_favorable=margin_f,
+                        verdict=_verdict(margin_c, margin_f, profile.e_tangency and variant == "p_9"),
+                    )
+                )
+                closed_margins = [s["closed_form"] - s["count"] for s in sides]
+                entries.append(
+                    VerdictEntry(
+                        bound_id=f"GearUpper_closed{tag}",
+                        kind="upper",
+                        observed=float(cons_side["count"]),
+                        bound=min(s["closed_form"] for s in sides),
+                        bound_favorable=max(s["closed_form"] for s in sides),
+                        margin_conservative=min(closed_margins),
+                        margin_favorable=max(closed_margins),
+                        verdict=_verdict(min(closed_margins), max(closed_margins)),
+                    )
+                )
+                gear_obs[f"GearUpper_exact{tag}"] = {
+                    "teeth": cons_side["teeth"],
+                    "gamma": cons_side["gamma"],
+                    "count": cons_side["count"],
+                }
+    return entries
+
+
 def _gear_side(roots, n, b_val, theta, delta, variant):
-    coeff = 7.0 if variant == "sup_7" else 9.0
     if b_val <= 0:
         return None
-    gamma = coeff * (2.0 * b_val) ** theta / math.sqrt(n)
+    gamma = bounds_mod._radius(n, b_val, theta, variant)
     if gamma > 0.5:
         return None
     gear = geometry.build_gear(gamma, delta)
@@ -590,7 +550,7 @@ class SweepResult:
     def to_json(self, include_timing: bool = False) -> str:
         payload = {
             "schema": "polyzero-sweep/1",
-            "config": _json_safe(_config_dict(self.config)),
+            "config": _json_safe(asdict(self.config)),
             "aggregates": _json_safe(self.aggregates),
             "hard_violation_count": self.hard_violation_count,
             "reports": [_json_safe(r.to_dict(include_timing=include_timing)) for r in self.reports],
@@ -638,11 +598,6 @@ def _csv_num(x) -> str:
     if isinstance(x, float) and math.isnan(x):
         return "nan"
     return repr(float(x))
-
-
-def _config_dict(cfg: SweepConfig) -> dict:
-    out = asdict(cfg)
-    return out
 
 
 def sweep(cfg: SweepConfig) -> SweepResult:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import Polynomial, circle_samples, evaluate, evaluate_with_derivative
+from .poly import Polynomial, _horner, circle_samples, evaluate, evaluate_with_derivative
 from .roots import RootSet, log_abs_eval
 
 _TWO_PI = 2.0 * math.pi
@@ -382,15 +382,6 @@ def _refine_local_zeros(p: Polynomial, seeds: np.ndarray, iterations: int = 40) 
     return z
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    if len(coeffs) == 0:
-        return np.zeros_like(z)
-    acc = np.full_like(z, coeffs[-1])
-    for cj in coeffs[-2::-1]:
-        acc = acc * z + cj
-    return acc
-
-
 def _detect_near_circle_zeros(
     p: Polynomial,
     band: float = 0.05,
@@ -506,9 +497,7 @@ def _deflated_log_abs(p: Polynomial, z: np.ndarray, paired: np.ndarray, mult: np
                     coeffs = new
             else:
                 skipped += m * math.log(abs(zi - w))
-        val = 0j
-        for ck in reversed(coeffs):
-            val = val * zi + ck
+        val = _horner(coeffs, np.asarray(zi))
         out[i] = math.log(max(abs(val), 1e-300)) - skipped
     return out
 

@@ -73,31 +73,45 @@ class Polynomial:
         return f"Polynomial(degree={self.degree}, label={self.label!r})"
 
 
+def _horner(coeffs, z: np.ndarray, derivative: bool = False):
+    """Horner's scheme for ``sum_j coeffs[j] * z**j`` on the array ``z``.
+
+    With ``derivative`` the same pass also returns the derivative.
+    """
+    acc = np.full_like(z, coeffs[-1])
+    dacc = np.zeros_like(z) if derivative else None
+    if z.size:  # an empty ``z`` needs no pass over the coefficients
+        for cj in coeffs[-2::-1]:
+            if derivative:
+                dacc = dacc * z + acc
+            acc = acc * z + cj
+    return (acc, dacc) if derivative else acc
+
+
+def _horner_split(coeffs, z: np.ndarray, derivative: bool = False):
+    """Horner that cannot overflow for any ``|z|``.
+
+    Returns ``(inside, inner, outer)``: the mask ``|z| <= 1``, Horner on
+    ``P`` at ``z[inside]``, and Horner on the reversed polynomial
+    ``R(u) = u**n P(1/u)`` at ``u = 1/z[~inside]``, where
+    ``P(z) = z**n R(1/z)`` would otherwise grow like ``|z|**n``.
+    """
+    inside = np.abs(z) <= 1.0
+    inner = _horner(coeffs, z[inside], derivative)
+    outer = _horner(coeffs[::-1], 1.0 / z[~inside], derivative)
+    return inside, inner, outer
+
+
 def evaluate(p: Polynomial, z):
     """Evaluate ``P(z)`` by Horner's scheme; ``z`` may be a scalar or array."""
-    c = p.coeffs
-    if np.isscalar(z) or isinstance(z, complex):
-        acc = complex(c[-1])
-        for cj in c[-2::-1]:
-            acc = acc * z + cj
-        return acc
-    zz = np.asarray(z, dtype=complex)
-    acc = np.full_like(zz, c[-1])
-    for cj in c[-2::-1]:
-        acc = acc * zz + cj
-    return acc
+    acc = _horner(p.coeffs, np.asarray(z, dtype=complex))
+    return complex(acc) if np.isscalar(z) else acc
 
 
 def evaluate_with_derivative(p: Polynomial, z):
     """Horner evaluation of ``(P(z), P'(z))`` in a single pass."""
-    c = p.coeffs
-    zz = np.asarray(z, dtype=complex)
-    acc = np.full_like(zz, c[-1])
-    dacc = np.zeros_like(zz)
-    for cj in c[-2::-1]:
-        dacc = dacc * zz + acc
-        acc = acc * zz + cj
-    if np.isscalar(z) or isinstance(z, complex):
+    acc, dacc = _horner(p.coeffs, np.asarray(z, dtype=complex), derivative=True)
+    if np.isscalar(z):
         return complex(acc), complex(dacc)
     return acc, dacc
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial
+from .poly import Polynomial, _horner_split
 
 _PAIR_BLOCK = 256
 
@@ -43,12 +43,11 @@ class RootSet:
     residuals: np.ndarray
     moduli: np.ndarray
     args_turns: np.ndarray
-    cluster_radii: np.ndarray
     tolerance: float
 
     def __post_init__(self):
         object.__setattr__(self, "roots", np.asarray(self.roots, dtype=complex))
-        for name in ("residuals", "moduli", "args_turns", "cluster_radii"):
+        for name in ("residuals", "moduli", "args_turns"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
     def __len__(self):
@@ -84,69 +83,39 @@ def _newton_steps(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
     n = len(coeffs) - 1
     out = np.empty_like(z)
-    inside = np.abs(z) <= 1.0
-    if np.any(inside):
-        zi = z[inside]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            p, dp = _horner_pair(coeffs, zi)
-            dp = np.where(dp == 0, 1e-300, dp)
-            out[inside] = p / dp
-    if np.any(~inside):
-        u = 1.0 / z[~inside]
-        rev = coeffs[::-1]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r, dr = _horner_pair(rev, u)
-            r = np.where(r == 0, 1e-300, r)
-            ratio = n - u * dr / r
-            ratio = np.where(ratio == 0, 1e-300, ratio)
-            out[~inside] = z[~inside] / ratio
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        inside, (p, dp), (r, dr) = _horner_split(coeffs, z, derivative=True)
+        out[inside] = p / np.where(dp == 0, 1e-300, dp)
+        zo = z[~inside]
+        r = np.where(r == 0, 1e-300, r)
+        ratio = n - (1.0 / zo) * dr / r
+        out[~inside] = zo / np.where(ratio == 0, 1e-300, ratio)
     return out
-
-
-def _horner_pair(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    acc = np.full_like(z, coeffs[-1])
-    dacc = np.zeros_like(z)
-    for cj in coeffs[-2::-1]:
-        dacc = dacc * z + acc
-        acc = acc * z + cj
-    return acc, dacc
 
 
 def log_abs_eval(p: Polynomial, z: np.ndarray) -> np.ndarray:
     """``log |P(z)|`` without overflow: reversed-polynomial form for |z| > 1."""
-    c = p.coefficient_array()
-    n = p.degree
     zz = np.asarray(z, dtype=complex)
     out = np.empty(zz.shape, dtype=float)
-    inside = np.abs(zz) <= 1.0
+    inside, inner, outer = _horner_split(p.coeffs, zz)
     with np.errstate(divide="ignore"):
-        if np.any(inside):
-            v, _ = _horner_pair(c, zz[inside])
-            out[inside] = np.log(np.abs(v))
-        if np.any(~inside):
-            zo = zz[~inside]
-            u = 1.0 / zo
-            r, _ = _horner_pair(c[::-1], u)
-            out[~inside] = n * np.log(np.abs(zo)) + np.log(np.abs(r))
+        out[inside] = np.log(np.abs(inner))
+        out[~inside] = p.degree * np.log(np.abs(zz[~inside])) + np.log(np.abs(outer))
     return out
 
 
-def _log_scales(z: np.ndarray, abs_cn: float) -> tuple[np.ndarray, np.ndarray]:
-    """``log scale_j`` and nearest-neighbor distances for the residual scale."""
+def _log_scales(z: np.ndarray, abs_cn: float) -> np.ndarray:
+    """``log scale_j`` for the residual scale."""
     n = len(z)
     log_scale = np.full(n, math.log(abs_cn))
-    nearest = np.full(n, np.inf)
     for start in range(0, n, _PAIR_BLOCK):
         block = z[start : start + _PAIR_BLOCK]
         dist = np.abs(block[:, None] - z[None, :])
         for i in range(len(block)):
-            dist[i, start + i] = np.inf
-        nearest[start : start + _PAIR_BLOCK] = dist.min(axis=1)
-        for i in range(len(block)):
             dist[i, start + i] = 1.0  # self-term must not enter the product
         np.clip(dist, 1.0, None, out=dist)
         log_scale[start : start + _PAIR_BLOCK] += np.log(dist).sum(axis=1)
-    return log_scale, nearest
+    return log_scale
 
 
 def _residuals_from_scales(p: Polynomial, z: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
@@ -241,7 +210,7 @@ def find_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> RootSe
                 break
         else:
             stall = 0
-    log_scale, nearest = _log_scales(z, abs(c[-1]))
+    log_scale = _log_scales(z, abs(c[-1]))
     residuals = _residuals_from_scales(p, z, log_scale)
     worst = float(residuals.max())
     if not worst <= tol:
@@ -249,10 +218,10 @@ def find_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> RootSe
             f"root residuals not certified: worst {worst:.3e} > tol {tol:.3e}",
             worst_residual=worst,
         )
-    return _build(z, residuals, nearest, tol)
+    return _build(z, residuals, tol)
 
 
-def _build(z: np.ndarray, residuals: np.ndarray, nearest: np.ndarray, tol: float) -> RootSet:
+def _build(z: np.ndarray, residuals: np.ndarray, tol: float) -> RootSet:
     args = np.angle(z) / (2.0 * np.pi)
     args = np.mod(args, 1.0)
     args[args >= 1.0] = 0.0  # guard against -eps wrapping to 1.0 exactly
@@ -261,7 +230,6 @@ def _build(z: np.ndarray, residuals: np.ndarray, nearest: np.ndarray, tol: float
         residuals=residuals,
         moduli=np.abs(z),
         args_turns=args,
-        cluster_radii=nearest,
         tolerance=tol,
     )
 
@@ -285,10 +253,9 @@ def rootset_from_known(
     if full_scale is None:
         full_scale = len(z) <= 4096
     if full_scale:
-        log_scale, nearest = _log_scales(z, abs_cn)
+        log_scale = _log_scales(z, abs_cn)
     else:
         log_scale = np.full(len(z), math.log(abs_cn))
-        nearest = np.full(len(z), np.nan)
     residuals = _residuals_from_scales(p, z, log_scale)
     worst = float(residuals.max())
     if not worst <= tol:
@@ -296,7 +263,7 @@ def rootset_from_known(
             f"supplied roots failed certification: worst {worst:.3e} > tol {tol:.3e}",
             worst_residual=worst,
         )
-    return _build(z, residuals, nearest, tol)
+    return _build(z, residuals, tol)
 
 
 def rootset_from_angles(p: Polynomial, angles_turns, moduli=None, tol: float = 1e-8) -> RootSet:
@@ -311,7 +278,6 @@ def rootset_from_angles(p: Polynomial, angles_turns, moduli=None, tol: float = 1
         residuals=rs.residuals,
         moduli=rho,
         args_turns=np.mod(t, 1.0),
-        cluster_radii=rs.cluster_radii,
         tolerance=tol,
     )
 
@@ -335,6 +301,5 @@ def unit_roots_rootset(n: int, tol: float = 1e-8) -> RootSet:
         residuals=residuals,
         moduli=np.ones(n),
         args_turns=t,
-        cluster_radii=np.full(n, 2.0 * math.sin(math.pi / n)),
         tolerance=tol,
     )

@@ -67,6 +67,23 @@ class TestAnalyze:
         assert run_cli("analyze", "--no-such-flag").returncode == 64
         assert run_cli("analyze").returncode == 64  # needs a source
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("analyze", "--family", "littlewood", "--theta", "0.3"), "theta"),
+            (("analyze", "--family", "littlewood", "--p", "0"), "p must be"),
+            (("analyze", "--family", "littlewood", "--rho", "1.5"), "rho"),
+            (("sweep", "--trials", "0"), "trials"),
+            (("analyze", "--family", "rudin_shapiro_P", "--degree", "30"), "recursion depth"),
+        ],
+    )
+    def test_invalid_parameters_exit_64(self, args, message):
+        proc = run_cli(*args)
+        assert proc.returncode == 64
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
 
 class TestGear:
     def test_reference_gear_78_teeth(self, tmp_path):

@@ -1,20 +1,27 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from polyzero.bounds import BoundEntry
 from polyzero.harness import (
     INAPPLICABLE,
+    INDETERMINATE,
     PASS,
     VIOLATION,
     SweepConfig,
     ToleranceConfig,
+    _gear_stage,
+    _upper_entry,
+    _verdict,
     certify,
     report_json,
     stratified_center_angles,
     sweep,
 )
+from polyzero.norms import compute_profile
 from polyzero.poly import FamilySpec, Polynomial, make_family, power_minus_one
 from polyzero.roots import unit_roots_rootset
 
@@ -202,3 +209,58 @@ class TestSweep:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             SweepConfig(trials=0)
+
+
+class TestVerdict:
+    @pytest.mark.parametrize(
+        "margin_c, margin_f, tangency, expected",
+        [
+            (0.5, 1.0, False, PASS),
+            (0.0, 0.0, False, PASS),
+            (-0.5, 1.0, False, INDETERMINATE),
+            (-0.5, 0.0, False, INDETERMINATE),
+            (-1.0, -0.5, False, VIOLATION),
+            # Tangency downgrades a PASS, and only a PASS.
+            (0.5, 1.0, True, INDETERMINATE),
+            (-0.5, 1.0, True, INDETERMINATE),
+            (-1.0, -0.5, True, VIOLATION),
+        ],
+    )
+    def test_ladder(self, margin_c, margin_f, tangency, expected):
+        assert _verdict(margin_c, margin_f, tangency) == expected
+
+    @pytest.mark.parametrize(
+        "bound_id, kind, applicable, value, tangency, expected",
+        [
+            ("ShuWang", "upper", True, 0.2, False, VIOLATION),
+            ("ShuWang", "upper", False, 0.2, False, INAPPLICABLE),
+            # Report-kind entries are margin-only: never a VIOLATION.
+            ("CorollaryKnErf", "report", True, 0.2, False, INDETERMINATE),
+            ("CorollaryKnErf", "report", True, 0.9, False, PASS),
+            # The downgrade applies to |E|-dependent bounds only.
+            ("Lem2_annular[p=2,rho=0.5]", "upper", True, 0.9, True, INDETERMINATE),
+            ("ShuWang", "upper", True, 0.9, True, PASS),
+            ("Thm4_annular_p[p=2,rho=0.5]", "report", True, 0.9, True, INDETERMINATE),
+        ],
+    )
+    def test_upper_entry(self, bound_id, kind, applicable, value, tangency, expected):
+        entry = BoundEntry(bound_id, value, value + 0.1, applicable, kind=kind)
+        assert _upper_entry(entry, 0.5, tangency).verdict == expected
+
+    def test_closed_gear_check_has_no_tangency_downgrade(self):
+        n = 512
+        roots = unit_roots_rootset(n)
+        cfg = SweepConfig(
+            p_list=(2.0,), theta_list=(1.0,), gear_deltas=(0.0,),
+            tolerances=ToleranceConfig(e_tol=1e-6, sup_tol=1e-4, compute_mahler_plus=False),
+        )
+        profile = compute_profile(
+            power_minus_one(n), roots=roots, p_list=cfg.p_list,
+            tols=cfg.tolerances.profile_tolerances(), with_mahler_plus=False,
+        )
+        tangent = dataclasses.replace(profile, e_tangency=True)
+        verdicts = {e.bound_id: e.verdict for e in _gear_stage(roots, tangent, cfg, {})}
+        tag = "[variant=p_9,p=2,theta=1,delta=0]"
+        assert verdicts[f"GearUpper_exact{tag}"] == INDETERMINATE
+        assert verdicts[f"GearUpper_closed{tag}"] == PASS
+        assert verdicts["GearUpper_exact[variant=sup_7,theta=1,delta=0]"] == PASS
