@@ -257,11 +257,11 @@ def disk_lower_bound(
         if not pnorm_ge_1:
             notes.append("||P||_p < 1")
     elif variant == "Gn_9":
-        if n < 2:
-            raise ValueError("Gn_9 needs n >= 2")
         gamma = 9.0 * math.log(n) ** theta / math.sqrt(n)
         min_zeros = math.sqrt(n) * math.log(n) ** theta
-        ok = gn_member
+        ok = gn_member and n >= 2
+        if n < 2:
+            notes.append("needs n >= 2")
         if not gn_member:
             notes.append("not in the unimodular-ends class")
     elif variant == "custom_radius":

@@ -604,7 +604,14 @@ class ProfileTolerances:
 
 @dataclass
 class NormProfile:
-    """Every scalar functional of one polynomial needed by the bound tables."""
+    """Every scalar functional of one polynomial needed by the bound tables.
+
+    ``log_mahler_plus_scaled`` is ``m+(f P)`` with ``f = 1/sqrt|c0 cn|``.
+    ``log+`` is monotone and 1-Lipschitz, so ``m+(f P)`` lies between
+    ``m+(P)`` and ``m+(P) + log f``; when ``|log f|`` is within the m+
+    quadrature tolerance, ``log_mahler_plus`` is reused instead of a second
+    pass.  It is nan when ``P(0) = 0``, where ``f`` does not exist.
+    """
 
     degree: int
     c0_abs: float
@@ -646,16 +653,16 @@ def b_norm(
     """Logarithmic p-norm ``B_p``.
 
     ``B_inf = log(sup / sqrt|c0 cn|)``; for finite p,
-    ``B_p = (1 - |E|) log(pnorm / sqrt|c0 cn|) + 1/(e p)``.
+    ``B_p = (1 - |E|) log(pnorm / sqrt|c0 cn|) + 1/(e p)``.  When
+    ``P(0) = 0`` both take their limit ``+inf``, except that ``B_p`` stays
+    at ``1/(e p)`` where ``|E| = 1`` (the log term then carries no mass).
     ``direction`` selects which enclosure endpoints enter: ``certify_upper``
     maximizes the value, ``certify_lower`` minimizes it, ``point`` uses
     midpoints.
     """
     if direction not in ("point", "certify_upper", "certify_lower"):
         raise ValueError(f"bad direction {direction!r}")
-    if profile.c0cn_abs == 0:
-        raise ValueError("B requires a nonzero constant coefficient")
-    half_log = 0.5 * math.log(profile.c0cn_abs)
+    half_log = 0.5 * math.log(profile.c0cn_abs) if profile.c0cn_abs > 0 else -math.inf
     if math.isinf(exponent):
         sup = {
             "point": profile.sup_norm.mid,
@@ -673,7 +680,8 @@ def b_norm(
         e_val = e_int.lo if log_term >= 0 else e_int.hi
     else:
         e_val = e_int.hi if log_term >= 0 else e_int.lo
-    return (1.0 - e_val) * log_term + 1.0 / (math.e * exponent)
+    weight = 1.0 - e_val
+    return (weight * log_term if weight else 0.0) + 1.0 / (math.e * exponent)
 
 
 def b_norm_interval(profile: NormProfile, exponent: float) -> Interval:
@@ -719,17 +727,21 @@ def compute_profile(
             # Degenerate circle zeros can exhaust float64; the rest of the
             # profile stays usable.
             m_val = m_log = math.nan
+    c0cn = abs(p.coeffs[0] * p.coeffs[-1])
+    mp_val = mp_log = mp_log_scaled = math.nan
     if with_mahler_plus:
         mp_val, mp_log = mahler_plus(p, tol=tols.mplus_tol, level_info=info)
-        scaled = p.scaled(1.0 / math.sqrt(abs(p.coeffs[0] * p.coeffs[-1])))
-        _, mp_log_scaled = mahler_plus(scaled, tol=tols.mplus_tol)
-    else:
-        mp_val = mp_log = mp_log_scaled = math.nan
+        if c0cn > 0.0:  # with P(0) = 0 there is no normalized polynomial
+            factor = 1.0 / math.sqrt(c0cn)
+            if abs(math.log(factor)) <= tols.mplus_tol:
+                mp_log_scaled = mp_log
+            else:
+                _, mp_log_scaled = mahler_plus(p.scaled(factor), tol=tols.mplus_tol)
     return NormProfile(
         degree=p.degree,
         c0_abs=abs(p.coeffs[0]),
         cn_abs=abs(p.coeffs[-1]),
-        c0cn_abs=abs(p.coeffs[0] * p.coeffs[-1]),
+        c0cn_abs=c0cn,
         p_norms=p_norms,
         sup_norm=sup,
         mahler=m_val,

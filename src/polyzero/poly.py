@@ -73,19 +73,36 @@ class Polynomial:
         return f"Polynomial(degree={self.degree}, label={self.label!r})"
 
 
+_HORNER_BLOCK = 16384
+
+
 def _horner(coeffs, z: np.ndarray, derivative: bool = False):
     """Horner's scheme for ``sum_j coeffs[j] * z**j`` on the array ``z``.
 
-    With ``derivative`` the same pass also returns the derivative.
+    With ``derivative`` the same pass also returns the derivative.  The
+    coefficient loop runs over blocks of ``_HORNER_BLOCK`` points so that a
+    block's accumulators stay in cache for the whole pass.  Each product is
+    written to a scratch buffer, never onto its own input: numpy's in-place
+    complex multiply can round a one-element array differently, and the
+    result must equal the out-of-place recurrence bit for bit.
     """
-    acc = np.full_like(z, coeffs[-1])
-    dacc = np.zeros_like(z) if derivative else None
-    if z.size:  # an empty ``z`` needs no pass over the coefficients
+    flat = z.reshape(-1)
+    acc = np.full(flat.shape, coeffs[-1], dtype=z.dtype)
+    dacc = np.zeros_like(acc) if derivative else None
+    tmp = np.empty(min(flat.size, _HORNER_BLOCK), dtype=acc.dtype)
+    for lo in range(0, flat.size, _HORNER_BLOCK):
+        hi = lo + _HORNER_BLOCK
+        zb = flat[lo:hi]
+        ab, tb = acc[lo:hi], tmp[: len(zb)]
+        db = dacc[lo:hi] if derivative else None
         for cj in coeffs[-2::-1]:
             if derivative:
-                dacc = dacc * z + acc
-            acc = acc * z + cj
-    return (acc, dacc) if derivative else acc
+                np.multiply(db, zb, tb)
+                np.add(tb, ab, db)
+            np.multiply(ab, zb, tb)
+            np.add(tb, cj, ab)
+    acc = acc.reshape(z.shape)
+    return (acc, dacc.reshape(z.shape)) if derivative else acc
 
 
 def _horner_split(coeffs, z: np.ndarray, derivative: bool = False):

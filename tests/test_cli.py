@@ -8,7 +8,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from polyzero.cli import main
-from polyzero.poly import power_minus_one, write_polynomial
+from polyzero.harness import SweepConfig, certify
+from polyzero.poly import Polynomial, power_minus_one, write_polynomial
 
 
 def run_cli(*args):
@@ -62,6 +63,22 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert run_cli("analyze", "--poly", str(bad)).returncode == 1
+
+    @pytest.mark.parametrize(
+        "coeffs", [[[0, 0], [1, 0], [1, 0]], [[0, 0], [0.5, 0]]], ids=["z+z^2", "z/2"]
+    )
+    def test_zero_constant_term_full_report(self, coeffs, tmp_path):
+        poly_file, out = tmp_path / "p.json", tmp_path / "report.json"
+        poly_file.write_text(json.dumps({"coeffs": coeffs}))
+        proc = run_cli("analyze", "--poly", str(poly_file), "--out", str(out), "--centers", "32")
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        entries = json.loads(out.read_text())["entries"]
+        # Every entry a polynomial of the same degree with P(0) != 0 gets,
+        # each INAPPLICABLE with its reason.
+        reference = certify(Polynomial((1.0, *(re for re, _ in coeffs[1:]))), SweepConfig(disk_centers=32))
+        assert [e["bound_id"] for e in entries] == [e.bound_id for e in reference.entries]
+        assert all(e["verdict"] == "INAPPLICABLE" and e["notes"] for e in entries)
 
     def test_usage_error_exit_64(self):
         assert run_cli("analyze", "--no-such-flag").returncode == 64

@@ -11,7 +11,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from polyzero.poly import FamilySpec, Polynomial, evaluate, evaluate_with_derivative, make_family
+from polyzero.poly import (
+    _HORNER_BLOCK,
+    FamilySpec,
+    Polynomial,
+    _horner,
+    evaluate,
+    evaluate_with_derivative,
+    make_family,
+)
 from polyzero.roots import _newton_steps, log_abs_eval
 
 EPS = np.finfo(float).eps
@@ -119,3 +127,41 @@ class TestLargeModulus:
         for zi, g in zip(z, got):
             exact, _, _, _ = _oracle(poly, complex(zi))
             assert g == pytest.approx(float(mpmath.log(abs(exact))), abs=1e-6)
+
+
+def _plain_horner(coeffs, z, derivative=False):
+    """The out-of-place recurrence, one pass over all of ``z``: the reference."""
+    acc = np.full_like(z, coeffs[-1])
+    dacc = np.zeros_like(z) if derivative else None
+    for cj in coeffs[-2::-1]:
+        if derivative:
+            dacc = dacc * z + acc
+        acc = acc * z + cj
+    return (acc, dacc) if derivative else acc
+
+
+def _bits(result):
+    """Shape and raw bytes of each array in a Horner result."""
+    parts = result if isinstance(result, tuple) else (result,)
+    return [(np.shape(a), np.asarray(a).tobytes()) for a in parts]
+
+
+class TestBlockBoundaries:
+    """``_horner`` runs over blocks of points and must match the plain recurrence bit for bit."""
+
+    B = _HORNER_BLOCK
+    COEFFS = tuple(np.random.default_rng(12).standard_normal((41, 2)) @ (1.0, 1j))
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize("size", [0, 1, 2, B - 1, B, B + 1, 2 * B + 3])
+    def test_array(self, size, derivative):
+        rng = np.random.default_rng(size)
+        z = (0.8 + 0.4 * rng.random(size)) * np.exp(2j * np.pi * rng.random(size))
+        assert _bits(_horner(self.COEFFS, z, derivative)) == _bits(_plain_horner(self.COEFFS, z, derivative))
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_zero_dimensional(self, derivative):
+        z = np.asarray(0.3 + 0.9j)
+        got = _horner(self.COEFFS, z, derivative)
+        assert np.ndim(got[0] if derivative else got) == 0
+        assert _bits(got) == _bits(_plain_horner(self.COEFFS, z, derivative))

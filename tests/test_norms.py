@@ -1,8 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from polyzero import norms
+from polyzero.harness import SweepConfig, certify
 from polyzero.poly import (
     FamilySpec,
     Polynomial,
@@ -263,6 +266,18 @@ class TestBNorm:
             for exponent in (1.0, 2.0):
                 assert prof.log_mahler_scaled <= b_norm(prof, exponent, "certify_upper") + 1e-8
 
+    def test_zero_constant_term_takes_the_limit(self):
+        # P(0) = 0 sends log(1/sqrt|c0 cn|) to +inf; a zero weight 1 - |E| keeps B_p finite.
+        z_plus_z2 = Polynomial((0, 1, 1))
+        prof = compute_profile(z_plus_z2, roots=find_roots(z_plus_z2))
+        assert math.isnan(prof.log_mahler_plus_scaled)
+        assert b_norm_interval(prof, math.inf) == Interval(math.inf, math.inf)
+        assert b_norm_interval(prof, 2.0) == Interval(math.inf, math.inf)
+        half_z = Polynomial((0, 0.5))
+        prof = compute_profile(half_z, roots=find_roots(half_z))
+        assert prof.e_measure == Interval(1.0, 1.0)
+        assert b_norm(prof, 2.0, "certify_lower") == b_norm(prof, 2.0, "certify_upper") == 0.5 / math.e
+
     def test_interval_helper(self):
         prof = compute_profile(ONE_PLUS_Z, roots=find_roots(ONE_PLUS_Z))
         iv = b_norm_interval(prof, 2.0)
@@ -279,3 +294,67 @@ class TestProfile:
         prof = compute_profile(Polynomial((0.25, 0.25)), roots=find_roots(Polynomial((0.25, 0.25))))
         assert not prof.pnorm_at_least_one(2.0)
         assert not prof.c0cn_at_least_one
+
+
+def _mahler_plus_oracle(p: Polynomial, scale: float = 1.0) -> float:
+    """``integral_0^1 log+ |scale P(e(t))| dt`` by ``mpmath.quad``.
+
+    Breakpoints: the crossings of ``|scale P| = 1`` (bracketed on a fine grid
+    and bisected in float64), where the integrand has kinks, plus 2(n+1)
+    uniform panels so that no panel holds more than a few oscillations.
+    """
+    c = scale * p.coefficient_array()
+    g = lambda t: np.abs(np.polyval(c[::-1], np.exp(2j * np.pi * t))) - 1.0
+    t = np.linspace(0.0, 1.0, 64 * (p.degree + 1) + 1)
+    gt = g(t)
+    cuts = []
+    for k in np.nonzero(np.sign(gt[:-1]) != np.sign(gt[1:]))[0]:
+        lo, hi = t[k], t[k + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.sign(g(mid)) == np.sign(gt[k]) else (lo, mid)
+        cuts.append(0.5 * (lo + hi))
+    points = sorted(set(np.linspace(0.0, 1.0, 2 * (p.degree + 1) + 1)) | set(cuts))
+    with mpmath.workdps(20):
+        cm = [mpmath.mpc(complex(x)) for x in c[::-1]]
+        f = lambda s: max(mpmath.log(abs(mpmath.polyval(cm, mpmath.expjpi(2 * s)))), 0)
+        value, error = mpmath.quad(f, points, error=True)
+    assert error < 1e-12
+    return float(value)
+
+
+class TestMahlerPlusReuse:
+    """``log_mahler_plus_scaled`` reuses ``m+(P)`` only when ``|c0 cn|`` is 1 within tolerance."""
+
+    @pytest.fixture(scope="class")
+    def littlewood(self):
+        return make_family(FamilySpec("littlewood", 32, seed=4))
+
+    def test_normalized_reuses_first_pass(self, littlewood):
+        prof = compute_profile(littlewood, roots=find_roots(littlewood))
+        assert prof.log_mahler_plus_scaled == prof.log_mahler_plus
+        assert abs(prof.log_mahler_plus - _mahler_plus_oracle(littlewood)) <= 1e-8
+
+    def test_non_normalized_runs_second_pass(self, littlewood):
+        c = list(littlewood.coeffs)
+        c[0], c[-1] = 2 * c[0], 2 * c[-1]
+        p = Polynomial(tuple(c))
+        prof = compute_profile(p, roots=find_roots(p))
+        assert prof.c0cn_abs == 4.0
+        assert abs(prof.log_mahler_plus - _mahler_plus_oracle(p)) <= 1e-8
+        assert abs(prof.log_mahler_plus_scaled - _mahler_plus_oracle(p, 0.5)) <= 1e-8
+        assert prof.log_mahler_plus_scaled < prof.log_mahler_plus
+
+    def test_certify_calls_mahler_plus_once(self, littlewood, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return mahler_plus(*args, **kwargs)
+
+        monkeypatch.setattr(norms, "mahler_plus", counted)
+        cfg = SweepConfig(disk_centers=32)
+        certify(littlewood, cfg)
+        assert len(calls) == 1
+        certify(littlewood.scaled(2.0), cfg)
+        assert len(calls) == 3
