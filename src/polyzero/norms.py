@@ -123,11 +123,20 @@ def sup_norm_enclosure(
 ) -> Interval:
     """Certified interval containing ``max_t |P(e(t))|``.
 
-    The lower end is the best grid sample.  The upper end combines two valid
-    certificates and keeps the smaller: a Lipschitz bound with constant
-    ``2*pi*sum j|c_j|`` per turn, and a Bernstein second-derivative bound on
-    the trig polynomial ``|P|**2``, which gives
-    ``max g <= max_samples / (1 - (pi n h)^2 / 2)``.
+    The lower end is the best sample.  The upper end combines two valid
+    certificates at the current cell width ``h`` and keeps the smaller: a
+    Lipschitz bound with constant ``2*pi*sum j|c_j|`` per turn, and a
+    Bernstein second-derivative bound on the trig polynomial ``g = |P|**2``,
+    which gives ``max g <= max_samples / (1 - (pi n h)^2 / 2)``.
+
+    Sampling starts on a uniform FFT grid.  Each refinement drops every cell
+    that cannot hold the maximizer (its better endpoint fails the Bernstein
+    or the Lipschitz bound read backwards) and bisects the rest; both
+    endpoints of every kept cell are evaluated, so the bounds stay valid at
+    the new ``h``.  New midpoints come from Horner, or from one half-shifted
+    FFT of the whole grid when that is cheaper (many near-equal peaks).
+    ``max_points`` caps the number of points evaluated, the first grid
+    included.
     """
     if p.degree == 0:
         v = abs(p.coeffs[0])
@@ -138,13 +147,16 @@ def sup_norm_enclosure(
     # Evaluation rounding allowance so the true sup cannot slip below ``lo``
     # on constant-modulus edge cases.
     eval_err = 4e-16 * (n + 2) * float(np.sum(np.abs(c)))
-    n_points = _initial_grid(n, floor=512)
+    n_cells = _initial_grid(n, floor=512)
+    f_left = np.abs(circle_samples(p, n_cells))
+    evaluated = n_cells
+    ms = float((f_left**2).max())
+    cells = np.arange(n_cells)  # left endpoint index of each kept cell
+    f_right = np.roll(f_left, -1)
     best: Interval | None = None
-    while n_points <= max_points:
-        g = np.abs(circle_samples(p, n_points)) ** 2
-        ms = float(g.max())
+    while True:
         lo = max(math.sqrt(ms) - eval_err, 0.0)
-        h = 1.0 / n_points
+        h = 1.0 / n_cells
         kappa = 0.5 * (math.pi * n * h) ** 2
         hi_bern = math.sqrt(ms / (1.0 - kappa)) if kappa < 1.0 else math.inf
         hi_lip = math.sqrt(ms) + lip * h / 2.0
@@ -154,10 +166,25 @@ def sup_norm_enclosure(
             best = enc
         if hi - lo <= tol * hi:
             return enc
-        n_points *= 2
-    assert best is not None
+        # The maximizer's cell has an endpoint within h/2 of it, where
+        # g >= max g (1 - kappa) and |P| >= sup - lip h/2.
+        cutoff = max(math.sqrt(ms * max(1.0 - kappa, 0.0)), math.sqrt(ms) - lip * h / 2.0)
+        keep = np.maximum(f_left, f_right) >= cutoff - 2.0 * eval_err
+        cells, f_left, f_right = cells[keep], f_left[keep], f_right[keep]
+        use_fft = len(cells) * (n + 1) > n_cells * math.log2(n_cells)
+        evaluated += n_cells if use_fft else len(cells)
+        if evaluated > max_points:
+            break
+        if use_fft:
+            f_mid = np.abs(circle_samples(p, n_cells, shift=0.5))[cells]
+        else:
+            f_mid = _abs_on_circle(p, (cells + 0.5) / n_cells)
+        ms = max(ms, float((f_mid**2).max()))
+        cells = np.concatenate([2 * cells, 2 * cells + 1])
+        f_left, f_right = np.concatenate([f_left, f_mid]), np.concatenate([f_mid, f_right])
+        n_cells *= 2
     raise QuadratureError(
-        f"sup_norm grid cap {max_points} reached; best width {best.width:.3e}"
+        f"sup_norm evaluation cap {max_points} reached; best width {best.width:.3e}"
     )
 
 
@@ -512,33 +539,45 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 def _integrate_log_abs(p: Polynomial, intervals: np.ndarray, tol: float) -> float:
     """``sum_i integral_{a_i}^{b_i} log |P(e(t))| dt`` over smooth intervals.
 
-    Gauss-Legendre panels sized to the oscillation scale 1/degree, doubled
-    until the total stabilizes.  Intervals must avoid zeros of ``P`` on the
-    circle (guaranteed when they sit strictly above the level |P| = 1).
+    16-point Gauss-Legendre panels on a global grid of ``m`` cells, ``m``
+    starting at eight per unit of degree (the oscillation scale) and doubled
+    until the total stabilizes or reaches 512 per unit.  On the cells lying wholly inside a piece,
+    node ``x`` of every cell comes from one FFT, ``circle_samples(p, m,
+    shift=x)``; only the partial cells at the ends of each piece, or a piece
+    inside a single cell, run Horner.  Intervals must avoid zeros of ``P``
+    on the circle (guaranteed when they sit strictly above the level
+    |P| = 1); ``log`` is taken on the kept cells only.
     """
     if len(intervals) == 0:
         return 0.0
     a = intervals[:, 0]
     b = intervals[:, 1]
-    per_unit = max(4 * p.degree, 8)
+    x = 0.5 * (_GL_NODES + 1.0)
+    half_w = 0.5 * _GL_WEIGHTS
+    m = max(8 * p.degree, 16)
     prev = None
-    scale = 1
-    while True:
-        counts = np.maximum((np.ceil((b - a) * per_unit * scale)).astype(int), 1)
-        starts = np.repeat(a, counts)
-        offs = np.concatenate([np.arange(k) for k in counts])
-        widths = np.repeat((b - a) / counts, counts)
-        lo = starts + offs * widths
-        nodes = lo[:, None] + (0.5 * (_GL_NODES + 1.0))[None, :] * widths[:, None]
-        z = np.exp(2j * np.pi * nodes.ravel())
-        vals = log_abs_eval(p, z).reshape(nodes.shape)
-        total = float(((vals * _GL_WEIGHTS[None, :]).sum(axis=1) * 0.5 * widths).sum())
+    for _ in range(7):
+        first = np.ceil(a * m).astype(int)  # first grid node inside each piece
+        last = np.floor(b * m).astype(int)
+        whole = np.maximum(last - first, 0)
+        cells = np.repeat(first - np.cumsum(whole) + whole, whole) + np.arange(whole.sum())
+        # Partial panels: [a, first/m] and [last/m, b], or [a, b] within one cell.
+        inside = first > last
+        lo = np.concatenate([a[inside], a[~inside], last[~inside] / m])
+        hi = np.concatenate([b[inside], first[~inside] / m, b[~inside]])
+        part = hi > lo
+        lo, hi = lo[part], hi[part]
+        nodes = lo[:, None] + x[None, :] * (hi - lo)[:, None]
+        vals = log_abs_eval(p, np.exp(2j * np.pi * nodes))
+        total = float((vals @ half_w) @ (hi - lo))
+        if len(cells):
+            for xq, wq in zip(x, half_w):
+                total += wq / m * float(np.log(np.abs(circle_samples(p, m, shift=xq)[cells])).sum())
         if prev is not None and abs(total - prev) <= tol * (1.0 + abs(total)):
             return total
-        if scale > 64:
-            raise QuadratureError("log-integral panels failed to stabilize")
         prev = total
-        scale *= 2
+        m *= 2
+    raise QuadratureError("log-integral panels failed to stabilize")
 
 
 def mahler_plus(
@@ -566,25 +605,22 @@ def _positive_pieces(p: Polynomial, info: LevelSetInfo) -> np.ndarray:
 
     The classifier certifies measure but discards cell lists; a uniform
     rescan with crossing boundaries inserted reproduces the above-level
-    pieces, which is all the integrator needs.
+    pieces, which is all the integrator needs.  Unsplit grid cells take
+    their midpoint values from one half-shifted FFT; only the sub-cells cut
+    at a crossing run Horner.
     """
-    cuts = sorted(0.5 * (a + b) for a, b in info.crossings)
+    cuts = [0.5 * (a + b) for a, b in info.crossings]
     n0 = _initial_grid(p.degree)
     grid = np.arange(n0 + 1) / n0
     points = np.unique(np.concatenate([grid, np.asarray(cuts)]))
     mids = 0.5 * (points[:-1] + points[1:])
-    above = _abs_on_circle(p, mids) > 1.0
-    pieces = []
-    start = None
-    for k, flag in enumerate(above):
-        if flag and start is None:
-            start = points[k]
-        if not flag and start is not None:
-            pieces.append((start, points[k]))
-            start = None
-    if start is not None:
-        pieces.append((start, points[-1]))
-    return np.array(pieces) if pieces else np.empty((0, 2))
+    cell = np.minimum((mids * n0).astype(int), n0 - 1)
+    split = (np.bincount(cell, minlength=n0) > 1)[cell]
+    above = np.empty(len(mids), dtype=bool)
+    above[~split] = np.abs(circle_samples(p, n0, shift=0.5))[cell[~split]] > 1.0
+    above[split] = _abs_on_circle(p, mids[split]) > 1.0
+    edges = np.diff(np.concatenate([[0], above.astype(np.int8), [0]]))
+    return np.column_stack([points[edges == 1], points[edges == -1]])
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +629,12 @@ def _positive_pieces(p: Polynomial, info: LevelSetInfo) -> np.ndarray:
 
 @dataclass
 class ProfileTolerances:
+    """Tolerances of :func:`compute_profile`.
+
+    ``max_points`` caps the FFT grid of ``p_norm`` and the number of points
+    ``sup_norm_enclosure`` evaluates (first grid plus refinement points).
+    """
+
     quad_tol: float = 1e-9
     sup_tol: float = 1e-6
     e_tol: float = 1e-8

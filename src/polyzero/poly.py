@@ -133,17 +133,22 @@ def evaluate_with_derivative(p: Polynomial, z):
     return acc, dacc
 
 
-def circle_samples(p: Polynomial, n_points: int) -> np.ndarray:
-    """Values ``P(e(k / n_points))`` for ``k = 0 .. n_points-1``.
+def circle_samples(p: Polynomial, n_points: int, shift: float = 0.0) -> np.ndarray:
+    """Values ``P(e((k + shift) / n_points))`` for ``k = 0 .. n_points-1``.
 
     Uses a zero-padded inverse FFT, which is exact (up to rounding) because
     sampling a degree-n polynomial on an N-point uniform grid of the unit
-    circle is a discrete Fourier transform of the coefficient vector.
+    circle is a discrete Fourier transform of the coefficient vector.  A
+    nonzero ``shift`` (in grid steps) twists coefficient ``j`` by
+    ``e(j * shift / n_points)`` first, so ``shift=0.5`` gives the cell
+    midpoints of the unshifted grid.
     """
     if n_points <= p.degree:
         raise ValueError("need more sample points than the degree")
     c = np.zeros(n_points, dtype=complex)
     c[: p.degree + 1] = p.coefficient_array()
+    if shift:
+        c[: p.degree + 1] *= np.exp((2j * np.pi * shift / n_points) * np.arange(p.degree + 1))
     return np.fft.ifft(c) * n_points
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from polyzero.poly import (
     FamilySpec,
     Polynomial,
     cyclotomic,
+    evaluate,
     lehmer_polynomial,
     make_family,
     power_minus_one,
@@ -358,3 +360,199 @@ class TestMahlerPlusReuse:
         assert len(calls) == 1
         certify(littlewood.scaled(2.0), cfg)
         assert len(calls) == 3
+
+
+def _sup_ladder(p: Polynomial, tol: float = 1e-6, max_points: int = 2**22) -> Interval:
+    """The uniform FFT ladder: the whole grid doubled until the stop test holds."""
+    c = p.coefficient_array()
+    n = p.degree
+    lip = 2 * math.pi * float(np.sum(np.arange(len(c)) * np.abs(c)))
+    eval_err = 4e-16 * (n + 2) * float(np.sum(np.abs(c)))
+    n_points = norms._initial_grid(n, floor=512)
+    while n_points <= max_points:
+        ms = float((np.abs(np.fft.ifft(np.pad(c, (0, n_points - n - 1))) * n_points) ** 2).max())
+        h = 1.0 / n_points
+        kappa = 0.5 * (math.pi * n * h) ** 2
+        hi = min(math.sqrt(ms / (1.0 - kappa)), math.sqrt(ms) + lip * h / 2.0) + eval_err
+        lo = math.sqrt(ms) - eval_err
+        if hi - lo <= tol * hi:
+            return Interval(lo, hi)
+        n_points *= 2
+    raise AssertionError("ladder cap reached")
+
+
+def _count_evaluations(monkeypatch) -> dict[str, int]:
+    """Count the points ``sup_norm_enclosure`` evaluates, by route."""
+    counts = {"fft": 0, "shifted_fft": 0, "horner": 0}
+    fft, horner = norms.circle_samples, norms._abs_on_circle
+
+    def counted_fft(p, n_points, shift=0.0):
+        counts["shifted_fft" if shift else "fft"] += n_points
+        return fft(p, n_points, shift=shift)
+
+    def counted_horner(p, t):
+        counts["horner"] += len(t)
+        return horner(p, t)
+
+    monkeypatch.setattr(norms, "circle_samples", counted_fft)
+    monkeypatch.setattr(norms, "_abs_on_circle", counted_horner)
+    return counts
+
+
+class TestSupRefinement:
+    """The sup enclosure refines only the cells that can hold the maximum."""
+
+    @pytest.mark.parametrize("kind", ["littlewood", "unimodular", "g_class"])
+    @pytest.mark.parametrize("n", [16, 64, 256, 512])
+    def test_matches_uniform_ladder(self, kind, n):
+        p = make_family(FamilySpec(kind, n, seed=n + 1))
+        enc = sup_norm_enclosure(p)
+        ref = _sup_ladder(p)
+        assert abs(enc.lo - ref.lo) <= 1e-12 * ref.hi
+        assert abs(enc.hi - ref.hi) <= 1e-12 * ref.hi
+
+    @pytest.mark.parametrize("kind,n,seed", [("littlewood", 40, 3), ("unimodular", 64, 8), ("g_class", 100, 5)])
+    def test_contains_dense_grid_max(self, kind, n, seed):
+        p = make_family(FamilySpec(kind, n, seed=seed))
+        dense_max = riemann_mean(p, np.max, points=2**19)
+        enc = sup_norm_enclosure(p, tol=1e-9)
+        assert dense_max <= enc.hi
+        assert dense_max >= enc.lo - 1e-6 * enc.hi
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_many_equal_peaks_take_the_fft(self, sign, monkeypatch):
+        # z^n - 1 and 1 + z^n: n peaks of height 2, two cells survive per peak.
+        n = 10**4
+        p = Polynomial((sign,) + (0.0,) * (n - 1) + (1.0,))
+        counts = _count_evaluations(monkeypatch)
+        enc = sup_norm_enclosure(p, tol=1e-3, max_points=2**22)
+        assert 2.0 in enc and enc.width <= 1e-3 * enc.hi
+        assert counts["shifted_fft"] > 0 and counts["horner"] == 0
+        assert sum(counts.values()) <= 2**22
+
+    def test_cap_counts_points_evaluated(self):
+        p = make_family(FamilySpec("littlewood", 256, seed=2))
+        with pytest.raises(norms.QuadratureError):
+            sup_norm_enclosure(p, max_points=norms._initial_grid(256, floor=512))
+
+    def test_large_monomial_constant_modulus(self, monkeypatch):
+        counts = _count_evaluations(monkeypatch)
+        enc = sup_norm_enclosure(Polynomial((0.0,) * 200 + (1.0,)))
+        assert abs(enc.lo - 1.0) < 1e-12
+        assert 1.0 in enc
+        assert counts["shifted_fft"] > 0
+
+    @pytest.mark.parametrize("kind", ["littlewood", "unimodular", "g_class"])
+    @pytest.mark.parametrize("n", [768, 1024, 2048, 4096])
+    def test_large_degree_reaches_tolerance(self, kind, n):
+        p = make_family(FamilySpec(kind, n, seed=1))
+        enc = sup_norm_enclosure(p)
+        assert enc.width <= 1e-6 * enc.hi
+        assert float(np.abs(norms.circle_samples(p, 4 * norms._initial_grid(n))).max()) <= enc.hi
+
+
+def _horner_panels(p: Polynomial, intervals: np.ndarray, panels_per_unit: int) -> float:
+    """``sum integral log |P|`` on equal Gauss-Legendre panels per interval, by Horner."""
+    total = 0.0
+    for a, b in intervals:
+        k = max(int(math.ceil((b - a) * panels_per_unit)), 1)
+        lo = a + (b - a) * np.arange(k) / k
+        nodes = lo[:, None] + 0.5 * (norms._GL_NODES + 1.0)[None, :] * ((b - a) / k)
+        vals = np.log(np.abs(evaluate(p, np.exp(2j * np.pi * nodes))))
+        total += float((vals @ norms._GL_WEIGHTS).sum()) * 0.5 * (b - a) / k
+    return total
+
+
+def _positive_part(p: Polynomial) -> np.ndarray:
+    return norms._positive_pieces(p, classify_unit_level(p, min_width=1e-10))
+
+
+def _positive_pieces_loop(p: Polynomial, info) -> list[tuple[float, float]]:
+    """Above-level pieces by Horner at every sub-cell midpoint and a flag loop."""
+    cuts = [0.5 * (a + b) for a, b in info.crossings]
+    n0 = norms._initial_grid(p.degree)
+    points = np.unique(np.concatenate([np.arange(n0 + 1) / n0, np.asarray(cuts)]))
+    mids = 0.5 * (points[:-1] + points[1:])
+    above = np.abs(evaluate(p, np.exp(2j * np.pi * mids))) > 1.0
+    pieces, start = [], None
+    for k, flag in enumerate(above):
+        if flag and start is None:
+            start = points[k]
+        if not flag and start is not None:
+            pieces.append((start, points[k]))
+            start = None
+    if start is not None:
+        pieces.append((start, points[-1]))
+    return pieces
+
+
+@pytest.mark.parametrize("kind", ["littlewood", "unimodular", "g_class"])
+@pytest.mark.parametrize("n", [16, 64, 256, 512])
+def test_positive_pieces_match_flag_loop(kind, n):
+    p = make_family(FamilySpec(kind, n, seed=11))
+    info = classify_unit_level(p, min_width=1e-8)
+    pieces = norms._positive_pieces(p, info)
+    assert [tuple(row) for row in pieces.tolist()] == _positive_pieces_loop(p, info)
+
+
+class TestIntegrateLogAbs:
+    """m+ panels on a global grid, with full cells evaluated by FFT."""
+
+    @pytest.mark.parametrize("kind", ["littlewood", "unimodular", "g_class"])
+    def test_mpmath_oracle_n16(self, kind):
+        p = make_family(FamilySpec(kind, 16, seed=3))
+        value = norms._integrate_log_abs(p, _positive_part(p), tol=1e-8)
+        assert abs(value - _mahler_plus_oracle(p)) <= 1e-9
+
+    def test_mpmath_oracle_n64(self):
+        p = make_family(FamilySpec("g_class", 64, seed=3))
+        value = norms._integrate_log_abs(p, _positive_part(p), tol=1e-8)
+        assert abs(value - _mahler_plus_oracle(p)) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["littlewood", "unimodular", "g_class"])
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_horner_panel_reference(self, kind, n):
+        p = make_family(FamilySpec(kind, n, seed=7))
+        pieces = _positive_part(p)
+        value = norms._integrate_log_abs(p, pieces, tol=1e-8)
+        assert abs(value - _horner_panels(p, pieces, 64 * n)) <= 1e-9
+
+    # |4 + z - z^3 + z^8 / 2| >= 3/2 on the circle; the first grid has 32 cells.
+    SMOOTH = Polynomial((4, 1, 0, -1, 0, 0, 0, 0, 0.5))
+
+    def _oracle(self, intervals) -> float:
+        c = [mpmath.mpf(v.real) for v in self.SMOOTH.coeffs[::-1]]
+        f = lambda s: mpmath.log(abs(mpmath.polyval(c, mpmath.expjpi(2 * s))))
+        with mpmath.workdps(25):
+            return float(sum(mpmath.quad(f, mpmath.linspace(a, b, 9)) for a, b in intervals))
+
+    def test_empty_interval_list(self):
+        assert norms._integrate_log_abs(self.SMOOTH, np.empty((0, 2)), tol=1e-8) == 0.0
+
+    @pytest.mark.parametrize(
+        "intervals",
+        [
+            [(0.001, 0.01)],  # inside one cell
+            [(0.1, 0.25), (0.5, 0.625)],  # ending on cell boundaries
+            [(0.0, 0.2), (0.9, 1.0)],  # touching 0 and 1
+            [(0.0, 1.0)],  # the whole circle
+        ],
+    )
+    def test_edge_pieces(self, intervals):
+        value = norms._integrate_log_abs(self.SMOOTH, np.array(intervals), tol=1e-10)
+        assert abs(value - self._oracle(intervals)) <= 1e-12
+
+    def test_whole_circle_is_jensen(self):
+        # All zeros of 4 + z - z^3 + z^8 / 2 lie outside the circle, so m = log 4.
+        value = norms._integrate_log_abs(self.SMOOTH, np.array([(0.0, 1.0)]), tol=1e-12)
+        assert abs(value - math.log(4.0)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "p",
+        [Polynomial((1, -8, 28, -56, 70, -56, 28, -8, 1)), power_minus_one(64), ONE_PLUS_Z],
+    )
+    def test_circle_zero_raises_no_warning(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, m_plus = mahler_plus(p)
+        assert math.isfinite(m_plus)

@@ -78,6 +78,17 @@ class TestEvaluate:
             fast = circle_samples(p, m)
             assert np.max(np.abs(direct - fast)) <= 1e-10 * np.max(np.abs(direct))
 
+    def test_shifted_circle_samples(self, rng):
+        # shift=x samples P at (k + x) / m, between the grid points.
+        coeffs = rng.normal(size=33) + 1j * rng.normal(size=33)
+        p = Polynomial(tuple(coeffs))
+        m = 128
+        for shift in (0.5, 0.0198550717512319, 0.25, 0.9801449282487681):
+            direct = evaluate(p, np.exp(2j * np.pi * (np.arange(m) + shift) / m))
+            fast = circle_samples(p, m, shift=shift)
+            assert np.max(np.abs(direct - fast)) <= 1e-12 * np.max(np.abs(direct))
+        assert np.array_equal(circle_samples(p, m, shift=0.0), circle_samples(p, m))
+
 
 class TestFamilies:
     def test_lehmer_coefficients(self):
