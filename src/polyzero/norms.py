@@ -65,6 +65,53 @@ def _initial_grid(degree: int, floor: int = 1024) -> int:
     return _next_pow2(max(floor, 16 * (degree + 1)))
 
 
+# Fine grids are sampled as ``stride`` interleaved FFTs of at least this many
+# points, so memory stays bounded however far a grid is refined.
+_BLOCK_POINTS = 2**14
+
+
+def _stride(degree: int, n_points: int) -> int:
+    """Largest power of two ``L`` dividing ``n_points`` whose blocks
+    ``n_points / L`` keep at least ``max(_BLOCK_POINTS, 2 (degree + 1))``
+    points."""
+    floor = max(_BLOCK_POINTS, 2 * (degree + 1))
+    stride = 1
+    while n_points % (2 * stride) == 0 and n_points // (2 * stride) >= floor:
+        stride *= 2
+    return stride
+
+
+def _block(p: Polynomial, n_points: int, stride: int, r: int, shift: float) -> np.ndarray:
+    """``P(e((j stride + r + shift) / n_points))`` for ``j = 0 .. n_points/stride - 1``."""
+    return circle_samples(p, n_points // stride, shift=(r + shift) / stride)
+
+
+def _power_sum(p: Polynomial, n_points: int, shift: float, exponent: float) -> float:
+    """``sum_k |P(e((k + shift) / n_points))|**exponent``, one block at a time."""
+    stride = _stride(p.degree, n_points)
+    return sum(
+        float(np.sum(np.abs(_block(p, n_points, stride, r, shift)) ** exponent))
+        for r in range(stride)
+    )
+
+
+def _abs_at(p: Polynomial, n_points: int, index: np.ndarray, shift: float) -> np.ndarray:
+    """``|P(e((k + shift) / n_points))|`` for ``k`` in ``index``, from the
+    blocks that hold one of them."""
+    stride = _stride(p.degree, n_points)
+    if stride == 1:
+        return np.abs(circle_samples(p, n_points, shift=shift))[index]
+    out = np.empty(len(index))
+    res = index % stride
+    order = np.argsort(res, kind="stable")
+    edges = np.searchsorted(res[order], np.arange(stride + 1))
+    for r in range(stride):
+        sel = order[edges[r] : edges[r + 1]]
+        if len(sel):
+            out[sel] = np.abs(_block(p, n_points, stride, r, shift))[index[sel] // stride]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # p-norms and sup-norm
 # ---------------------------------------------------------------------------
@@ -82,16 +129,23 @@ def p_norm(
     value.  For even integer exponents the rule is exact once the grid
     resolves the trig degree, so the loop stops at the first comparison;
     |.|-type kinks (circle zeros) leave a clean h^2 family that the
-    extrapolation removes.
+    extrapolation removes.  Each doubling samples only the midpoints of the
+    previous grid, in FFT blocks of bounded size (see :func:`_stride`), so
+    memory does not grow with the grid.
     """
     if exponent <= 0 or not math.isfinite(exponent):
         raise ValueError("exponent must be a positive finite real")
     n_points = _initial_grid(p.degree, floor=256)
     table: list[list[float]] = []  # Romberg rows over the doubling levels
     diffs: list[float] = []
+    power_sum = 0.0
     while n_points <= max_points:
-        mags = np.abs(circle_samples(p, n_points))
-        raw = float(np.mean(mags**exponent))
+        # Each doubling adds only the midpoints of the previous grid.
+        if table:
+            power_sum += _power_sum(p, n_points // 2, 0.5, exponent)
+        else:
+            power_sum = _power_sum(p, n_points, 0.0, exponent)
+        raw = power_sum / n_points
         row = [raw]
         if table:
             prev = table[-1]
@@ -133,8 +187,9 @@ def sup_norm_enclosure(
     that cannot hold the maximizer (its better endpoint fails the Bernstein
     or the Lipschitz bound read backwards) and bisects the rest; both
     endpoints of every kept cell are evaluated, so the bounds stay valid at
-    the new ``h``.  New midpoints come from Horner, or from one half-shifted
-    FFT of the whole grid when that is cheaper (many near-equal peaks).
+    the new ``h``.  New midpoints come from Horner, or from a half-shifted
+    FFT of the whole grid (:func:`_abs_at`, by blocks) when that is cheaper
+    (many near-equal peaks).
     ``max_points`` caps the number of points evaluated, the first grid
     included.
     """
@@ -176,7 +231,7 @@ def sup_norm_enclosure(
         if evaluated > max_points:
             break
         if use_fft:
-            f_mid = np.abs(circle_samples(p, n_cells, shift=0.5))[cells]
+            f_mid = _abs_at(p, n_cells, cells, 0.5)
         else:
             f_mid = _abs_on_circle(p, (cells + 0.5) / n_cells)
         ms = max(ms, float((f_mid**2).max()))
@@ -541,10 +596,11 @@ def _integrate_log_abs(p: Polynomial, intervals: np.ndarray, tol: float) -> floa
 
     16-point Gauss-Legendre panels on a global grid of ``m`` cells, ``m``
     starting at eight per unit of degree (the oscillation scale) and doubled
-    until the total stabilizes or reaches 512 per unit.  On the cells lying wholly inside a piece,
-    node ``x`` of every cell comes from one FFT, ``circle_samples(p, m,
-    shift=x)``; only the partial cells at the ends of each piece, or a piece
-    inside a single cell, run Horner.  Intervals must avoid zeros of ``P``
+    until the total stabilizes or reaches 512 per unit.  On the cells lying
+    wholly inside a piece, node ``x`` of every cell comes from the FFT
+    ``circle_samples(p, m, shift=x)``, taken by blocks (:func:`_abs_at`);
+    only the partial cells at the ends of each piece, or a piece inside a
+    single cell, run Horner.  Intervals must avoid zeros of ``P``
     on the circle (guaranteed when they sit strictly above the level
     |P| = 1); ``log`` is taken on the kept cells only.
     """
@@ -572,7 +628,7 @@ def _integrate_log_abs(p: Polynomial, intervals: np.ndarray, tol: float) -> floa
         total = float((vals @ half_w) @ (hi - lo))
         if len(cells):
             for xq, wq in zip(x, half_w):
-                total += wq / m * float(np.log(np.abs(circle_samples(p, m, shift=xq)[cells])).sum())
+                total += wq / m * float(np.log(_abs_at(p, m, cells, xq)).sum())
         if prev is not None and abs(total - prev) <= tol * (1.0 + abs(total)):
             return total
         prev = total

@@ -556,3 +556,54 @@ class TestIntegrateLogAbs:
             warnings.simplefilter("error")
             _, m_plus = mahler_plus(p)
         assert math.isfinite(m_plus)
+
+
+class TestBlockedSampling:
+    """Fine grids are sampled in interleaved FFT blocks of bounded size."""
+
+    P = make_family(FamilySpec("littlewood", 100, seed=4))
+
+    @pytest.mark.parametrize("n_points", [2**16, 8 * 100 * 2**6])
+    @pytest.mark.parametrize("shift", [0.0, 0.5, 0.3])
+    def test_power_sum_matches_one_fft(self, n_points, shift):
+        assert norms._stride(100, n_points) > 1
+        mags = np.abs(norms.circle_samples(self.P, n_points, shift=shift))
+        for exponent in (1.0, 2.0, 0.5):
+            ref = float(np.sum(mags**exponent))
+            assert abs(norms._power_sum(self.P, n_points, shift, exponent) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("n_points", [2**16, 8 * 100 * 2**6])
+    @pytest.mark.parametrize("shift", [0.5, 0.3])
+    def test_abs_at_matches_one_fft(self, n_points, shift):
+        index = np.sort(np.random.default_rng(0).choice(n_points, 5000, replace=False))
+        ref = np.abs(norms.circle_samples(self.P, n_points, shift=shift))[index]
+        got = norms._abs_at(self.P, n_points, index, shift)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * ref.max()
+
+    def test_stride_keeps_blocks_above_the_degree(self):
+        assert norms._stride(100, 2**14) == 1
+        assert norms._stride(5000, 2**20) == 2**20 // 2**14
+        assert norms._stride(10**4, 2**20) == 2**20 // 2**15
+        assert norms._stride(100, 3 * 2**16) == 2**3
+
+    def test_p_norm_memory_does_not_grow_with_the_grid(self, monkeypatch):
+        import tracemalloc
+
+        p = make_family(FamilySpec("g_class", 512, seed=3))
+        grids = []
+        power_sum = norms._power_sum
+
+        def recorded(q, n_points, shift, exponent):
+            grids.append(n_points * (2 if shift else 1))
+            return power_sum(q, n_points, shift, exponent)
+
+        monkeypatch.setattr(norms, "_power_sum", recorded)
+        tracemalloc.start()
+        try:
+            p_norm(p, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One 2^19-point complex grid alone is 8 MiB.
+        assert max(grids) >= 2**19
+        assert peak < 2 * 2**20
