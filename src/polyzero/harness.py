@@ -284,6 +284,7 @@ def certify(
     descriptor = dict(descriptor or {})
     descriptor.setdefault("degree", n)
     descriptor.setdefault("label", p.label)
+    supplied_roots = roots is not None
     roots, root_failure, profile = _profile_stage(p, cfg, roots)
     kn_member = descriptor["kn_member"] = is_unimodular(p)
     gn_member = descriptor["gn_member"] = is_g_class(p)
@@ -298,7 +299,7 @@ def certify(
         entries = (
             _angular_stage(roots, profile, cfg, kn_member, observed)
             + _annular_stage(roots, profile, cfg, gn_member, observed)
-            + _disk_stage(p, roots, profile, cfg, gn_member, center_salt, observed)
+            + _disk_stage(p, roots, supplied_roots, profile, cfg, gn_member, center_salt, observed)
             + _gear_stage(roots, profile, cfg, observed)
         )
     return BoundReport(
@@ -365,8 +366,14 @@ def _annular_stage(roots, profile, cfg, gn_member, observed) -> list[VerdictEntr
     return entries
 
 
-def _disk_stage(p, roots, profile, cfg, gn_member, center_salt, observed) -> list[VerdictEntry]:
-    """Disk lower bounds against the minimum open count over sampled centers."""
+def _disk_stage(p, roots, supplied_roots, profile, cfg, gn_member, center_salt, observed) -> list[VerdictEntry]:
+    """Disk lower bounds against the minimum open count over sampled centers.
+
+    When the caller supplied the roots, a VIOLATION is re-examined once on
+    solver roots at a tenth of ``root_tol``.  Solver roots are not rerun: the
+    iteration does not depend on ``tol``, so a rerun would return the same
+    iterate and the same verdict.
+    """
     n = profile.degree
     center_angles = stratified_center_angles(cfg.disk_centers, cfg.seed, salt=center_salt)
     observed["disk_centers"] = len(center_angles)
@@ -399,8 +406,7 @@ def _disk_stage(p, roots, profile, cfg, gn_member, center_salt, observed) -> lis
                 continue
             tangency = profile.e_tangency and variant == "p_9"
             entry, obs = _disk_check(cfg, roots, center_angles, cons, fav, bound_id, tangency)
-            if entry.verdict == VIOLATION and refined_roots is None:
-                # Re-examine at 10x root tolerance before reporting failure.
+            if entry.verdict == VIOLATION and supplied_roots and refined_roots is None:
                 try:
                     refined_roots = find_roots(
                         p, tol=cfg.tolerances.root_tol / 10.0, max_iter=cfg.tolerances.max_iter

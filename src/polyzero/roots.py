@@ -10,6 +10,14 @@ Each returned root carries a scale-normalized residual
 computed in log space so the product cannot overflow.  ``scale_j`` dominates
 ``|P'(a_j)|``, so a small residual certifies a small backward error without
 assuming simple roots.
+
+A sweep updates only the active roots.  A root freezes after a sweep in
+which its relative step ``|w_j| / (1 + |z_j|)`` falls below ``_STALL``;
+frozen roots still enter the coupling sums of the active ones.  Once every
+root is frozen, one confirming sweep updates all of them: the iteration ends
+if every step in it is below ``_STALL``, and any root above reactivates.  So
+each root's last two updates are below ``_STALL``.  This stop rule is still
+step-based; isolated inclusion disks could replace it.
 """
 from __future__ import annotations
 
@@ -21,6 +29,7 @@ import numpy as np
 from .poly import Polynomial, _horner_split
 
 _PAIR_BLOCK = 256
+_STALL = 1e-14  # relative step below which a root is frozen
 
 
 class RootFindingError(RuntimeError):
@@ -58,19 +67,25 @@ class RootSet:
         return len(self.roots)
 
 
-def _pairwise_inverse_sums(z: np.ndarray) -> np.ndarray:
-    """``S_i = sum_{k != i} 1 / (z_i - z_k)``, blocked to bound memory."""
+def _pairwise_inverse_sums(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``S_i = sum_{k != i} 1 / (z_i - z_k)`` for ``i`` in ``rows``.
+
+    Each block of ``_PAIR_BLOCK`` rows runs against all of ``z`` in one
+    reused buffer, so memory stays ``_PAIR_BLOCK * n`` whatever ``n``.
+    """
     n = len(z)
-    out = np.zeros(n, dtype=complex)
-    for start in range(0, n, _PAIR_BLOCK):
-        block = z[start : start + _PAIR_BLOCK]
-        diff = block[:, None] - z[None, :]
-        for i in range(len(block)):
-            diff[i, start + i] = np.inf  # self-term contributes zero
+    out = np.empty(len(rows), dtype=complex)
+    buf = np.empty((min(len(rows), _PAIR_BLOCK), n), dtype=complex)
+    for start in range(0, len(rows), _PAIR_BLOCK):
+        idx = rows[start : start + _PAIR_BLOCK]
+        d = buf[: len(idx)]
+        np.subtract(z[idx, None], z[None, :], out=d)
+        d[np.arange(len(idx)), idx] = np.inf  # self-term contributes zero
         # Coincident iterates would give an infinite coupling; keep it huge
         # but finite so the repulsion can separate them.
-        diff[diff == 0] = 1e-14
-        out[start : start + _PAIR_BLOCK] = (1.0 / diff).sum(axis=1)
+        d[d == 0] = 1e-14
+        np.reciprocal(d, out=d)
+        d.sum(axis=1, out=out[start : start + len(idx)])
     return out
 
 
@@ -111,8 +126,8 @@ def _log_scales(z: np.ndarray, abs_cn: float) -> np.ndarray:
     for start in range(0, n, _PAIR_BLOCK):
         block = z[start : start + _PAIR_BLOCK]
         dist = np.abs(block[:, None] - z[None, :])
-        for i in range(len(block)):
-            dist[i, start + i] = 1.0  # self-term must not enter the product
+        rows = np.arange(len(block))
+        dist[rows, start + rows] = 1.0  # self-term must not enter the product
         np.clip(dist, 1.0, None, out=dist)
         log_scale[start : start + _PAIR_BLOCK] += np.log(dist).sum(axis=1)
     return log_scale
@@ -187,35 +202,40 @@ def find_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> RootSe
         raise RootFindingError("degree-0 polynomial has no roots")
     c = p.coefficient_array()
     z = initial_points(p)
-    stall = 0
-    for _ in range(max_iter):
-        newton = _newton_steps(c, z)
+    active = np.arange(n)
+    confirming = converged = False
+    sweeps = 0
+    while sweeps < max_iter and not converged:
+        if active.size == 0:
+            active, confirming = np.arange(n), True
+        sweeps += 1
+        za = z[active]
+        newton = _newton_steps(c, za)
         bad = ~np.isfinite(newton)
         if np.any(bad):
-            newton[bad] = z[bad] / max(n, 1)  # crude far-field Newton step
-        coupling = _pairwise_inverse_sums(z)
+            newton[bad] = za[bad] / n  # crude far-field Newton step
+        coupling = _pairwise_inverse_sums(z, active)
         denom = 1.0 - newton * coupling
         denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
         w = newton / denom
         w = np.where(np.isfinite(w), w, newton)
         # Damp wild steps far from convergence.
         step = np.abs(w)
-        limit = 0.5 * (1.0 + np.abs(z))
+        limit = 0.5 * (1.0 + np.abs(za))
         factor = np.where(step > limit, limit / np.where(step > 0, step, 1.0), 1.0)
-        z = z - w * factor
-        rel = np.max(step / (1.0 + np.abs(z)))
-        if rel < 1e-14:
-            stall += 1
-            if stall >= 2:
-                break
-        else:
-            stall = 0
+        za = za - w * factor
+        z[active] = za
+        moving = ~(step / (1.0 + np.abs(za)) < _STALL)  # a nan step stays active
+        converged = confirming and not moving.any()
+        active, confirming = active[moving], False
     log_scale = _log_scales(z, abs(c[-1]))
     residuals = _residuals_from_scales(p, z, log_scale)
     worst = float(residuals.max())
     if not worst <= tol:
+        ended = "steps stalled" if converged else f"max_iter reached with {active.size} of {n} roots still active"
         raise RootFindingError(
-            f"root residuals not certified: worst {worst:.3e} > tol {tol:.3e}",
+            f"root residuals not certified after {sweeps} Aberth sweeps ({ended}): "
+            f"worst {worst:.3e} > tol {tol:.3e}",
             worst_residual=worst,
         )
     return _build(z, residuals, tol)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import polyzero.harness as harness
 from polyzero.bounds import BoundEntry
 from polyzero.harness import (
     INAPPLICABLE,
@@ -121,6 +122,33 @@ class TestCertify:
         assert rep.root_failure
         assert all(e.verdict == INAPPLICABLE for e in rep.entries)
         assert rep.profile["p_norms"]  # norms still present
+
+    @pytest.mark.parametrize("supplied", [False, True])
+    def test_disk_violation_reruns_solver_only_for_supplied_roots(self, monkeypatch, supplied):
+        # Solver roots do not depend on the tolerance, so a rerun at a tenth
+        # of it would repeat the same iterate; only supplied roots get one.
+        calls = []
+        real_find, real_check = harness.find_roots, harness._disk_check
+
+        def counting_find(*args, **kwargs):
+            calls.append(kwargs.get("tol"))
+            return real_find(*args, **kwargs)
+
+        def violating_check(*args, **kwargs):
+            entry, obs = real_check(*args, **kwargs)
+            return dataclasses.replace(entry, verdict=VIOLATION), obs
+
+        monkeypatch.setattr(harness, "find_roots", counting_find)
+        monkeypatch.setattr(harness, "_disk_check", violating_check)
+        n = 128  # the smallest power of two at which every Thm2 disk entry applies
+        cfg = SweepConfig(
+            degrees=(n,), trials=1, seed=2, disk_centers=16,
+            p_list=(2.0,), theta_list=(0.5, 1.0), rho_list=(0.5,), gear_deltas=(0.0,),
+        )
+        rep = certify(power_minus_one(n), cfg, roots=unit_roots_rootset(n) if supplied else None)
+        root_tol = cfg.tolerances.root_tol
+        assert calls == [root_tol / 10 if supplied else root_tol]
+        assert sum(e.verdict == VIOLATION for e in rep.entries) == 4
 
     def test_report_json_shape(self):
         p = make_family(FamilySpec("littlewood", 12, seed=3))

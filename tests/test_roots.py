@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
+import polyzero.roots as roots_mod
 from conftest import match_multisets
 from polyzero.poly import FamilySpec, Polynomial, lehmer_polynomial, make_family, power_minus_one
 from polyzero.roots import (
     RootFindingError,
+    _log_scales,
+    _newton_steps,
+    _pairwise_inverse_sums,
     find_roots,
+    initial_points,
     rootset_from_angles,
     rootset_from_known,
     unit_roots_rootset,
@@ -36,6 +43,12 @@ class TestBasicRoots:
         assert np.max(np.abs(rs.roots - 1.0)) < 1e-4
         assert rs.residuals.max() <= 1e-8
 
+    def test_octuple_root(self):
+        p = Polynomial((1, -8, 28, -56, 70, -56, 28, -8, 1))  # (z-1)^8
+        rs = find_roots(p, tol=1e-8)
+        assert np.max(np.abs(rs.roots - 1.0)) < 0.1
+        assert rs.residuals.max() <= 1e-8
+
     def test_nonconvergence_reports_worst_residual(self):
         # An octuple root cannot reach an impossible tolerance in one sweep.
         p = Polynomial((1, -8, 28, -56, 70, -56, 28, -8, 1))  # (z-1)^8
@@ -43,6 +56,15 @@ class TestBasicRoots:
             find_roots(p, tol=1e-300, max_iter=1)
         assert err.value.worst_residual is not None
         assert err.value.worst_residual > 1e-300
+        # The message says how the loop ended: the sweep budget ran out
+        # while every root was still moving.
+        assert "after 1 Aberth sweeps" in str(err.value)
+        assert "max_iter reached with 8 of 8 roots still active" in str(err.value)
+
+    def test_stalled_iteration_named_in_failure(self):
+        p = make_family(FamilySpec("littlewood", 24, seed=8))
+        with pytest.raises(RootFindingError, match=r"\(steps stalled\)"):
+            find_roots(p, tol=1e-300)
 
     def test_args_in_unit_interval(self):
         rs = find_roots(make_family(FamilySpec("littlewood", 24, seed=8)))
@@ -135,3 +157,99 @@ def test_scale_invariance_of_iteration():
     # Generic scalings agree to rounding.
     c = find_roots(p.scaled(3.7), tol=1e-10)
     match_multisets(c.roots, a.roots, 1e-12)
+
+
+def _dense_pairwise(z):
+    # The pairwise kernel before it took row indices: every row, with the
+    # diagonal masked one row at a time.
+    n = len(z)
+    out = np.zeros(n, dtype=complex)
+    for start in range(0, n, 256):
+        block = z[start : start + 256]
+        diff = block[:, None] - z[None, :]
+        for i in range(len(block)):
+            diff[i, start + i] = np.inf
+        diff[diff == 0] = 1e-14
+        out[start : start + 256] = (1.0 / diff).sum(axis=1)
+    return out
+
+
+def _dense_aberth(p, max_iter=200):
+    """Aberth with every root updated in every sweep, stopped after two
+    consecutive sweeps whose largest relative step is below 1e-14."""
+    n = p.degree
+    c = p.coefficient_array()
+    z = initial_points(p)
+    stall = 0
+    for _ in range(max_iter):
+        newton = _newton_steps(c, z)
+        bad = ~np.isfinite(newton)
+        newton[bad] = z[bad] / n
+        denom = 1.0 - newton * _dense_pairwise(z)
+        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
+        w = newton / denom
+        w = np.where(np.isfinite(w), w, newton)
+        step = np.abs(w)
+        limit = 0.5 * (1.0 + np.abs(z))
+        factor = np.where(step > limit, limit / np.where(step > 0, step, 1.0), 1.0)
+        z = z - w * factor
+        if np.max(step / (1.0 + np.abs(z))) < 1e-14:
+            stall += 1
+            if stall >= 2:
+                break
+        else:
+            stall = 0
+    return z
+
+
+class TestFrozenRoots:
+    """Sweeps update only the roots that still move."""
+
+    @pytest.mark.parametrize("family", ["g_class", "littlewood", "unimodular"])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_matches_dense_iteration(self, family, n):
+        p = make_family(FamilySpec(family, n, seed=5))
+        frozen = find_roots(p, tol=1e-9).roots
+        dense = _dense_aberth(p)
+        assert np.max(np.abs(frozen - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
+
+    def test_newton_points_per_call(self, monkeypatch):
+        # Every sweep used to update all n roots (about 17 n points at this
+        # size); frozen roots leave fewer than 10 n.
+        n = 1024
+        points = []
+
+        def counting(c, z):
+            points.append(len(z))
+            return _newton_steps(c, z)
+
+        monkeypatch.setattr(roots_mod, "_newton_steps", counting)
+        find_roots(make_family(FamilySpec("g_class", n, seed=1)), tol=1e-9)
+        assert sum(points) <= 10 * n
+        # The loop ends on a full confirming sweep.
+        assert points[0] == points[-1] == n
+
+    def test_pairwise_rows_match_dense(self, rng):
+        n = 300  # more rows than one block, and a partial last block
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        z[7] = z[3]  # coincident iterates take the finite guard
+        dense = _dense_pairwise(z)
+        rows = np.array([0, 3, 7, 150, 257, 299])
+        np.testing.assert_allclose(_pairwise_inverse_sums(z, rows), dense[rows], rtol=1e-13)
+        np.testing.assert_allclose(_pairwise_inverse_sums(z, np.arange(n)), dense, rtol=1e-13)
+        assert _pairwise_inverse_sums(z, np.arange(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [7, 256, 300, 2048])
+def test_log_scales_bit_identical_to_row_loop(n, rng):
+    z = np.exp(rng.normal(scale=0.05, size=n)) * np.exp(2j * np.pi * rng.random(n))
+    abs_cn = 1.7
+    want = np.full(n, math.log(abs_cn))
+    for start in range(0, n, 256):
+        block = z[start : start + 256]
+        dist = np.abs(block[:, None] - z[None, :])
+        for i in range(len(block)):
+            dist[i, start + i] = 1.0
+        np.clip(dist, 1.0, None, out=dist)
+        want[start : start + 256] += np.log(dist).sum(axis=1)
+    assert np.array_equal(_log_scales(z, abs_cn), want)
