@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import Polynomial, _horner, circle_samples, evaluate, evaluate_with_derivative
+from .poly import Polynomial, _evaluate, circle_samples, evaluate, evaluate_with_derivative
 from .roots import RootSet, log_abs_eval
 
 _TWO_PI = 2.0 * math.pi
@@ -187,9 +187,11 @@ def sup_norm_enclosure(
     that cannot hold the maximizer (its better endpoint fails the Bernstein
     or the Lipschitz bound read backwards) and bisects the rest; both
     endpoints of every kept cell are evaluated, so the bounds stay valid at
-    the new ``h``.  New midpoints come from Horner, or from a half-shifted
-    FFT of the whole grid (:func:`_abs_at`, by blocks) when that is cheaper
-    (many near-equal peaks).
+    the new ``h``.  New midpoints come from the blocked kernel
+    (:func:`evaluate`), or from a half-shifted FFT of the whole grid
+    (:func:`_abs_at`, by blocks) when that is cheaper (many near-equal
+    peaks).  ``eval_err`` exceeds that kernel's a-priori error on the
+    circle (see :func:`polyzero.poly._evaluate`).
     ``max_points`` caps the number of points evaluated, the first grid
     included.
     """
@@ -268,24 +270,10 @@ def _abs_on_circle(p: Polynomial, t: np.ndarray) -> np.ndarray:
     return np.abs(evaluate(p, z))
 
 
-def _abs_and_slope_on_circle(p: Polynomial, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``|P(e(t))|`` and the slope bound ``2 pi |P'(e(t))| >= |d|P|/dt|``."""
-    z = np.exp(2j * np.pi * t)
-    vals, derivs = evaluate_with_derivative(p, z)
-    return np.abs(vals), _TWO_PI * np.abs(derivs)
-
-
 def _abs_and_slope_uniform(p: Polynomial, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Same as :func:`_abs_and_slope_on_circle` on a uniform grid, via FFT."""
+    """``|P|`` and the slope bound ``2 pi |P'| >= |d|P|/dt|`` on a uniform grid, via FFT."""
     vals = circle_samples(p, n_points)
-    c = p.coefficient_array()
-    dc = c[1:] * np.arange(1, len(c))
-    if len(dc) == 0:
-        derivs = np.zeros(n_points)
-    else:
-        pad = np.zeros(n_points, dtype=complex)
-        pad[: len(dc)] = dc
-        derivs = np.fft.ifft(pad) * n_points
+    derivs = np.fft.ifft(p.coefficient_array()[1:] * np.arange(1, p.degree + 1), n_points) * n_points
     return np.abs(vals), _TWO_PI * np.abs(derivs)
 
 
@@ -370,7 +358,8 @@ def classify_unit_level(
             budget_hit = True
             break
         mid = 0.5 * (a + b)
-        fm, dm = _abs_and_slope_on_circle(p, mid)
+        vals, derivs = evaluate_with_derivative(p, np.exp(2j * np.pi * mid))
+        fm, dm = np.abs(vals), _TWO_PI * np.abs(derivs)
         gm = fm - 1.0
         evals += len(mid)
         a = np.concatenate([a, mid])
@@ -446,14 +435,9 @@ def _refine_local_zeros(p: Polynomial, seeds: np.ndarray, iterations: int = 40) 
     a simple zero at every root, so convergence stays quadratic at multiple
     zeros too.
     """
-    c = p.coefficient_array()
-    dc = c[1:] * np.arange(1, len(c))
-    ddc = dc[1:] * np.arange(1, len(dc)) if len(dc) > 1 else np.zeros(0, dtype=complex)
     z = seeds.astype(complex)
     for _ in range(iterations):
-        v = _horner(c, z)
-        dv = _horner(dc, z) if len(dc) else np.zeros_like(z)
-        ddv = _horner(ddc, z) if len(ddc) else np.zeros_like(z)
+        v, dv, ddv = _evaluate(p.coeffs, z, order=2)
         denom = dv * dv - v * ddv
         denom = np.where(denom == 0, 1e-300, denom)
         step = v * dv / denom
@@ -579,7 +563,7 @@ def _deflated_log_abs(p: Polynomial, z: np.ndarray, paired: np.ndarray, mult: np
                     coeffs = new
             else:
                 skipped += m * math.log(abs(zi - w))
-        val = _horner(coeffs, np.asarray(zi))
+        val = _evaluate(coeffs, np.asarray(zi))[0]
         out[i] = math.log(max(abs(val), 1e-300)) - skipped
     return out
 
@@ -600,9 +584,9 @@ def _integrate_log_abs(p: Polynomial, intervals: np.ndarray, tol: float) -> floa
     wholly inside a piece, node ``x`` of every cell comes from the FFT
     ``circle_samples(p, m, shift=x)``, taken by blocks (:func:`_abs_at`);
     only the partial cells at the ends of each piece, or a piece inside a
-    single cell, run Horner.  Intervals must avoid zeros of ``P``
-    on the circle (guaranteed when they sit strictly above the level
-    |P| = 1); ``log`` is taken on the kept cells only.
+    single cell, go through the blocked kernel.  Intervals must avoid zeros
+    of ``P`` on the circle (guaranteed when they sit strictly above the
+    level |P| = 1); ``log`` is taken on the kept cells only.
     """
     if len(intervals) == 0:
         return 0.0
@@ -663,7 +647,7 @@ def _positive_pieces(p: Polynomial, info: LevelSetInfo) -> np.ndarray:
     rescan with crossing boundaries inserted reproduces the above-level
     pieces, which is all the integrator needs.  Unsplit grid cells take
     their midpoint values from one half-shifted FFT; only the sub-cells cut
-    at a crossing run Horner.
+    at a crossing go through the blocked kernel.
     """
     cuts = [0.5 * (a + b) for a, b in info.crossings]
     n0 = _initial_grid(p.degree)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial, _horner_split
+from .poly import Polynomial, _evaluate_split
 
 _PAIR_BLOCK = 256
 _STALL = 1e-14  # relative step below which a root is frozen
@@ -92,14 +92,14 @@ def _pairwise_inverse_sums(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _newton_steps(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``P(z) / P'(z)`` without overflow for any |z|.
 
-    For |z| <= 1 this is plain dual Horner.  For |z| > 1 the reversed
-    polynomial ``R(u) = u**n P(1/u)`` is evaluated at ``u = 1/z``, using
+    For |z| <= 1 this is ``P / P'`` from the blocked kernel.  For |z| > 1 the
+    reversed polynomial ``R(u) = u**n P(1/u)`` is evaluated at ``u = 1/z``, using
     ``P'/P = (n - u R'(u)/R(u)) / z`` so the ``z**n`` growth cancels.
     """
     n = len(coeffs) - 1
     out = np.empty_like(z)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        inside, (p, dp), (r, dr) = _horner_split(coeffs, z, derivative=True)
+        inside, (p, dp), (r, dr) = _evaluate_split(coeffs, z, order=1)
         out[inside] = p / np.where(dp == 0, 1e-300, dp)
         zo = z[~inside]
         r = np.where(r == 0, 1e-300, r)
@@ -112,7 +112,7 @@ def log_abs_eval(p: Polynomial, z: np.ndarray) -> np.ndarray:
     """``log |P(z)|`` without overflow: reversed-polynomial form for |z| > 1."""
     zz = np.asarray(z, dtype=complex)
     out = np.empty(zz.shape, dtype=float)
-    inside, inner, outer = _horner_split(p.coeffs, zz)
+    inside, (inner,), (outer,) = _evaluate_split(p.coeffs, zz)
     with np.errstate(divide="ignore"):
         out[inside] = np.log(np.abs(inner))
         out[~inside] = p.degree * np.log(np.abs(zz[~inside])) + np.log(np.abs(outer))

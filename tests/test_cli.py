@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -12,12 +13,13 @@ from polyzero.harness import SweepConfig, certify
 from polyzero.poly import Polynomial, power_minus_one, write_polynomial
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "polyzero.cli", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env=env,
     )
     return proc
 
@@ -184,6 +186,20 @@ class TestSweepCommand:
         assert rows[0].startswith("family,degree,seed,bound_id")
         payload = json.loads(js.read_text())
         assert payload["schema"] == "polyzero-sweep/1"
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        """Evaluation runs through a BLAS matrix product; its thread count must not change a byte."""
+        outputs = []
+        for threads in ("1", "2"):
+            js, csv_path = tmp_path / f"t{threads}.json", tmp_path / f"t{threads}.csv"
+            proc = run_cli(
+                "sweep", "--family", "unimodular", "--degrees", "16,32", "--trials", "2",
+                "--seed", "0", "--out-json", str(js), "--out-csv", str(csv_path),
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((js.read_bytes(), csv_path.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 def test_main_callable_directly(capsys):

@@ -1,9 +1,10 @@
-"""The shared Horner kernel against an mpmath oracle (mpmath is test-only).
+"""The shared blocked evaluation kernel against an mpmath oracle (mpmath is test-only).
 
-Each check allows Horner's a-priori error, ``gamma_2n * sum_j |c_j| |z|^j``
-(Higham, Accuracy and Stability of Numerical Algorithms, section 5.1), with
-a safety factor, so a wrong coefficient order, a dropped term or an overflow
-shows while last-bit rounding does not.
+Each check allows an a-priori error bound, ``gamma_2n * sum_j |c_j| |z|^j``
+(Higham, Accuracy and Stability of Numerical Algorithms, section 5.1) with a
+safety factor, or the kernel's own first-order bound (``_kernel_bound``), so
+a wrong coefficient order, a dropped term or an overflow shows while
+last-bit rounding does not.
 """
 import math
 
@@ -12,13 +13,14 @@ import numpy as np
 import pytest
 
 from polyzero.poly import (
-    _HORNER_BLOCK,
+    _TABLE_ENTRIES,
     FamilySpec,
     Polynomial,
-    _horner,
     evaluate,
     evaluate_with_derivative,
     make_family,
+    power_minus_one,
+    rudin_shapiro_pair,
 )
 from polyzero.roots import _newton_steps, log_abs_eval
 
@@ -71,6 +73,8 @@ class TestAgainstOracle:
             scalar = evaluate(poly, complex(zi))
             assert isinstance(scalar, complex)
             assert scalar == complex(gi)
+        for i in range(len(z)):
+            assert evaluate(poly, z[i : i + 1])[0] == got[i]
 
     def test_evaluate_with_derivative(self, poly, radius):
         z = _points(radius, 12, seed=3)
@@ -121,6 +125,23 @@ class TestLargeModulus:
             ratio = complex(exact / exact_d)
             assert abs(g - ratio) <= 1e-9 * abs(ratio)
 
+    def test_newton_steps_point_matches_batch(self, poly):
+        # Mixed moduli, so a one-point call can meet either side of the split.
+        z = np.concatenate([_points(0.5, 2, seed=11), _points(1.0, 2, seed=12), _points(1.5, 2, seed=13)])
+        batch = _newton_steps(poly.coefficient_array(), z)
+        for i in range(len(z)):
+            assert _newton_steps(poly.coefficient_array(), z[i : i + 1])[0] == batch[i]
+
+    @pytest.mark.parametrize("radius", [0.6, 1.0, 1.3])
+    def test_scalar_matches_array(self, poly, radius):
+        z = _points(radius, 6, seed=14)
+        vals, derivs = evaluate_with_derivative(poly, z)
+        assert np.array_equal(evaluate(poly, z), vals)
+        for i, zi in enumerate(z):
+            assert evaluate(poly, complex(zi)) == vals[i]
+            assert evaluate(poly, z[i : i + 1])[0] == vals[i]
+            assert evaluate_with_derivative(poly, complex(zi)) == (vals[i], derivs[i])
+
     def test_mixed_moduli_in_one_call(self, poly):
         z = np.concatenate([_points(0.5, 3, seed=8), _points(1.0, 3, seed=9), _points(1.5, 3, seed=10)])
         got = log_abs_eval(poly, z)
@@ -129,39 +150,124 @@ class TestLargeModulus:
             assert g == pytest.approx(float(mpmath.log(abs(exact))), abs=1e-6)
 
 
-def _plain_horner(coeffs, z, derivative=False):
-    """The out-of-place recurrence, one pass over all of ``z``: the reference."""
-    acc = np.full_like(z, coeffs[-1])
-    dacc = np.zeros_like(z) if derivative else None
-    for cj in coeffs[-2::-1]:
+def _kernel_bound(n: int) -> float:
+    """The kernel's first-order error factor ``(sqrt(5) n + nb + 2 sqrt(2) L) u`` (see ``poly._evaluate``)."""
+    size = n + 1
+    block = math.isqrt(size - 1) + 1
+    return (math.sqrt(5) * n + -(-size // block) + 2 * math.sqrt(2) * block) * 2.0**-53
+
+
+def _points_per_block(n: int) -> int:
+    """Points per block of the kernel's power table at degree ``n``."""
+    return max(2, _TABLE_ENTRIES // (math.isqrt(n) + 2))
+
+
+def _check_against_oracle(p: Polynomial, z: np.ndarray, derivative: bool):
+    """Each value (and derivative) within twice the kernel's a-priori bound of mpmath."""
+    if derivative:
+        vals, derivs = evaluate_with_derivative(p, z)
+    else:
+        vals, derivs = evaluate(p, z), None
+    assert np.shape(vals) == np.shape(z)
+    flat_z, flat_v = np.reshape(z, -1), np.reshape(vals, -1)
+    flat_d = np.reshape(derivs, -1) if derivative else None
+    # Every point against numpy's own Horner, loosely: a dropped or shifted point shows.
+    c = p.coefficient_array()
+    mags = np.polyval(np.abs(c)[::-1], np.abs(flat_z))
+    assert np.all(np.abs(flat_v - np.polyval(c[::-1], flat_z)) <= 1e-12 * mags)
+    # mpmath at the ends of the array and of every point block, and on a sample of the rest.
+    m = flat_z.size
+    chunks = max(-(-m // _points_per_block(p.degree)), 1)
+    edges = np.arange(chunks + 1) * m // chunks
+    idx = np.r_[0:64, m - 8 : m, 0:m:97, (edges[:, None] + np.arange(-3, 4)).ravel()]
+    for i in np.unique(idx[(idx >= 0) & (idx < m)]):
+        exact, exact_d, mag, dmag = _oracle(p, complex(flat_z[i]))
+        assert abs(mpmath.mpc(complex(flat_v[i])) - exact) <= 2 * _kernel_bound(p.degree) * mag
         if derivative:
-            dacc = dacc * z + acc
-        acc = acc * z + cj
-    return (acc, dacc) if derivative else acc
+            # j c_j is rounded once before the kernel sees it.
+            bound = 2 * (_kernel_bound(p.degree) + 2.0**-53) * dmag
+            assert abs(mpmath.mpc(complex(flat_d[i])) - exact_d) <= bound
 
 
-def _bits(result):
-    """Shape and raw bytes of each array in a Horner result."""
-    parts = result if isinstance(result, tuple) else (result,)
-    return [(np.shape(a), np.asarray(a).tobytes()) for a in parts]
+_COEFFS = tuple(np.random.default_rng(12).standard_normal((41, 2)) @ (1.0, 1j))
+_b = _points_per_block(len(_COEFFS) - 1)
+_B = 8 * _b  # eight whole point blocks
 
 
 class TestBlockBoundaries:
-    """``_horner`` runs over blocks of points and must match the plain recurrence bit for bit."""
+    """The kernel splits the points into blocks, and the coefficients into blocks of ``L``.
 
-    B = _HORNER_BLOCK
-    COEFFS = tuple(np.random.default_rng(12).standard_normal((41, 2)) @ (1.0, 1j))
+    Neither split may show in the result: point counts around one and around
+    eight point blocks, and degrees where ``L`` does not divide ``n + 1``,
+    all stay within the a-priori bound of the mpmath value.
+    """
 
     @pytest.mark.parametrize("derivative", [False, True])
-    @pytest.mark.parametrize("size", [0, 1, 2, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("size", [0, 1, 2, _B - 1, _B, _B + 1, 2 * _B + 3])
     def test_array(self, size, derivative):
+        self._check_size(size, derivative)
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize("size", [_b - 1, _b, _b + 1, 2 * _b + 3])
+    def test_one_block(self, size, derivative):
+        self._check_size(size, derivative)
+
+    @staticmethod
+    def _check_size(size, derivative):
         rng = np.random.default_rng(size)
         z = (0.8 + 0.4 * rng.random(size)) * np.exp(2j * np.pi * rng.random(size))
-        assert _bits(_horner(self.COEFFS, z, derivative)) == _bits(_plain_horner(self.COEFFS, z, derivative))
+        _check_against_oracle(Polynomial(_COEFFS), z, derivative)
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2, 40, 2047])
+    def test_degrees(self, n, derivative):
+        rng = np.random.default_rng(n + 100)
+        p = Polynomial(tuple(rng.standard_normal((n + 1, 2)) @ (1.0, 1j)))
+        z = (0.9 + 0.2 * rng.random(7)) * np.exp(2j * np.pi * rng.random(7))
+        _check_against_oracle(p, z, derivative)
 
     @pytest.mark.parametrize("derivative", [False, True])
     def test_zero_dimensional(self, derivative):
+        p = Polynomial(_COEFFS)
         z = np.asarray(0.3 + 0.9j)
-        got = _horner(self.COEFFS, z, derivative)
-        assert np.ndim(got[0] if derivative else got) == 0
-        assert _bits(got) == _bits(_plain_horner(self.COEFFS, z, derivative))
+        _check_against_oracle(p, z, derivative)
+        pair = np.array([z, 0.5])
+        if derivative:
+            assert evaluate_with_derivative(p, z)[1] == evaluate_with_derivative(p, pair)[1][0]
+        else:
+            assert evaluate(p, z) == evaluate(p, pair)[0]
+
+
+def _sup_allowance(p: Polynomial) -> float:
+    """``eval_err`` of ``norms.sup_norm_enclosure``: ``4e-16 (n + 2) sum |c_j|``."""
+    return 4e-16 * (p.degree + 2) * float(np.sum(np.abs(p.coefficient_array())))
+
+
+class TestSupAllowance:
+    """The sup enclosure's rounding allowance covers the kernel on the unit circle."""
+
+    def test_apriori_bound_below_allowance(self):
+        for n in range(0, 100_001):
+            assert _kernel_bound(n) <= 4e-16 * (n + 2)
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            power_minus_one(1024),
+            power_minus_one(2048),
+            rudin_shapiro_pair(10)[0],
+            rudin_shapiro_pair(11)[1],
+            make_family(FamilySpec("unimodular", 1024, seed=4)),
+            make_family(FamilySpec("unimodular", 2048, seed=5)),
+        ],
+        ids=lambda p: f"{p.label}-n{p.degree}",
+    )
+    def test_error_below_allowance(self, poly):
+        # Flat or near-flat |P| on the circle, with many near-equal peaks: the cases the allowance is for.
+        z = np.exp(2j * np.pi * (np.arange(8) / 8 + np.random.default_rng(poly.degree).random(8) / 8))
+        got = evaluate(poly, z)
+        for zi, g in zip(z, got):
+            exact, _, mag, _ = _oracle(poly, complex(zi))
+            err = abs(mpmath.mpc(complex(g)) - exact)
+            assert err <= _kernel_bound(poly.degree) * mag
+            assert err <= _sup_allowance(poly)
