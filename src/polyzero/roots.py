@@ -18,6 +18,14 @@ root is frozen, one confirming sweep updates all of them: the iteration ends
 if every step in it is below ``_STALL``, and any root above reactivates.  So
 each root's last two updates are below ``_STALL``.  This stop rule is still
 step-based; isolated inclusion disks could replace it.
+
+The coupling sums ``S_i = sum_{k != i} 1 / (z_i - z_k)`` use each pair of
+active roots once, since the pair's two terms differ only in sign.  They run
+in row blocks of ``_PAIR_ELEMS // n`` rows (at least ``_PAIR_MIN_ROWS``), so
+the buffer stays in cache and memory does not grow like ``n**2``.
+Coincident iterates would make a term infinite; a block is redone with a
+finite guard only when one of its row sums is not finite, so the common case
+pays no scan for them.
 """
 from __future__ import annotations
 
@@ -28,7 +36,8 @@ import numpy as np
 
 from .poly import Polynomial, _evaluate_split
 
-_PAIR_BLOCK = 256
+_PAIR_ELEMS = 1 << 14  # complex entries per coupling block: 256 KiB, in L2
+_PAIR_MIN_ROWS = 16
 _STALL = 1e-14  # relative step below which a root is frozen
 
 
@@ -70,23 +79,60 @@ class RootSet:
 def _pairwise_inverse_sums(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``S_i = sum_{k != i} 1 / (z_i - z_k)`` for ``i`` in ``rows``.
 
-    Each block of ``_PAIR_BLOCK`` rows runs against all of ``z`` in one
-    reused buffer, so memory stays ``_PAIR_BLOCK * n`` whatever ``n``.
+    Each pair of requested rows is computed once.  The requested rows are
+    placed first, and each block of them runs against the columns from its
+    own start onwards: the row sums go to the block's rows, and the negated
+    column sums, ``1 / (z_k - z_i) = -1 / (z_i - z_k)``, go to the later
+    requested rows.  Roots not in ``rows`` are columns only.  A full sweep
+    thus takes about ``n**2 / 2`` reciprocals instead of ``n**2``.  A block
+    has ``_PAIR_ELEMS // n`` rows, but at least ``_PAIR_MIN_ROWS``, so the
+    buffer stays in cache whatever ``n``.  When every row fits in one block,
+    the rows run against all of ``z`` without the reordering.
     """
-    n = len(z)
-    out = np.empty(len(rows), dtype=complex)
-    buf = np.empty((min(len(rows), _PAIR_BLOCK), n), dtype=complex)
-    for start in range(0, len(rows), _PAIR_BLOCK):
-        idx = rows[start : start + _PAIR_BLOCK]
-        d = buf[: len(idx)]
-        np.subtract(z[idx, None], z[None, :], out=d)
-        d[np.arange(len(idx)), idx] = np.inf  # self-term contributes zero
-        # Coincident iterates would give an infinite coupling; keep it huge
-        # but finite so the repulsion can separate them.
-        d[d == 0] = 1e-14
-        np.reciprocal(d, out=d)
-        d.sum(axis=1, out=out[start : start + len(idx)])
+    n, m = len(z), len(rows)
+    step = max(_PAIR_MIN_ROWS, _PAIR_ELEMS // max(n, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if m <= step:
+            return _coupling_block(np.empty((m, n), dtype=complex), z[rows], z, rows)[0]
+        rest = np.ones(n, dtype=bool)
+        rest[rows] = False
+        z = np.concatenate((z[rows], z[rest]))
+        out = np.zeros(m, dtype=complex)
+        buf = np.empty(step * n, dtype=complex)
+        for start in range(0, m, step):
+            stop = min(start + step, m)
+            d = buf[: (stop - start) * (n - start)].reshape(stop - start, n - start)
+            row, hit = _coupling_block(d, z[start:stop], z[start:], np.arange(stop - start))
+            if hit is not None:
+                d[hit] = -d[hit]  # a coincident pair adds +1e14 to both of its rows
+            out[start:stop] += row
+            out[stop:] -= d[:, stop - start : m - start].sum(axis=0)
     return out
+
+
+def _coupling_block(d, zr, zc, diag, guard=False):
+    """Reciprocals ``1 / (zr_i - zc_k)`` in ``d`` and their row sums, with the
+    self-terms ``(i, diag_i)`` set to zero.  Runs under the caller's
+    ``np.errstate``, since coincident points divide by zero.
+
+    When a row sum is not finite, the block is redone with the coincidence
+    guard: an exact zero difference becomes ``1e-14``, a huge but finite
+    repulsion that can separate the pair.  Returns the row sums and the mask
+    of guarded entries (``None`` when the guard did not run).
+    """
+    np.subtract(zr[:, None], zc[None, :], out=d)
+    d[np.arange(len(zr)), diag] = np.inf  # self-term contributes zero
+    hit = None
+    if guard:
+        hit = d == 0
+        d[hit] = 1e-14
+    np.reciprocal(d, out=d)
+    row = d.sum(axis=1)
+    # A non-finite row sum makes the total non-finite; a finite total can
+    # overflow only past 1e308, which merely repeats the block.
+    if guard or math.isfinite(abs(row.sum())):
+        return row, hit
+    return _coupling_block(d, zr, zc, diag, guard=True)
 
 
 def _newton_steps(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -120,16 +166,18 @@ def log_abs_eval(p: Polynomial, z: np.ndarray) -> np.ndarray:
 
 
 def _log_scales(z: np.ndarray, abs_cn: float) -> np.ndarray:
-    """``log scale_j`` for the residual scale."""
+    """``log scale_j`` for the residual scale, in row blocks of
+    ``_PAIR_ELEMS // n`` rows (at least one); each row is summed whole."""
     n = len(z)
+    step = max(1, _PAIR_ELEMS // max(n, 1))
     log_scale = np.full(n, math.log(abs_cn))
-    for start in range(0, n, _PAIR_BLOCK):
-        block = z[start : start + _PAIR_BLOCK]
+    for start in range(0, n, step):
+        block = z[start : start + step]
         dist = np.abs(block[:, None] - z[None, :])
         rows = np.arange(len(block))
         dist[rows, start + rows] = 1.0  # self-term must not enter the product
         np.clip(dist, 1.0, None, out=dist)
-        log_scale[start : start + _PAIR_BLOCK] += np.log(dist).sum(axis=1)
+        log_scale[start : start + step] += np.log(dist).sum(axis=1)
     return log_scale
 
 

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +240,78 @@ class TestFrozenRoots:
         np.testing.assert_allclose(_pairwise_inverse_sums(z, rows), dense[rows], rtol=1e-13)
         np.testing.assert_allclose(_pairwise_inverse_sums(z, np.arange(n)), dense, rtol=1e-13)
         assert _pairwise_inverse_sums(z, np.arange(0)).shape == (0,)
+
+
+class TestPairOnceKernel:
+    """Each pair of requested rows is computed once; these cases put row
+    blocks, frozen columns and the coincidence guard against each other."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        # The non-finite retry must not leak a divide or invalid warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @staticmethod
+    def _points(rng, n):
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    @staticmethod
+    def _assert_dense(z, rows):
+        got = _pairwise_inverse_sums(z, rows)
+        np.testing.assert_allclose(got, _dense_pairwise(z)[rows], rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [300, 2048])
+    def test_rows_span_blocks_with_frozen_between(self, n, rng, monkeypatch):
+        z = self._points(rng, n)
+        rows = np.arange(1, n, 2)  # every other root frozen
+        blocks = []
+        block = roots_mod._coupling_block
+
+        def counted(*args, **kwargs):
+            blocks.append(kwargs.get("guard", False))
+            return block(*args, **kwargs)
+
+        monkeypatch.setattr(roots_mod, "_coupling_block", counted)
+        self._assert_dense(z, rows)
+        assert len(blocks) >= 3 and not any(blocks)
+
+    @pytest.mark.parametrize("n", [300, 2048])
+    def test_coincident_pair_split_across_blocks(self, n, rng):
+        z = self._points(rng, n)
+        rows = np.arange(1, n, 2)
+        z[rows[-1]] = z[rows[0]]  # first and last block
+        self._assert_dense(z, rows)
+        self._assert_dense(z, np.arange(n))
+
+    @pytest.mark.parametrize("n", [300, 2048])
+    def test_coincident_requested_and_frozen(self, n, rng):
+        z = self._points(rng, n)
+        rows = np.arange(1, n, 2)
+        z[rows[3]] = z[n - 2]  # n - 2 is even, so frozen
+        self._assert_dense(z, rows)
+
+    @pytest.mark.parametrize("n", [300, 2048])
+    def test_zero_and_one_rows(self, n, rng):
+        z = self._points(rng, n)
+        assert _pairwise_inverse_sums(z, np.arange(0)).shape == (0,)
+        self._assert_dense(z, np.array([n // 2]))
+
+    def test_degree_one(self):
+        assert np.array_equal(_pairwise_inverse_sums(np.array([0.3 + 0.1j]), np.array([0])), [0.0])
+
+
+def test_find_roots_memory_does_not_grow_with_the_degree():
+    p = make_family(FamilySpec("g_class", 2048, seed=1))
+    tracemalloc.start()
+    try:
+        find_roots(p, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 256 rows of the n x n coupling matrix alone are 8 MiB.
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("n", [7, 256, 300, 2048])
