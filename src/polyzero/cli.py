@@ -15,6 +15,7 @@ import sys
 from . import geometry
 from .bounds import min_degree_for_radius
 from .harness import SweepConfig, ToleranceConfig, certify, report_json, sweep
+from .norms import QuadratureError
 from .poly import (
     FAMILY_KINDS,
     Polynomial,
@@ -100,6 +101,17 @@ def _usage_error(exc: ValueError) -> int:
     return USAGE_ERROR
 
 
+def _write(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; on failure print an error line and return False."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _run_analyze(args) -> int:
     try:
         cfg = SweepConfig(
@@ -135,14 +147,14 @@ def _run_analyze(args) -> int:
         }
     else:
         descriptor = {"family": args.family, "degree": poly.degree, "seed": args.seed}
-    report = certify(poly, cfg, descriptor=descriptor)
+    try:
+        report = certify(poly, cfg, descriptor=descriptor)
+    except QuadratureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     text = report_json(report)
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        if not _write(args.out, text + "\n"):
             return 1
     else:
         print(text)
@@ -170,13 +182,15 @@ def _run_sweep(args) -> int:
         )
     except ValueError as exc:
         return _usage_error(exc)
-    result = sweep(cfg)
-    if args.out_json:
-        with open(args.out_json, "w") as fh:
-            fh.write(result.to_json() + "\n")
-    if args.out_csv:
-        with open(args.out_csv, "w") as fh:
-            fh.write(result.to_csv())
+    try:
+        result = sweep(cfg)
+    except QuadratureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if args.out_json and not _write(args.out_json, result.to_json() + "\n"):
+        return 1
+    if args.out_csv and not _write(args.out_csv, result.to_csv()):
+        return 1
     summary = {
         "instances": len(result.reports),
         "hard_violation_count": result.hard_violation_count,
@@ -245,20 +259,11 @@ def _run_gear(args) -> int:
         membership = geometry.contains(gear, roots)
         payload["roots_total"] = int(len(roots))
         payload["roots_inside_gear"] = int(membership.sum())
-    if args.svg:
-        try:
-            with open(args.svg, "w") as fh:
-                fh.write(_gear_svg(gear, roots, membership))
-        except OSError as exc:
-            print(f"error: cannot write {args.svg}: {exc}", file=sys.stderr)
-            return 1
+    if args.svg and not _write(args.svg, _gear_svg(gear, roots, membership)):
+        return 1
     text = json.dumps(payload, sort_keys=True, indent=1)
     if args.json_out:
-        try:
-            with open(args.json_out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.json_out}: {exc}", file=sys.stderr)
+        if not _write(args.json_out, text + "\n"):
             return 1
     else:
         print(text)

@@ -65,51 +65,99 @@ def _initial_grid(degree: int, floor: int = 1024) -> int:
     return _next_pow2(max(floor, 16 * (degree + 1)))
 
 
-# Fine grids are sampled as ``stride`` interleaved FFTs of at least this many
-# points, so memory stays bounded however far a grid is refined.
-_BLOCK_POINTS = 2**14
+# A grid of more than ``_GRID_POINTS`` points is sampled as interleaved rows
+# of about the degree's length, one FFT per batch of at most ``_BLOCK_POINTS``
+# samples, so memory stays bounded however far a grid is refined.  Up to 2^12
+# points one FFT of the whole grid is as fast; from 2^13 the batched rows are
+# faster (pocketfft, numpy 2.4).
+_GRID_POINTS = 2**12
+_BLOCK_POINTS = 2**13
 
 
 def _stride(degree: int, n_points: int) -> int:
-    """Largest power of two ``L`` dividing ``n_points`` whose blocks
-    ``n_points / L`` keep at least ``max(_BLOCK_POINTS, 2 (degree + 1))``
+    """Number ``L`` of interleaved rows a grid is sampled as: 1 up to
+    ``_GRID_POINTS`` points, else the largest power of two dividing
+    ``n_points`` whose rows ``n_points / L`` keep at least ``degree + 1``
     points."""
-    floor = max(_BLOCK_POINTS, 2 * (degree + 1))
+    if n_points <= _GRID_POINTS:
+        return 1
     stride = 1
-    while n_points % (2 * stride) == 0 and n_points // (2 * stride) >= floor:
+    while n_points % (2 * stride) == 0 and n_points // (2 * stride) > degree:
         stride *= 2
     return stride
 
 
-def _block(p: Polynomial, n_points: int, stride: int, r: int, shift: float) -> np.ndarray:
-    """``P(e((j stride + r + shift) / n_points))`` for ``j = 0 .. n_points/stride - 1``."""
-    return circle_samples(p, n_points // stride, shift=(r + shift) / stride)
+def _sample_rows(p: Polynomial, n_points: int, shifts):
+    """Yield ``(q, r0, block)`` with
+    ``block[i, j] = P(e((j L + r0 + i + shifts[q]) / n_points))``, ``L`` from
+    :func:`_stride`, until every row of every shift has been yielded once.
+
+    Row ``r`` is the unscaled inverse DFT of ``c_l e((r + shift) l / n_points)``
+    zero-padded to ``n_points / L``.  Rows go through one FFT per batch of at
+    most ``_BLOCK_POINTS`` samples (or one row): a power of two of the rows
+    of one shift, or, with ``L = 1``, whole grids of several shifts.  The
+    twiddles of a batch are a per-call table ``e(i l / n_points)`` times one
+    phase row ``c_l e((r0 + shift) l / n_points)``, built from
+    ``c_l e(shift l / n_points)`` and the steps ``e(2^k l / n_points)`` of the
+    bits of ``r0``: a call takes ``n + 1`` complex exponentials per shift and
+    per bit of ``L``, and a twiddle at most ``log2 L`` roundings more than
+    the direct one.  A single grid of one shift is :func:`circle_samples`
+    bit for bit.  ``block`` is overwritten by the next batch.
+    """
+    n = p.degree
+    stride = _stride(n, n_points)
+    size = n_points // stride
+    batch = 1 << (max(1, _BLOCK_POINTS // size).bit_length() - 1)
+    rows = min(batch, stride)
+    grids = batch // rows  # shifts per FFT, > 1 only when L = 1
+    c = p.coefficient_array()
+    l = np.arange(n + 1)
+    steps = [np.exp((2j * np.pi * (1 << k) / n_points) * l) for k in range(stride.bit_length() - 1)]
+    table = np.ones((rows, n + 1), dtype=complex)
+    for k, step in enumerate(steps[: rows.bit_length() - 1]):
+        np.multiply(table[: 1 << k], step, out=table[1 << k : 2 << k])
+    twisted = np.empty((min(grids, len(shifts)), rows, n + 1), dtype=complex)
+    buf = np.empty((len(twisted), rows, size), dtype=complex)
+    for q0 in range(0, len(shifts), grids):
+        offsets = np.asarray(shifts[q0 : q0 + grids], dtype=float)
+        first = c * np.exp((2j * np.pi * offsets / n_points)[:, None] * l)
+        x = twisted[: len(offsets)]
+        for r0 in range(0, stride, rows):
+            phase = first.copy()
+            for k in range(rows.bit_length() - 1, len(steps)):
+                if r0 >> k & 1:
+                    phase *= steps[k]
+            np.multiply(table, phase[:, None, :], out=x)
+            out = np.fft.ifft(x, n=size, axis=-1, norm="forward", out=buf[: len(x)])
+            for i, block in enumerate(out):
+                yield q0 + i, r0, block
 
 
 def _power_sum(p: Polynomial, n_points: int, shift: float, exponent: float) -> float:
-    """``sum_k |P(e((k + shift) / n_points))|**exponent``, one block at a time."""
-    stride = _stride(p.degree, n_points)
-    return sum(
-        float(np.sum(np.abs(_block(p, n_points, stride, r, shift)) ** exponent))
-        for r in range(stride)
-    )
+    """``sum_k |P(e((k + shift) / n_points))|**exponent``, one batch of rows at a time."""
+    total, mags = 0.0, None
+    for _, _, block in _sample_rows(p, n_points, (shift,)):
+        mags = np.abs(block, out=mags)
+        if exponent != 1.0:
+            np.power(mags, exponent, out=mags)
+        total += float(mags.sum())
+    return total
 
 
-def _abs_at(p: Polynomial, n_points: int, index: np.ndarray, shift: float) -> np.ndarray:
-    """``|P(e((k + shift) / n_points))|`` for ``k`` in ``index``, from the
-    blocks that hold one of them."""
+def _abs_at(p: Polynomial, n_points: int, index: np.ndarray, shifts):
+    """Yield ``(q, sel, |P(e((index[sel] + shifts[q]) / n_points))|)`` batch by
+    batch; for each ``q`` the ``sel`` cover every position of ``index`` once."""
     stride = _stride(p.degree, n_points)
-    if stride == 1:
-        return np.abs(circle_samples(p, n_points, shift=shift))[index]
-    out = np.empty(len(index))
+    size = n_points // stride
     res = index % stride
     order = np.argsort(res, kind="stable")
-    edges = np.searchsorted(res[order], np.arange(stride + 1))
-    for r in range(stride):
-        sel = order[edges[r] : edges[r + 1]]
-        if len(sel):
-            out[sel] = np.abs(_block(p, n_points, stride, r, shift))[index[sel] // stride]
-    return out
+    res = res[order]
+    flat = res * size + index[order] // stride  # position in the rows from r0 = 0
+    edges = np.searchsorted(res, np.arange(stride + 1))
+    for q, r0, block in _sample_rows(p, n_points, shifts):
+        lo, hi = edges[r0], edges[r0 + len(block)]
+        if hi > lo:
+            yield q, order[lo:hi], np.abs(block.ravel().take(flat[lo:hi] - r0 * size))
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +172,21 @@ def p_norm(
 ) -> float:
     """``(integral_0^1 |P(e(t))|**exponent dt)**(1/exponent)``.
 
-    Uniform periodic trapezoid sums (means of FFT samples) over a doubling
-    grid, with a short Romberg table for the stop test and the returned
-    value.  For even integer exponents the rule is exact once the grid
-    resolves the trig degree, so the loop stops at the first comparison;
-    |.|-type kinks (circle zeros) leave a clean h^2 family that the
-    extrapolation removes.  Each doubling samples only the midpoints of the
-    previous grid, in FFT blocks of bounded size (see :func:`_stride`), so
-    memory does not grow with the grid.
+    ``exponent == 2`` is Parseval's identity, ``sqrt(sum |c_k|^2)``, with no
+    grid.  Other exponents take uniform periodic trapezoid sums (means of FFT
+    samples) over a doubling grid, with a short Romberg table for the stop
+    test and the returned value.  For even integer exponents the rule is
+    exact once the grid resolves the trig degree, so the loop stops at the
+    first comparison; |.|-type kinks (circle zeros) leave a clean h^2 family
+    that the extrapolation removes.  Each doubling samples only the
+    midpoints of the previous grid, as interleaved rows of about the
+    degree's length in FFT batches of bounded size (see
+    :func:`_sample_rows`), so memory does not grow with the grid.
     """
     if exponent <= 0 or not math.isfinite(exponent):
         raise ValueError("exponent must be a positive finite real")
+    if exponent == 2.0:
+        return float(np.linalg.norm(p.coefficient_array()))
     n_points = _initial_grid(p.degree, floor=256)
     table: list[list[float]] = []  # Romberg rows over the doubling levels
     diffs: list[float] = []
@@ -189,9 +241,9 @@ def sup_norm_enclosure(
     endpoints of every kept cell are evaluated, so the bounds stay valid at
     the new ``h``.  New midpoints come from the blocked kernel
     (:func:`evaluate`), or from a half-shifted FFT of the whole grid
-    (:func:`_abs_at`, by blocks) when that is cheaper (many near-equal
-    peaks).  ``eval_err`` exceeds that kernel's a-priori error on the
-    circle (see :func:`polyzero.poly._evaluate`).
+    (:func:`_abs_at`, in batches of rows) when that is cheaper (many
+    near-equal peaks).  ``eval_err`` exceeds that kernel's a-priori error
+    on the circle (see :func:`polyzero.poly._evaluate`).
     ``max_points`` caps the number of points evaluated, the first grid
     included.
     """
@@ -233,7 +285,9 @@ def sup_norm_enclosure(
         if evaluated > max_points:
             break
         if use_fft:
-            f_mid = _abs_at(p, n_cells, cells, 0.5)
+            f_mid = np.empty(len(cells))
+            for _, sel, vals in _abs_at(p, n_cells, cells, (0.5,)):
+                f_mid[sel] = vals
         else:
             f_mid = _abs_on_circle(p, (cells + 0.5) / n_cells)
         ms = max(ms, float((f_mid**2).max()))
@@ -581,10 +635,12 @@ def _integrate_log_abs(p: Polynomial, intervals: np.ndarray, tol: float) -> floa
     16-point Gauss-Legendre panels on a global grid of ``m`` cells, ``m``
     starting at eight per unit of degree (the oscillation scale) and doubled
     until the total stabilizes or reaches 512 per unit.  On the cells lying
-    wholly inside a piece, node ``x`` of every cell comes from the FFT
-    ``circle_samples(p, m, shift=x)``, taken by blocks (:func:`_abs_at`);
-    only the partial cells at the ends of each piece, or a piece inside a
-    single cell, go through the blocked kernel.  Intervals must avoid zeros
+    wholly inside a piece, node ``x`` of every cell is ``P`` on the grid of
+    ``m`` points shifted by ``x``; all 16 shifted grids of a level go through
+    one :func:`_abs_at` call, whose FFT batches hold rows of several nodes
+    (grids up to ``_GRID_POINTS``) or several rows of one node.  Only the
+    partial cells at the ends of each piece, or a piece inside a single
+    cell, go through the blocked kernel.  Intervals must avoid zeros
     of ``P`` on the circle (guaranteed when they sit strictly above the
     level |P| = 1); ``log`` is taken on the kept cells only.
     """
@@ -611,8 +667,10 @@ def _integrate_log_abs(p: Polynomial, intervals: np.ndarray, tol: float) -> floa
         vals = log_abs_eval(p, np.exp(2j * np.pi * nodes))
         total = float((vals @ half_w) @ (hi - lo))
         if len(cells):
-            for xq, wq in zip(x, half_w):
-                total += wq / m * float(np.log(_abs_at(p, m, cells, xq)).sum())
+            sums = np.zeros(len(x))
+            for q, _, mags in _abs_at(p, m, cells, x):
+                sums[q] += float(np.log(mags).sum())
+            total += float(half_w @ sums) / m
         if prev is not None and abs(total - prev) <= tol * (1.0 + abs(total)):
             return total
         prev = total

@@ -82,6 +82,13 @@ class TestAnalyze:
         assert [e["bound_id"] for e in entries] == [e.bound_id for e in reference.entries]
         assert all(e["verdict"] == "INAPPLICABLE" and e["notes"] for e in entries)
 
+    def test_convergence_failure_exit_1(self):
+        # p_norm(p=1) reaches its grid cap on this input.
+        proc = run_cli("analyze", "--family", "littlewood", "--degree", "1024", "--seed", "1")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: p_norm grid cap")
+        assert "Traceback" not in proc.stderr
+
     def test_usage_error_exit_64(self):
         assert run_cli("analyze", "--no-such-flag").returncode == 64
         assert run_cli("analyze").returncode == 64  # needs a source
@@ -186,6 +193,23 @@ class TestSweepCommand:
         assert rows[0].startswith("family,degree,seed,bound_id")
         payload = json.loads(js.read_text())
         assert payload["schema"] == "polyzero-sweep/1"
+
+    @pytest.mark.parametrize("flag", ["--out-json", "--out-csv"])
+    def test_unwritable_output_exit_1(self, flag, tmp_path):
+        target = tmp_path / "missing" / "out"
+        proc = run_cli(
+            "sweep", "--family", "littlewood", "--degrees", "12", "--trials", "1",
+            "--centers", "16", flag, str(target),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: cannot write {target}")
+        assert "Traceback" not in proc.stderr
+
+    def test_convergence_failure_exit_1(self):
+        proc = run_cli("sweep", "--family", "littlewood", "--degrees", "1024", "--trials", "1", "--centers", "16")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: p_norm grid cap")
+        assert "Traceback" not in proc.stderr
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         """Evaluation runs through a BLAS matrix product; its thread count must not change a byte."""

@@ -70,6 +70,15 @@ class TestPNorm:
             rhs = float(np.sum(np.abs(p.coefficient_array()) ** 2))
             assert abs(lhs - rhs) <= 1e-9 * rhs
 
+    @pytest.mark.parametrize("kind", ["littlewood", "unimodular", "g_class", "z^n-1"])
+    @pytest.mark.parametrize("n", [16, 256, 512])
+    def test_two_norm_by_parseval_matches_the_ladder(self, kind, n):
+        p = power_minus_one(n) if kind == "z^n-1" else make_family(FamilySpec(kind, n, seed=1))
+        # The trapezoid sum of |P|^2 is exact on any grid of more than n points.
+        n_points = norms._initial_grid(n, floor=256)
+        ladder = math.sqrt(norms._power_sum(p, n_points, 0.0, 2.0) / n_points)
+        assert abs(p_norm(p, 2.0) - ladder) <= 1e-13 * ladder
+
     def test_norm_monotonicity(self):
         p = make_family(FamilySpec("littlewood", 24, seed=5))
         exps = (0.5, 1.0, 2.0, 4.0)
@@ -384,17 +393,23 @@ def _sup_ladder(p: Polynomial, tol: float = 1e-6, max_points: int = 2**22) -> In
 def _count_evaluations(monkeypatch) -> dict[str, int]:
     """Count the points ``sup_norm_enclosure`` evaluates, by route."""
     counts = {"fft": 0, "shifted_fft": 0, "horner": 0}
-    fft, horner = norms.circle_samples, norms._abs_on_circle
+    fft, rows, horner = norms.circle_samples, norms._sample_rows, norms._abs_on_circle
 
     def counted_fft(p, n_points, shift=0.0):
         counts["shifted_fft" if shift else "fft"] += n_points
         return fft(p, n_points, shift=shift)
+
+    def counted_rows(p, n_points, shifts):
+        for shift in shifts:
+            counts["shifted_fft" if shift else "fft"] += n_points
+        return rows(p, n_points, shifts)
 
     def counted_horner(p, t):
         counts["horner"] += len(t)
         return horner(p, t)
 
     monkeypatch.setattr(norms, "circle_samples", counted_fft)
+    monkeypatch.setattr(norms, "_sample_rows", counted_rows)
     monkeypatch.setattr(norms, "_abs_on_circle", counted_horner)
     return counts
 
@@ -558,10 +573,25 @@ class TestIntegrateLogAbs:
         assert math.isfinite(m_plus)
 
 
+def _gather_abs_at(p: Polynomial, n_points: int, index: np.ndarray, shifts) -> np.ndarray:
+    """``norms._abs_at`` gathered into one ``(len(shifts), len(index))`` array."""
+    out = np.full((len(shifts), len(index)), np.nan)
+    for q, sel, vals in norms._abs_at(p, n_points, index, shifts):
+        assert np.isnan(out[q, sel]).all()
+        out[q, sel] = vals
+    return out
+
+
 class TestBlockedSampling:
-    """Fine grids are sampled in interleaved FFT blocks of bounded size."""
+    """Fine grids are sampled as interleaved rows, in FFT batches of bounded size."""
 
     P = make_family(FamilySpec("littlewood", 100, seed=4))
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
 
     @pytest.mark.parametrize("n_points", [2**16, 8 * 100 * 2**6])
     @pytest.mark.parametrize("shift", [0.0, 0.5, 0.3])
@@ -577,14 +607,63 @@ class TestBlockedSampling:
     def test_abs_at_matches_one_fft(self, n_points, shift):
         index = np.sort(np.random.default_rng(0).choice(n_points, 5000, replace=False))
         ref = np.abs(norms.circle_samples(self.P, n_points, shift=shift))[index]
-        got = norms._abs_at(self.P, n_points, index, shift)
+        got = _gather_abs_at(self.P, n_points, index, (shift,))[0]
         assert np.max(np.abs(got - ref)) <= 1e-12 * ref.max()
 
+    @pytest.mark.parametrize(
+        "n,n_points",
+        [(n, 2**20) for n in (100, 256, 512, 10**4)]
+        + [(100, 8 * 100 * 2**6), (256, 8 * 256 * 2**4), (512, 8 * 512 * 2**3), (10**4, 8 * 10**4 * 2**2)],
+    )
+    @pytest.mark.parametrize("shift", [0.0, 0.5, 0.3])
+    def test_rows_match_one_fft(self, n, n_points, shift):
+        # n + 1 lies just above a power of two at 256 and 512; at 10^4 one
+        # row (2^14 points) is larger than a batch.
+        p = make_family(FamilySpec("g_class", n, seed=1))
+        stride = norms._stride(n, n_points)
+        assert stride > 1 and n_points // stride > n
+        ref = norms.circle_samples(p, n_points, shift=shift)
+        seen = np.zeros(n_points, dtype=int)
+        err = 0.0
+        for q, r0, block in norms._sample_rows(p, n_points, (shift,)):
+            assert q == 0 and block.size <= max(norms._BLOCK_POINTS, n_points // stride)
+            k = (np.arange(block.shape[1])[None, :] * stride + r0 + np.arange(len(block))[:, None]).ravel()
+            seen[k] += 1
+            err = max(err, float(np.abs(block.ravel() - ref[k]).max()))
+        assert (seen == 1).all()
+        assert err <= 1e-13 * float(np.abs(ref).max())
+        mags = np.abs(ref)
+        assert abs(norms._power_sum(p, n_points, shift, 1.0) - mags.sum()) <= 1e-13 * mags.sum()
+
+    @pytest.mark.parametrize("n_points", [2**11, 2**12, 2**14, 2**16, 8 * 100 * 2**6])
+    def test_batched_nodes_match_single_calls(self, n_points):
+        nodes = 0.5 * (norms._GL_NODES + 1.0)
+        index = np.sort(np.random.default_rng(1).choice(n_points, n_points // 3, replace=False))
+        batched = _gather_abs_at(self.P, n_points, index, nodes)
+        for q, x in enumerate(nodes):
+            single = _gather_abs_at(self.P, n_points, index, (x,))[0]
+            ref = np.abs(norms.circle_samples(self.P, n_points, shift=x))[index]
+            assert np.array_equal(batched[q], single)
+            assert np.max(np.abs(single - ref)) <= 1e-13 * ref.max()
+
+    def test_small_grid_is_one_fft(self):
+        # Grids up to _GRID_POINTS keep the single FFT, bit for bit.
+        n_points = norms._GRID_POINTS
+        for shift in (0.0, 0.5, 0.3):
+            blocks = [b.copy() for _, _, b in norms._sample_rows(self.P, n_points, (shift,))]
+            assert len(blocks) == 1
+            assert np.array_equal(blocks[0][0], norms.circle_samples(self.P, n_points, shift=shift))
+
     def test_stride_keeps_blocks_above_the_degree(self):
-        assert norms._stride(100, 2**14) == 1
-        assert norms._stride(5000, 2**20) == 2**20 // 2**14
-        assert norms._stride(10**4, 2**20) == 2**20 // 2**15
-        assert norms._stride(100, 3 * 2**16) == 2**3
+        assert norms._stride(100, 2**12) == 1
+        assert norms._stride(100, 2**13) == 2**13 // 128
+        assert norms._stride(10**4, 2**14) == 1
+        assert norms._stride(127, 2**20) == 2**20 // 128
+        assert norms._stride(128, 2**20) == 2**20 // 256
+        assert norms._stride(5000, 2**20) == 2**20 // 2**13
+        assert norms._stride(10**4, 2**20) == 2**20 // 2**14
+        assert norms._stride(100, 3 * 2**16) == 2**10
+        assert norms._stride(100, 8 * 100 * 2**6) == 2**8
 
     def test_p_norm_memory_does_not_grow_with_the_grid(self, monkeypatch):
         import tracemalloc
@@ -607,3 +686,15 @@ class TestBlockedSampling:
         # One 2^19-point complex grid alone is 8 MiB.
         assert max(grids) >= 2**19
         assert peak < 2 * 2**20
+
+    def test_mahler_plus_memory_stays_bounded(self):
+        import tracemalloc
+
+        p = make_family(FamilySpec("g_class", 512, seed=3))
+        tracemalloc.start()
+        try:
+            mahler_plus(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * 2**20
