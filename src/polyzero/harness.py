@@ -32,6 +32,7 @@ from .zerostats import (
     SectorSpec,
     angular_discrepancy_report,
     annular_discrepancy,
+    disk_counts,
     tau_outside_annulus,
 )
 
@@ -251,19 +252,6 @@ def stratified_center_angles(count: int, seed: int, salt: int = 0) -> np.ndarray
     return 2.0 * math.pi * (np.arange(count) + rng.random(count)) / count
 
 
-def _disk_counts(roots: RootSet, center_angles: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Open and closed counts of roots in disks at each unit-circle center."""
-    centers = np.exp(1j * center_angles)
-    open_counts = np.empty(len(centers), dtype=int)
-    closed_counts = np.empty(len(centers), dtype=int)
-    for k in range(0, len(centers), 64):
-        blk = centers[k : k + 64]
-        dist = np.abs(roots.roots[None, :] - blk[:, None])
-        open_counts[k : k + 64] = (dist < radius).sum(axis=1)
-        closed_counts[k : k + 64] = (dist <= radius).sum(axis=1)
-    return open_counts, closed_counts
-
-
 def certify(
     p: Polynomial,
     cfg: SweepConfig | None = None,
@@ -421,8 +409,8 @@ def _disk_stage(p, roots, supplied_roots, profile, cfg, gn_member, center_salt, 
 
 
 def _disk_check(cfg, roots, center_angles, cons, fav, bound_id, tangency):
-    open_c, closed_c = _disk_counts(roots, center_angles, cons.gamma)
-    open_f = open_c if fav.gamma == cons.gamma else _disk_counts(roots, center_angles, fav.gamma)[0]
+    open_c, closed_c = disk_counts(roots, center_angles, cons.gamma)
+    open_f = open_c if fav.gamma == cons.gamma else disk_counts(roots, center_angles, fav.gamma)[0]
     # Lower-bound margins: observed open count minus the required count,
     # requirement taken from the opposite enclosure side than the radius.
     margin_c = float(open_c.min() - fav.min_zeros)

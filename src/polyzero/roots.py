@@ -14,15 +14,24 @@ assuming simple roots.
 A sweep updates only the active roots.  A root freezes after a sweep in
 which its relative step ``|w_j| / (1 + |z_j|)`` falls below ``_STALL``;
 frozen roots still enter the coupling sums of the active ones.  Once every
-root is frozen, one confirming sweep updates all of them: the iteration ends
-if every step in it is below ``_STALL``, and any root above reactivates.  So
-each root's last two updates are below ``_STALL``.  This stop rule is still
-step-based; isolated inclusion disks could replace it.
+root is frozen, one confirming sweep runs over all of them: the iteration
+ends if every step in it is below ``_STALL``, and any root above reactivates
+(the sweep's steps are then taken).  This stop rule is still step-based;
+isolated inclusion disks could replace it.
 
-The coupling sums ``S_i = sum_{k != i} 1 / (z_i - z_k)`` use each pair of
-active roots once, since the pair's two terms differ only in sign.  They run
-in row blocks of ``_PAIR_ELEMS // n`` rows (at least ``_PAIR_MIN_ROWS``), so
-the buffer stays in cache and memory does not grow like ``n**2``.
+The confirming sweep is also the certificate pass.  Its evaluation yields
+``log |P(z_j)|`` next to the Newton steps, and its pair kernel yields
+``sum_{k != j} log max(1, |z_j - z_k|)`` from the same differences as the
+coupling sums.  When it confirms, its steps are not taken: the roots
+returned are the points the certificate was computed at, each within one
+untaken step (below ``_STALL``) of the last iterate.  Only supplied roots
+and the ``max_iter`` fallback take a separate pass, the same kernel with the
+reciprocals off.
+
+The pair kernel uses each pair of rows once, since the pair's two coupling
+terms differ only in sign and its two log terms are equal.  It runs in row
+blocks of ``_PAIR_ELEMS // n`` rows (at least ``_PAIR_MIN_ROWS``), so the
+buffers stay in cache and memory does not grow like ``n**2``.
 Coincident iterates would make a term infinite; a block is redone with a
 finite guard only when one of its row sums is not finite, so the common case
 pays no scan for them.
@@ -30,14 +39,15 @@ pays no scan for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .poly import Polynomial, _evaluate_split
 
-_PAIR_ELEMS = 1 << 14  # complex entries per coupling block: 256 KiB, in L2
+_PAIR_ELEMS = 1 << 14  # complex entries per pair block: 256 KiB, in L2; 2/3 as many with logs
 _PAIR_MIN_ROWS = 16
+_LOG_FOLD = 8  # blocks of log sums gathered apart before adding to the totals
 _STALL = 1e-14  # relative step below which a root is frozen
 
 
@@ -55,6 +65,8 @@ class RootSet:
 
     ``args_turns`` holds the normalized arguments ``theta_j`` in [0, 1).
     Length equals the polynomial degree, multiplicity counted.
+    ``_arc_index`` caches :mod:`zerostats`' disk-count index for the last
+    radius counted, and nothing else.
     """
 
     roots: np.ndarray
@@ -62,6 +74,7 @@ class RootSet:
     moduli: np.ndarray
     args_turns: np.ndarray
     tolerance: float
+    _arc_index: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "roots", np.asarray(self.roots, dtype=complex))
@@ -76,52 +89,88 @@ class RootSet:
         return len(self.roots)
 
 
-def _pairwise_inverse_sums(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``S_i = sum_{k != i} 1 / (z_i - z_k)`` for ``i`` in ``rows``.
+def _pair_sums(z: np.ndarray, rows: np.ndarray, reciprocals: bool = True, logs: bool = False):
+    """Pair sums over ``k != i`` for ``i`` in ``rows``: ``(S, L)`` with the
+    coupling sums ``S_i = sum 1 / (z_i - z_k)`` (``None`` without
+    ``reciprocals``) and ``L_i = sum log max(1, |z_i - z_k|)`` (``None``
+    without ``logs``; ``logs`` needs ``rows`` to be every index in order).
 
     Each pair of requested rows is computed once.  The requested rows are
     placed first, and each block of them runs against the columns from its
-    own start onwards: the row sums go to the block's rows, and the negated
-    column sums, ``1 / (z_k - z_i) = -1 / (z_i - z_k)``, go to the later
-    requested rows.  Roots not in ``rows`` are columns only.  A full sweep
-    thus takes about ``n**2 / 2`` reciprocals instead of ``n**2``.  A block
-    has ``_PAIR_ELEMS // n`` rows, but at least ``_PAIR_MIN_ROWS``, so the
-    buffer stays in cache whatever ``n``.  When every row fits in one block,
-    the rows run against all of ``z`` without the reordering.
+    own start onwards: the row sums go to the block's rows, and the column
+    sums, negated for ``S`` since ``1 / (z_k - z_i) = -1 / (z_i - z_k)``, go
+    to the later requested rows.  Roots not in ``rows`` are columns only.  A
+    full sweep thus takes about ``n**2 / 2`` differences instead of ``n**2``.
+    A block has ``_PAIR_ELEMS // n`` rows (two thirds as many with
+    ``logs``), but at least ``_PAIR_MIN_ROWS``, so the buffers stay in cache
+    whatever ``n``.  When every row fits in one
+    block, the rows run against all of ``z`` without the reordering.  The log
+    sums of ``_LOG_FOLD`` blocks gather in a separate array before they are
+    added to the totals, so a total takes ``n / (_LOG_FOLD step)`` roundings
+    at its full size rather than ``n / step``, and stays as close to the
+    exact sum as a whole-row sum.
     """
     n, m = len(z), len(rows)
-    step = max(_PAIR_MIN_ROWS, _PAIR_ELEMS // max(n, 1))
+    # A log block holds a float beside each complex entry: 24 bytes, not 16.
+    step = max(_PAIR_MIN_ROWS, (_PAIR_ELEMS * 2 // 3 if logs else _PAIR_ELEMS) // max(n, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         if m <= step:
-            return _coupling_block(np.empty((m, n), dtype=complex), z[rows], z, rows)[0]
+            lg = np.empty((m, n)) if logs else None
+            row, _ = _coupling_block(np.empty((m, n), dtype=complex), z[rows], z, rows, lg, reciprocals)
+            return row, lg.sum(axis=1) if logs else None
         rest = np.ones(n, dtype=bool)
         rest[rows] = False
         z = np.concatenate((z[rows], z[rest]))
-        out = np.zeros(m, dtype=complex)
+        out = np.zeros(m, dtype=complex) if reciprocals else None
+        log_out, part = (np.zeros(m), np.zeros(m)) if logs else (None, None)
         buf = np.empty(step * n, dtype=complex)
-        for start in range(0, m, step):
+        log_buf = np.empty(step * n) if logs else None
+        for block, start in enumerate(range(0, m, step)):
             stop = min(start + step, m)
-            d = buf[: (stop - start) * (n - start)].reshape(stop - start, n - start)
-            row, hit = _coupling_block(d, z[start:stop], z[start:], np.arange(stop - start))
-            if hit is not None:
-                d[hit] = -d[hit]  # a coincident pair adds +1e14 to both of its rows
-            out[start:stop] += row
-            out[stop:] -= d[:, stop - start : m - start].sum(axis=0)
-    return out
+            shape = (stop - start, n - start)
+            d = buf[: shape[0] * shape[1]].reshape(shape)
+            lg = log_buf[: d.size].reshape(shape) if logs else None
+            row, hit = _coupling_block(d, z[start:stop], z[start:], np.arange(stop - start), lg, reciprocals)
+            if logs:
+                part[start:stop] += lg.sum(axis=1)
+                part[stop:] += lg[:, stop - start :].sum(axis=0)
+                if block % _LOG_FOLD == _LOG_FOLD - 1 or stop == m:
+                    log_out += part
+                    part[:] = 0.0
+            if reciprocals:
+                if hit is not None:
+                    d[hit] = -d[hit]  # a coincident pair adds +1e14 to both of its rows
+                out[start:stop] += row
+                out[stop:] -= d[:, stop - start : m - start].sum(axis=0)
+    return out, log_out
 
 
-def _coupling_block(d, zr, zc, diag, guard=False):
-    """Reciprocals ``1 / (zr_i - zc_k)`` in ``d`` and their row sums, with the
-    self-terms ``(i, diag_i)`` set to zero.  Runs under the caller's
-    ``np.errstate``, since coincident points divide by zero.
+def _pairwise_inverse_sums(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The coupling sums ``S_i`` of :func:`_pair_sums` alone."""
+    return _pair_sums(z, rows)[0]
 
-    When a row sum is not finite, the block is redone with the coincidence
-    guard: an exact zero difference becomes ``1e-14``, a huge but finite
-    repulsion that can separate the pair.  Returns the row sums and the mask
-    of guarded entries (``None`` when the guard did not run).
+
+def _coupling_block(d, zr, zc, diag, lg=None, reciprocals=True, guard=False):
+    """Differences ``zr_i - zc_k`` in ``d``, with the self-terms ``(i,
+    diag_i)`` left out of every sum.  Runs under the caller's ``np.errstate``,
+    since coincident points divide by zero.
+
+    With ``lg``, ``log max(1, |zr_i - zc_k|)`` goes to ``lg``.  With
+    ``reciprocals``, ``1 / (zr_i - zc_k)`` replaces ``d`` and the row sums
+    are returned.  When a row sum is not finite, the block is redone with the
+    coincidence guard: an exact zero difference becomes ``1e-14``, a huge
+    but finite repulsion that can separate the pair.  Returns the row sums and
+    the mask of guarded entries (``None`` when the guard did not run).
     """
     np.subtract(zr[:, None], zc[None, :], out=d)
-    d[np.arange(len(zr)), diag] = np.inf  # self-term contributes zero
+    rows = np.arange(len(zr))
+    if lg is not None:
+        np.abs(d, out=lg)  # the self-term's 0 becomes log max(1, 0) = 0
+        np.maximum(lg, 1.0, out=lg)
+        np.log(lg, out=lg)
+    if not reciprocals:
+        return None, None
+    d[rows, diag] = np.inf  # self-term contributes zero
     hit = None
     if guard:
         hit = d == 0
@@ -135,54 +184,56 @@ def _coupling_block(d, zr, zc, diag, guard=False):
     return _coupling_block(d, zr, zc, diag, guard=True)
 
 
-def _newton_steps(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``P(z) / P'(z)`` without overflow for any |z|.
+def _newton_steps(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(P(z) / P'(z), log |P(z)|)`` without overflow for any |z|.
 
     For |z| <= 1 this is ``P / P'`` from the blocked kernel.  For |z| > 1 the
     reversed polynomial ``R(u) = u**n P(1/u)`` is evaluated at ``u = 1/z``, using
-    ``P'/P = (n - u R'(u)/R(u)) / z`` so the ``z**n`` growth cancels.
+    ``P'/P = (n - u R'(u)/R(u)) / z`` so the ``z**n`` growth cancels.  The
+    ``P`` and ``R`` values are those :func:`log_abs_eval` computes, bit for bit.
     """
     n = len(coeffs) - 1
     out = np.empty_like(z)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         inside, (p, dp), (r, dr) = _evaluate_split(coeffs, z, order=1)
+        log_abs = _log_abs_split(n, z, inside, p, r)
         out[inside] = p / np.where(dp == 0, 1e-300, dp)
         zo = z[~inside]
         r = np.where(r == 0, 1e-300, r)
         ratio = n - (1.0 / zo) * dr / r
         out[~inside] = zo / np.where(ratio == 0, 1e-300, ratio)
+    return out, log_abs
+
+
+def _log_abs_split(n: int, z: np.ndarray, inside: np.ndarray, inner, outer) -> np.ndarray:
+    """``log |P(z)|`` from the two halves of :func:`poly._evaluate_split`."""
+    out = np.empty(z.shape, dtype=float)
+    with np.errstate(divide="ignore"):
+        out[inside] = np.log(np.abs(inner))
+        out[~inside] = n * np.log(np.abs(z[~inside])) + np.log(np.abs(outer))
     return out
 
 
 def log_abs_eval(p: Polynomial, z: np.ndarray) -> np.ndarray:
     """``log |P(z)|`` without overflow: reversed-polynomial form for |z| > 1."""
     zz = np.asarray(z, dtype=complex)
-    out = np.empty(zz.shape, dtype=float)
     inside, (inner,), (outer,) = _evaluate_split(p.coeffs, zz)
-    with np.errstate(divide="ignore"):
-        out[inside] = np.log(np.abs(inner))
-        out[~inside] = p.degree * np.log(np.abs(zz[~inside])) + np.log(np.abs(outer))
-    return out
+    return _log_abs_split(p.degree, zz, inside, inner, outer)
 
 
 def _log_scales(z: np.ndarray, abs_cn: float) -> np.ndarray:
-    """``log scale_j`` for the residual scale, in row blocks of
-    ``_PAIR_ELEMS // n`` rows (at least one); each row is summed whole."""
-    n = len(z)
-    step = max(1, _PAIR_ELEMS // max(n, 1))
-    log_scale = np.full(n, math.log(abs_cn))
-    for start in range(0, n, step):
-        block = z[start : start + step]
-        dist = np.abs(block[:, None] - z[None, :])
-        rows = np.arange(len(block))
-        dist[rows, start + rows] = 1.0  # self-term must not enter the product
-        np.clip(dist, 1.0, None, out=dist)
-        log_scale[start : start + step] += np.log(dist).sum(axis=1)
-    return log_scale
+    """``log scale_j`` for the residual scale: the pair kernel with the
+    reciprocals off."""
+    return math.log(abs_cn) + _pair_sums(z, np.arange(len(z)), reciprocals=False, logs=True)[1]
 
 
-def _residuals_from_scales(p: Polynomial, z: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
-    log_abs = log_abs_eval(p, z)
+def _residuals_from_scales(
+    p: Polynomial, z: np.ndarray, log_scale: np.ndarray, log_abs: np.ndarray | None = None
+) -> np.ndarray:
+    """Residuals ``|P(z_j)| / scale_j``; ``log_abs`` is ``log |P(z)|`` when
+    the caller has it already."""
+    if log_abs is None:
+        log_abs = log_abs_eval(p, z)
     log_res = log_abs - log_scale
     finite = np.isfinite(log_res)
     out = np.zeros(len(z))
@@ -207,11 +258,11 @@ def initial_points(p: Polynomial) -> np.ndarray:
     c = p.coefficient_array()
     cauchy = 1.0 + float(np.max(np.abs(c[:-1] / c[-1])))
     with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(c))
+        logs = np.log(np.abs(c)).tolist()  # the scan is faster on Python floats
     # Upper convex hull of (j, log|c_j|), skipping zero coefficients.
     hull: list[int] = []
     for j in range(n + 1):
-        if not np.isfinite(logs[j]):
+        if not math.isfinite(logs[j]):
             continue
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
@@ -239,9 +290,39 @@ def initial_points(p: Polynomial) -> np.ndarray:
     return points
 
 
+def _aberth_sweep(c: np.ndarray, z: np.ndarray, active: np.ndarray, confirming: bool):
+    """One sweep over the roots ``active``: their updated points, which of them
+    still move, and, in a confirming sweep, ``log |P|`` and the log pair sums
+    at the current points (``None`` otherwise).  Its temporaries end with it,
+    so none is held through the next sweep's evaluation.
+    """
+    n = len(z)
+    za = z[active]
+    newton, log_abs = _newton_steps(c, za)
+    bad = ~np.isfinite(newton)
+    if np.any(bad):
+        newton[bad] = za[bad] / n  # crude far-field Newton step
+    coupling, log_pairs = _pair_sums(z, active, logs=confirming)
+    denom = 1.0 - newton * coupling
+    denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
+    w = newton / denom
+    w = np.where(np.isfinite(w), w, newton)
+    # Damp wild steps far from convergence.
+    step = np.abs(w)
+    limit = 0.5 * (1.0 + np.abs(za))
+    factor = np.where(step > limit, limit / np.where(step > 0, step, 1.0), 1.0)
+    za = za - w * factor
+    moving = ~(step / (1.0 + np.abs(za)) < _STALL)  # a nan step stays active
+    return za, moving, log_abs if confirming else None, log_pairs
+
+
 def find_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> RootSet:
     """All roots of ``p`` with residuals certified below ``tol``.
 
+    The roots returned are the points of the confirming sweep, where its
+    evaluation and pair kernel computed the certificate; the sweep's steps,
+    all below ``_STALL``, are not taken.  When ``max_iter`` runs out first,
+    the certificate is computed at the last iterates by a separate pass.
     Raises :class:`RootFindingError` if the certificate cannot be met within
     ``max_iter`` sweeps, reporting the worst residual reached.
     """
@@ -257,27 +338,16 @@ def find_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> RootSe
         if active.size == 0:
             active, confirming = np.arange(n), True
         sweeps += 1
-        za = z[active]
-        newton = _newton_steps(c, za)
-        bad = ~np.isfinite(newton)
-        if np.any(bad):
-            newton[bad] = za[bad] / n  # crude far-field Newton step
-        coupling = _pairwise_inverse_sums(z, active)
-        denom = 1.0 - newton * coupling
-        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-        w = newton / denom
-        w = np.where(np.isfinite(w), w, newton)
-        # Damp wild steps far from convergence.
-        step = np.abs(w)
-        limit = 0.5 * (1.0 + np.abs(za))
-        factor = np.where(step > limit, limit / np.where(step > 0, step, 1.0), 1.0)
-        za = za - w * factor
-        z[active] = za
-        moving = ~(step / (1.0 + np.abs(za)) < _STALL)  # a nan step stays active
+        za, moving, log_abs, log_pairs = _aberth_sweep(c, z, active, confirming)
         converged = confirming and not moving.any()
+        if not converged:  # a confirmed sweep's steps are left untaken
+            z[active] = za
         active, confirming = active[moving], False
-    log_scale = _log_scales(z, abs(c[-1]))
-    residuals = _residuals_from_scales(p, z, log_scale)
+    if converged:
+        log_scale = math.log(abs(c[-1])) + log_pairs
+    else:
+        log_scale, log_abs = _log_scales(z, abs(c[-1])), None
+    residuals = _residuals_from_scales(p, z, log_scale, log_abs)
     worst = float(residuals.max())
     if not worst <= tol:
         ended = "steps stalled" if converged else f"max_iter reached with {active.size} of {n} roots still active"

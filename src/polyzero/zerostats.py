@@ -10,6 +10,18 @@ discrepancy is the supremum over all arcs of
 The supremum is computed exactly from the sorted root angles; it may be a
 limit value that no single arc attains (a point mass seen through shrinking
 arcs), which is reported through the ``attained`` flag.
+
+Disks of radius ``r`` centred at ``e^{ia}`` on the unit circle are counted as
+a stabbing count.  A root ``rho e^{i phi}`` lies inside iff ``a`` is in the
+arc ``(phi - t, phi + t)`` with ``cos t = (rho^2 + 1 - r^2) / (2 rho)``, so
+an index of the sorted arc starts and ends, built once per radius
+(O(n log n)) and kept on the :class:`RootSet` for the last radius only,
+answers a centre with a few bisections.  Every root whose computed arc end
+lies within ``_ARC_WINDOW`` (delta = 1e-6 rad) of ``a``, or whose arc is
+degenerate or ill-conditioned, is decided by the distance test
+``|z - c| < r`` (``<=`` when closed) with the caller's own centre ``c``, so
+the counts are bit for bit those of that test over all roots: outside the
+window, ``|z - c|`` is provably farther from ``r`` than its rounding.
 """
 from __future__ import annotations
 
@@ -24,6 +36,13 @@ from .roots import RootSet
 _TWO_PI = 2.0 * math.pi
 
 _TIE_WIDTH = 1e-12
+
+_ARC_WINDOW = 1e-6  # delta: arc ends this close to a centre go to the distance test
+_UNIT = 2.0**-53  # unit roundoff
+# Bisection keys around a centre a: the starts' window [a - delta, a + delta),
+# then the ends' windows at a and at a + 2 pi (ends are stored plus 4 pi).
+_QUERY = np.repeat([0.0, 2.0 * _TWO_PI, 3.0 * _TWO_PI], 2) + np.tile([-_ARC_WINDOW, _ARC_WINDOW], 3)
+_DENSE_ELEMS = 1 << 16  # centre-root distances per block of the distance test
 
 
 @dataclass(frozen=True)
@@ -85,7 +104,14 @@ def sector_count(roots: RootSet, s: SectorSpec) -> CountStat:
 
 
 def region_count(roots: RootSet, region) -> CountStat:
-    """Exact membership count of the root multiset in a region."""
+    """Exact membership count of the root multiset in a region.
+
+    A :class:`geometry.DiskOnCircle` is counted on the arc index of its
+    radius (see the module docstring), with the same result as
+    ``geometry.contains``.
+    """
+    if isinstance(region, geometry.DiskOnCircle):
+        return CountStat(count=_disk_count(roots, region), n=len(roots))
     if isinstance(region, geometry.Sector):
         return sector_count(roots, SectorSpec(region.alpha, region.beta))
     mask = geometry.contains(region, roots.roots)
@@ -93,6 +119,145 @@ def region_count(roots: RootSet, region) -> CountStat:
     if isinstance(region, geometry.AnnularSector):
         ref = SectorSpec(region.alpha, region.beta).reference
     return CountStat(count=int(np.sum(mask)), n=len(roots), reference=ref)
+
+
+@dataclass(frozen=True)
+class _ArcIndex:
+    """Arcs of the roots for disks of one radius centred on the unit circle.
+
+    ``keys`` holds the arc starts in [0, 2 pi], sorted, then the arc ends
+    plus 4 pi, sorted; ``ids`` the root of each key.  ``base`` is the count
+    of roots inside every such disk plus three times the number of arcs, and
+    ``exact`` the roots that the distance test decides at every centre.
+    """
+
+    radius: float
+    keys: np.ndarray
+    ids: np.ndarray
+    base: int
+    exact: np.ndarray
+
+
+def _arc_index(roots: RootSet, radius: float) -> _ArcIndex:
+    """The arc index of ``radius``, built unless it is the one cached on ``roots``.
+
+    A computed ``|z - c|`` is within about ``3 u (rho + 2)`` of the true
+    distance to ``e^{ia}`` (``u`` the unit roundoff); ``tol`` is at least
+    twice that.  A root gets an arc only when its computed arc ends are
+    within ``delta / 4`` of the true ones (the error of ``cos t``, over
+    ``sin t``) and ``|z - c|`` stays more than ``tol`` from ``r`` once ``a``
+    is ``delta / 2`` from an end, as ``|z - c|^2 - r^2 = 2 rho (cos t -
+    cos(phi - a))`` and ``|cos(t +- delta/2) - cos t| >= (delta / 2) (sin t -
+    delta / 2)``.  A root whose circle ``|w| = rho`` misses every disk, or
+    lies inside every disk, by more than ``tol`` gets no arc and no test.
+    The rest, near tangency, with an arc under ``2 delta`` or over
+    ``2 pi - 4 delta``, at ``rho`` too small for the bound, or not finite,
+    get the distance test at every centre.  ``rho`` and ``phi`` come from
+    ``z`` itself, which the distance test uses, not from ``moduli``.
+    """
+    idx = roots._arc_index
+    if idx is not None and idx.radius == radius:
+        return idx
+    z = roots.roots
+    r = float(radius)
+    with np.errstate(all="ignore"):
+        rho = np.abs(z)
+        tol = 16.0 * _UNIT * (rho + 1.0 + abs(r))
+        outside = np.abs(rho - 1.0) - r > tol
+        inside = rho + 1.0 < r - tol
+        half = np.arccos(np.clip((rho * rho + 1.0 - r * r) / (2.0 * rho), -1.0, 1.0))
+        sin = np.sin(half)
+        arc = (
+            (half >= 2.0 * _ARC_WINDOW)
+            & (half <= math.pi - 2.0 * _ARC_WINDOW)
+            & (16.0 * _UNIT * (rho * rho + 1.0 + r * r) <= 0.5 * _ARC_WINDOW * rho * sin)
+            & (rho * _ARC_WINDOW * (sin - _ARC_WINDOW) > tol * (rho + 1.0 + abs(r)))
+            & ~outside
+            & ~inside
+        )
+    j = np.flatnonzero(arc)
+    starts = np.mod(np.angle(z[j]) - half[j], _TWO_PI)
+    ends = starts + 2.0 * half[j] + 2.0 * _TWO_PI
+    by_start, by_end = np.argsort(starts), np.argsort(ends)
+    idx = _ArcIndex(
+        radius=radius,
+        keys=np.concatenate((starts[by_start], ends[by_end])),
+        ids=np.concatenate((j[by_start], j[by_end])),
+        base=int(inside.sum()) + 3 * len(j),
+        exact=np.flatnonzero(~(arc | outside | inside)),
+    )
+    object.__setattr__(roots, "_arc_index", idx)
+    return idx
+
+
+def _disk_count(roots: RootSet, disk: geometry.DiskOnCircle) -> int:
+    """One disk's count: bisections only, when no root is near its arc ends."""
+    a = float(disk.center_angle)  # a numpy scalar would slow each step below
+    idx = _arc_index(roots, disk.radius)
+    if _ARC_WINDOW <= a <= _TWO_PI - _ARC_WINDOW and not idx.exact.size:
+        p = idx.keys.searchsorted(a + _QUERY).tolist()
+        if p[0] == p[1] and p[2] == p[3] and p[4] == p[5]:
+            return idx.base + p[0] - p[3] - p[5]
+    opened, closed = _disk_counts(roots, np.array([a], dtype=float), np.array([disk.center]), disk.radius)
+    return int((closed if disk.closed else opened)[0])
+
+
+def disk_counts(roots: RootSet, center_angles, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Open and closed counts of roots in the disks of ``radius`` centred at
+    ``exp(1j * a)`` for each angle ``a`` in ``center_angles``.
+
+    Equal to the distance test ``|z - c| < r`` and ``<= r`` over all roots,
+    centre by centre, from the arc index of ``radius`` (see the module
+    docstring): a vectorised bisection per centre, and the distance test
+    for the few roots with an arc end within delta of it.
+    """
+    a = np.asarray(center_angles, dtype=float)
+    return _disk_counts(roots, a, np.exp(1j * a), radius)
+
+
+def _disk_counts(roots, a, centers, radius):
+    """:func:`disk_counts` at angles ``a`` whose centres ``centers`` the caller computed."""
+    idx = _arc_index(roots, radius)
+    z = roots.roots
+    opened = np.empty(len(a), dtype=int)
+    closed = np.empty(len(a), dtype=int)
+    # Centres within delta of angle 0, and angles outside [0, 2 pi), take the
+    # distance test over all roots; the windows below assume neither.
+    on = (a >= _ARC_WINDOW) & (a <= _TWO_PI - _ARC_WINDOW)
+    off = np.flatnonzero(~on)
+    opened[off], closed[off] = _distance_counts(z, centers[off], radius)
+    on = np.flatnonzero(on)
+    pos = idx.keys.searchsorted(a[on, None] + _QUERY)
+    # Starts below a - delta, less ends below a + delta and ends from
+    # a + 2 pi + delta on: an arc with a key in a window counts zero here
+    # (an end at a has its start below a - delta, and the two cancel), and
+    # the roots of the windows' keys are counted by distance instead.
+    count = idx.base + pos[:, 0] - pos[:, 3] - pos[:, 5]
+    lo, width = pos[:, 0::2].ravel(), (pos[:, 1::2] - pos[:, 0::2]).ravel()
+    window = np.repeat(np.arange(lo.size), width)
+    at = lo[window] + np.arange(window.size) - (np.cumsum(width) - width)[window]
+    centre = window // 3
+    dist = np.abs(z[idx.ids[at]] - centers[on][centre])
+    opened[on] = count + np.bincount(centre[dist < radius], minlength=len(on))
+    closed[on] = count + np.bincount(centre[dist <= radius], minlength=len(on))
+    if idx.exact.size:
+        extra = _distance_counts(z[idx.exact], centers[on], radius)
+        opened[on] += extra[0]
+        closed[on] += extra[1]
+    return opened, closed
+
+
+def _distance_counts(z, centers, radius):
+    """Open and closed counts of ``z`` in each disk by the distance test, in
+    blocks of at most ``_DENSE_ELEMS`` distances."""
+    opened = np.empty(len(centers), dtype=int)
+    closed = np.empty(len(centers), dtype=int)
+    step = max(1, _DENSE_ELEMS // max(len(z), 1))
+    for k in range(0, len(centers), step):
+        dist = np.abs(z[None, :] - centers[k : k + step, None])
+        opened[k : k + step] = (dist < radius).sum(axis=1)
+        closed[k : k + step] = (dist <= radius).sum(axis=1)
+    return opened, closed
 
 
 def _grouped_angles(args_turns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,14 +24,13 @@ from polyzero.bounds import (
 )
 from polyzero.harness import (
     SweepConfig,
-    _disk_counts,
     stratified_center_angles,
     sweep,
 )
 from polyzero.norms import Interval, e_measure_enclosure, mahler, p_norm, sup_norm_enclosure
 from polyzero.poly import FamilySpec, cyclotomic, lehmer_polynomial, make_family, power_minus_one, rudin_shapiro_pair, Polynomial
 from polyzero.roots import find_roots, unit_roots_rootset
-from polyzero.zerostats import angular_discrepancy
+from polyzero.zerostats import angular_discrepancy, disk_counts
 
 SEED = 20240817
 
@@ -257,7 +256,7 @@ def test_criterion_7_disk_lower_bounds():
     centers = stratified_center_angles(720, SEED)
 
     def check_disk(tag, roots, cons, fav):
-        open_c, _ = _disk_counts(roots, centers, cons.gamma)
+        open_c, _ = disk_counts(roots, centers, cons.gamma)
         if open_c.min() < fav.min_zeros:
             failures.append(
                 f"{tag}: min count {open_c.min()} < required {fav.min_zeros:.1f}"

@@ -119,7 +119,7 @@ class TestLargeModulus:
 
     def test_newton_steps(self, poly):
         z = _points(1.5, 6, seed=6)
-        got = _newton_steps(poly.coefficient_array(), z)
+        got = _newton_steps(poly.coefficient_array(), z)[0]
         for zi, g in zip(z, got):
             exact, exact_d, _, _ = _oracle(poly, complex(zi))
             ratio = complex(exact / exact_d)
@@ -128,9 +128,14 @@ class TestLargeModulus:
     def test_newton_steps_point_matches_batch(self, poly):
         # Mixed moduli, so a one-point call can meet either side of the split.
         z = np.concatenate([_points(0.5, 2, seed=11), _points(1.0, 2, seed=12), _points(1.5, 2, seed=13)])
-        batch = _newton_steps(poly.coefficient_array(), z)
+        batch = _newton_steps(poly.coefficient_array(), z)[0]
         for i in range(len(z)):
-            assert _newton_steps(poly.coefficient_array(), z[i : i + 1])[0] == batch[i]
+            assert _newton_steps(poly.coefficient_array(), z[i : i + 1])[0][0] == batch[i]
+
+    def test_newton_steps_log_abs_is_log_abs_eval(self, poly):
+        # find_roots takes its certificate's log |P| from the Newton evaluation.
+        z = np.concatenate([_points(0.5, 3, seed=15), _points(1.0, 3, seed=16), _points(1.5, 3, seed=17)])
+        assert np.array_equal(_newton_steps(poly.coefficient_array(), z)[1], log_abs_eval(poly, z))
 
     @pytest.mark.parametrize("radius", [0.6, 1.0, 1.3])
     def test_scalar_matches_array(self, poly, radius):

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -184,7 +185,7 @@ def _dense_aberth(p, max_iter=200):
     z = initial_points(p)
     stall = 0
     for _ in range(max_iter):
-        newton = _newton_steps(c, z)
+        newton = _newton_steps(c, z)[0]
         bad = ~np.isfinite(newton)
         newton[bad] = z[bad] / n
         denom = 1.0 - newton * _dense_pairwise(z)
@@ -314,10 +315,9 @@ def test_find_roots_memory_does_not_grow_with_the_degree():
     assert peak < 4 * 2**20
 
 
-@pytest.mark.parametrize("n", [7, 256, 300, 2048])
-def test_log_scales_bit_identical_to_row_loop(n, rng):
-    z = np.exp(rng.normal(scale=0.05, size=n)) * np.exp(2j * np.pi * rng.random(n))
-    abs_cn = 1.7
+def _row_loop_log_scales(z, abs_cn):
+    # The residual scales before the pair kernel: rows of 256, each summed whole.
+    n = len(z)
     want = np.full(n, math.log(abs_cn))
     for start in range(0, n, 256):
         block = z[start : start + 256]
@@ -326,4 +326,126 @@ def test_log_scales_bit_identical_to_row_loop(n, rng):
             dist[i, start + i] = 1.0
         np.clip(dist, 1.0, None, out=dist)
         want[start : start + 256] += np.log(dist).sum(axis=1)
-    assert np.array_equal(_log_scales(z, abs_cn), want)
+    return want
+
+
+def _near_circle_points(rng, n):
+    return np.exp(rng.normal(scale=0.05, size=n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+@pytest.mark.parametrize("n", [7, 256, 300, 2048])
+def test_log_scales_match_row_loop(n, rng):
+    # Pair-once sums add in another order than whole rows.
+    z = _near_circle_points(rng, n)
+    np.testing.assert_allclose(_log_scales(z, 1.7), _row_loop_log_scales(z, 1.7), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", [7, 300])
+def test_log_scales_match_mpmath(n, rng):
+    z = _near_circle_points(rng, n)
+    z[1] = z[0]  # a coincident pair contributes log 1 = 0
+    with mpmath.workdps(40):
+        pts = [mpmath.mpc(complex(v)) for v in z]
+        want = [mpmath.log(mpmath.mpf(1.7)) for _ in range(n)]
+        for j in range(n):
+            for k in range(j + 1, n):
+                term = mpmath.log(max(mpmath.mpf(1), abs(pts[j] - pts[k])))
+                want[j] += term
+                want[k] += term
+        want = np.array([float(w) for w in want])
+    np.testing.assert_allclose(_log_scales(z, 1.7), want, rtol=1e-13, atol=0)
+
+
+class TestCertificatePass:
+    """The confirming sweep computes the residual certificate."""
+
+    @pytest.mark.parametrize("family", ["g_class", "littlewood", "unimodular"])
+    @pytest.mark.parametrize("n", [16, 256, 2048])
+    def test_residuals_match_separate_pass(self, family, n):
+        p = make_family(FamilySpec(family, n, seed=3))
+        rs = find_roots(p, tol=1e-8)
+        scales = _row_loop_log_scales(rs.roots, abs(p.coeffs[-1]))
+        want = roots_mod._residuals_from_scales(p, rs.roots, scales)
+        np.testing.assert_allclose(rs.residuals, want, rtol=1e-12, atol=0)
+
+    def test_converged_path_takes_no_separate_pass(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("separate certificate pass")
+
+        monkeypatch.setattr(roots_mod, "_log_scales", fail)
+        monkeypatch.setattr(roots_mod, "log_abs_eval", fail)
+        find_roots(make_family(FamilySpec("littlewood", 300, seed=2)), tol=1e-8)
+
+    def test_max_iter_fallback_still_certifies(self, monkeypatch):
+        p = make_family(FamilySpec("g_class", 64, seed=4))
+        sweeps = []
+
+        def counting(c, z):
+            sweeps.append(len(z))
+            return _newton_steps(c, z)
+
+        monkeypatch.setattr(roots_mod, "_newton_steps", counting)
+        find_roots(p, tol=1e-8)
+        assert sweeps[-1] == 64
+        passes = []
+
+        def counted(z, abs_cn):
+            passes.append(len(z))
+            return _log_scales(z, abs_cn)
+
+        monkeypatch.setattr(roots_mod, "_log_scales", counted)
+        # The last sweep, the confirming one, is cut; the iterates already
+        # certify at a loose tolerance.
+        rs = find_roots(p, tol=1e-6, max_iter=len(sweeps) - 1)
+        assert passes == [64]
+        want = roots_mod._residuals_from_scales(p, rs.roots, _row_loop_log_scales(rs.roots, abs(p.coeffs[-1])))
+        np.testing.assert_allclose(rs.residuals, want, rtol=1e-12, atol=0)
+        assert rs.residuals.max() <= 1e-6
+
+
+def _numpy_scalar_initial_points(p):
+    # initial_points with the hull scan on numpy scalars, as it was written first.
+    n = p.degree
+    c = p.coefficient_array()
+    cauchy = 1.0 + float(np.max(np.abs(c[:-1] / c[-1])))
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(c))
+    hull = []
+    for j in range(n + 1):
+        if not np.isfinite(logs[j]):
+            continue
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (logs[b] - logs[a]) * (j - b) <= (logs[j] - logs[b]) * (b - a):
+                hull.pop()
+            else:
+                break
+        hull.append(j)
+    points = np.empty(n, dtype=complex)
+    pos = 0
+    if hull[0] > 0:
+        k = hull[0]
+        points[:k] = 1e-3 * np.exp(2j * np.pi * (np.arange(k) / max(k, 1)))
+        pos = k
+    for a, b in zip(hull[:-1], hull[1:]):
+        g = b - a
+        radius = min(float(np.exp((logs[a] - logs[b]) / g)), cauchy)
+        j = np.arange(pos, pos + g)
+        angles = (j / n) * (1.0 + 1e-3) + 0.25 / n
+        points[pos : pos + g] = radius * np.exp(2j * np.pi * angles)
+        pos += g
+    return points
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [(f, n) for f in ("g_class", "littlewood", "unimodular") for n in (16, 256, 2048)] + [("zero_ends", 9), ("zero_ends", 23)],
+)
+def test_initial_points_bit_identical_to_numpy_scalar_scan(family, n):
+    if family == "zero_ends":  # zero low- and high-order coefficients
+        p = Polynomial((0, 0, 0, 3, -1e-6, 2e5, 0, 0, 0, 1) if n == 9 else (0, 1e-9, 5) + (0,) * 20 + (1,))
+    else:
+        p = make_family(FamilySpec(family, n, seed=9))
+    got = initial_points(p)
+    assert np.array_equal(got, _numpy_scalar_initial_points(p))
+    assert np.all(np.isfinite(got))

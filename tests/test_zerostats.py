@@ -1,17 +1,23 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import polyzero.zerostats as zerostats_mod
 from polyzero import geometry
+from polyzero.harness import stratified_center_angles
 from polyzero.poly import FamilySpec, Polynomial, make_family
-from polyzero.roots import find_roots, rootset_from_known, unit_roots_rootset
+from polyzero.roots import RootSet, find_roots, rootset_from_known, unit_roots_rootset
 from polyzero.zerostats import (
     AnnularStat,
     SectorSpec,
     angular_discrepancy,
     angular_discrepancy_report,
     annular_discrepancy,
+    disk_counts,
     region_count,
     sector_count,
     tau_outside_annulus,
@@ -186,3 +192,104 @@ class TestAnnularDiscrepancy:
         stat = annular_discrepancy(rs, 0.5, SectorSpec(0, math.pi))
         assert isinstance(stat, AnnularStat)
         assert stat.reference == 0.5
+
+
+def _rootset(z):
+    z = np.asarray(z, dtype=complex)
+    return RootSet(
+        roots=z,
+        residuals=np.zeros(len(z)),
+        moduli=np.abs(z),
+        args_turns=np.mod(np.angle(z) / (2 * math.pi), 1.0),
+        tolerance=1e-8,
+    )
+
+
+def _distance_test(z, angles, radius):
+    # The counts before the arc index: every root against every centre.
+    d = np.abs(np.asarray(z)[None, :] - np.exp(1j * np.asarray(angles, dtype=float))[:, None])
+    return (d < radius).sum(axis=1), (d <= radius).sum(axis=1)
+
+
+RADII = [0.0, -1.0, 1e-9, 0.5, 0.99, 1.0, 1.5, 2.0, 2.5, math.nan, math.inf]
+EDGE_ANGLES = [0.0, 5e-7, 1e-6, math.pi, 2 * math.pi - 1e-6, np.nextafter(2 * math.pi, 0.0)]
+
+
+class TestDiskCounts:
+    """Arc-index counts equal the distance test centre by centre."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @staticmethod
+    def _assert_counts(rs, angles, radius):
+        opened, closed = disk_counts(rs, angles, radius)
+        want = _distance_test(rs.roots, angles, radius)
+        assert np.array_equal(opened, want[0]) and np.array_equal(closed, want[1])
+        for k, a in enumerate(angles):
+            for shut, counts in ((False, opened), (True, closed)):
+                disk = geometry.DiskOnCircle(float(a), radius, closed=shut)
+                assert region_count(rs, disk).count == counts[k]
+                assert region_count(rs, disk).count == int(geometry.contains(disk, rs.roots).sum())
+
+    @given(
+        moduli=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 1.0 - 1e-12, 1.0 + 1e-12, 0.5, 2.0]),
+                st.floats(0.0, 3.0),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        angles=st.lists(st.floats(-math.pi, math.pi), min_size=60, max_size=60),
+        centres=st.lists(st.floats(0.0, 2 * math.pi, exclude_max=True), max_size=20),
+        radius=st.one_of(st.sampled_from(RADII), st.floats(0.0, 2.5)),
+    )
+    def test_random_root_sets(self, moduli, angles, centres, radius):
+        z = np.array(moduli) * np.exp(1j * np.array(angles[: len(moduli)]))
+        # Centres at the roots' own angles, and at the ends of their arcs,
+        # where a root is on the circle |w - c| = r up to rounding.
+        rho, phi = np.abs(z), np.angle(z)
+        with np.errstate(all="ignore"):
+            half = np.arccos(np.clip((rho * rho + 1 - radius * radius) / (2 * rho), -1, 1))
+        ends = np.concatenate((phi, phi - half, phi + half))
+        ends = np.mod(ends[np.isfinite(ends)], 2 * math.pi)
+        self._assert_counts(_rootset(z), np.concatenate((centres, ends)), radius)
+
+    @pytest.mark.parametrize("radius", RADII + ["chord"])
+    def test_roots_on_the_boundary(self, radius):
+        n = 720
+        rs = unit_roots_rootset(n)
+        if radius == "chord":
+            radius = float(np.abs(rs.roots[1] - rs.roots[0]))  # neighbours exactly on the circle
+        self._assert_counts(rs, np.concatenate((2 * math.pi * rs.args_turns[::7], EDGE_ANGLES)), radius)
+
+    @pytest.mark.parametrize("radius", RADII + [1e-12, 2e-12, 1.0 + 1e-12])
+    def test_roots_at_zero_and_near_the_circle(self, radius, rng):
+        t = rng.random(40) * 2 * math.pi
+        z = np.concatenate(([0.0, 0.0], (1.0 + 1e-12) * np.exp(1j * t[:19]), (1.0 - 1e-12) * np.exp(1j * t[19:])))
+        angles = np.concatenate((t, t + 1e-7, EDGE_ANGLES, [-0.5, 7.0, math.nan]))
+        self._assert_counts(_rootset(z), angles, radius)
+
+    def test_only_the_last_radius_stays_on_the_rootset(self):
+        rs = find_roots(make_family(FamilySpec("g_class", 64, seed=2)))
+        assert rs._arc_index is None
+        disk_counts(rs, [0.5, 1.0], 0.3)
+        first = rs._arc_index
+        region_count(rs, geometry.DiskOnCircle(0.5, 0.3))
+        assert rs._arc_index is first  # same radius: reused
+        region_count(rs, geometry.DiskOnCircle(0.5, 0.4))
+        assert rs._arc_index.radius == 0.4
+        held = [v for v in vars(rs).values() if isinstance(v, zerostats_mod._ArcIndex)]
+        assert held == [rs._arc_index]
+
+    def test_matches_harness_counts_at_large_degree(self):
+        rs = unit_roots_rootset(10**4)
+        angles = stratified_center_angles(720, 3)
+        for radius in (1e-3, 0.05, 0.5):
+            opened, closed = disk_counts(rs, angles, radius)
+            want = _distance_test(rs.roots, angles, radius)
+            assert np.array_equal(opened, want[0]) and np.array_equal(closed, want[1])
