@@ -12,26 +12,34 @@ computed in log space so the product cannot overflow.  ``scale_j`` dominates
 assuming simple roots.
 
 A sweep updates only the active roots.  A root freezes after a sweep in
-which its relative step ``|w_j| / (1 + |z_j|)`` falls below ``_STALL``;
-frozen roots still enter the coupling sums of the active ones.  Once every
-root is frozen, one confirming sweep runs over all of them: the iteration
-ends if every step in it is below ``_STALL``, and any root above reactivates
-(the sweep's steps are then taken).  This stop rule is still step-based;
-isolated inclusion disks could replace it.
+which its relative step ``|w_j| / (1 + |z_j|)`` falls below ``_FREEZE``
+(1e-9) before the first confirming sweep and below ``_STALL`` (1e-14) from
+then on; frozen roots still enter the coupling sums of the active ones.
+Aberth's iteration converges cubically at simple roots, so a step below
+1e-9 is in practice followed by one far below ``_STALL``, and the earlier
+freeze saves the sweeps that would only re-confirm it.  Once every root is frozen, one
+confirming sweep runs over all of them, always tested against ``_STALL``:
+the iteration ends if every step in it is below ``_STALL``, and any root
+above reactivates (the sweep's steps are then taken).  A root that
+``_FREEZE`` froze too early (a multiple root converges only linearly) is
+caught by that first confirming sweep, and every later sweep uses
+``_STALL``.  This stop rule is still step-based; isolated inclusion disks
+could replace it.
 
-The confirming sweep is also the certificate pass.  Its evaluation yields
-``log |P(z_j)|`` next to the Newton steps, and its pair kernel yields
-``sum_{k != j} log max(1, |z_j - z_k|)`` from the same differences as the
-coupling sums.  When it confirms, its steps are not taken: the roots
-returned are the points the certificate was computed at, each within one
-untaken step (below ``_STALL``) of the last iterate.  Only supplied roots
-and the ``max_iter`` fallback take a separate pass, the same kernel with the
-reciprocals off.
+The confirming sweep is also the certificate pass, and the only sweep that
+takes logs.  Its evaluation yields ``log |P(z_j)|`` next to the Newton
+steps, and its pair kernel yields ``sum_{k != j} log max(1, |z_j - z_k|)``
+from the same differences as the coupling sums.  When it confirms, its
+steps are not taken: the roots returned are the points the certificate was
+computed at, each within one untaken step (below ``_STALL``) of the last
+iterate.  Only supplied roots and the ``max_iter`` fallback take a separate
+pass, the same kernel with the reciprocals off.
 
 The pair kernel uses each pair of rows once, since the pair's two coupling
 terms differ only in sign and its two log terms are equal.  It runs in row
 blocks of ``_PAIR_ELEMS // n`` rows (at least ``_PAIR_MIN_ROWS``), so the
-buffers stay in cache and memory does not grow like ``n**2``.
+buffers stay in cache and memory does not grow like ``n**2``.  Blocks at
+least ``_ROW_FILL`` columns wide take their differences row by row.
 Coincident iterates would make a term infinite; a block is redone with a
 finite guard only when one of its row sums is not finite, so the common case
 pays no scan for them.
@@ -47,8 +55,10 @@ from .poly import Polynomial, _evaluate_split
 
 _PAIR_ELEMS = 1 << 14  # complex entries per pair block: 256 KiB, in L2; 2/3 as many with logs
 _PAIR_MIN_ROWS = 16
+_ROW_FILL = 1 << 10  # blocks at least this wide are filled row by row
 _LOG_FOLD = 8  # blocks of log sums gathered apart before adding to the totals
 _STALL = 1e-14  # relative step below which a root is frozen
+_FREEZE = 1e-9  # the same, in the sweeps before the first confirming one
 
 
 class RootFindingError(RuntimeError):
@@ -145,15 +155,17 @@ def _pair_sums(z: np.ndarray, rows: np.ndarray, reciprocals: bool = True, logs: 
     return out, log_out
 
 
-def _pairwise_inverse_sums(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The coupling sums ``S_i`` of :func:`_pair_sums` alone."""
-    return _pair_sums(z, rows)[0]
-
-
 def _coupling_block(d, zr, zc, diag, lg=None, reciprocals=True, guard=False):
     """Differences ``zr_i - zc_k`` in ``d``, with the self-terms ``(i,
     diag_i)`` left out of every sum.  Runs under the caller's ``np.errstate``,
     since coincident points divide by zero.
+
+    A block at least ``_ROW_FILL`` columns wide, which has at most
+    ``_PAIR_MIN_ROWS`` rows, is filled one row at a time, a scalar minus
+    ``zc``, with the same bits: numpy's 2-D broadcast subtraction takes about
+    twice as long on such short, wide blocks (70 against 33 us at 16 x 2048).
+    Narrower blocks keep the broadcast, which is faster there (5 against
+    21 us at 16 x 64).
 
     With ``lg``, ``log max(1, |zr_i - zc_k|)`` goes to ``lg``.  With
     ``reciprocals``, ``1 / (zr_i - zc_k)`` replaces ``d`` and the row sums
@@ -162,7 +174,11 @@ def _coupling_block(d, zr, zc, diag, lg=None, reciprocals=True, guard=False):
     but finite repulsion that can separate the pair.  Returns the row sums and
     the mask of guarded entries (``None`` when the guard did not run).
     """
-    np.subtract(zr[:, None], zc[None, :], out=d)
+    if len(zc) >= _ROW_FILL:
+        for i in range(len(zr)):
+            np.subtract(zr[i], zc, out=d[i])
+    else:
+        np.subtract(zr[:, None], zc[None, :], out=d)
     rows = np.arange(len(zr))
     if lg is not None:
         np.abs(d, out=lg)  # the self-term's 0 becomes log max(1, 0) = 0
@@ -184,25 +200,25 @@ def _coupling_block(d, zr, zc, diag, lg=None, reciprocals=True, guard=False):
     return _coupling_block(d, zr, zc, diag, guard=True)
 
 
-def _newton_steps(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(P(z) / P'(z), log |P(z)|)`` without overflow for any |z|.
+def _newton_steps(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """``(P(z) / P'(z), (inside, P, R))`` without overflow for any |z|.
 
     For |z| <= 1 this is ``P / P'`` from the blocked kernel.  For |z| > 1 the
     reversed polynomial ``R(u) = u**n P(1/u)`` is evaluated at ``u = 1/z``, using
     ``P'/P = (n - u R'(u)/R(u)) / z`` so the ``z**n`` growth cancels.  The
-    ``P`` and ``R`` values are those :func:`log_abs_eval` computes, bit for bit.
+    split values ``(inside, P, R)`` are those :func:`log_abs_eval` computes,
+    bit for bit; :func:`_log_abs_split` turns them into ``log |P(z)|`` when
+    the caller needs it.
     """
     n = len(coeffs) - 1
     out = np.empty_like(z)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         inside, (p, dp), (r, dr) = _evaluate_split(coeffs, z, order=1)
-        log_abs = _log_abs_split(n, z, inside, p, r)
         out[inside] = p / np.where(dp == 0, 1e-300, dp)
         zo = z[~inside]
-        r = np.where(r == 0, 1e-300, r)
-        ratio = n - (1.0 / zo) * dr / r
+        ratio = n - (1.0 / zo) * dr / np.where(r == 0, 1e-300, r)
         out[~inside] = zo / np.where(ratio == 0, 1e-300, ratio)
-    return out, log_abs
+    return out, (inside, p, r)
 
 
 def _log_abs_split(n: int, z: np.ndarray, inside: np.ndarray, inner, outer) -> np.ndarray:
@@ -290,15 +306,17 @@ def initial_points(p: Polynomial) -> np.ndarray:
     return points
 
 
-def _aberth_sweep(c: np.ndarray, z: np.ndarray, active: np.ndarray, confirming: bool):
+def _aberth_sweep(c: np.ndarray, z: np.ndarray, active: np.ndarray, confirming: bool, stall: float):
     """One sweep over the roots ``active``: their updated points, which of them
-    still move, and, in a confirming sweep, ``log |P|`` and the log pair sums
-    at the current points (``None`` otherwise).  Its temporaries end with it,
+    still move (relative step not below ``stall``), and, in a confirming
+    sweep, ``log |P|`` and the log pair sums at the current points (``None``
+    otherwise; no other sweep takes the logs).  Its temporaries end with it,
     so none is held through the next sweep's evaluation.
     """
     n = len(z)
     za = z[active]
-    newton, log_abs = _newton_steps(c, za)
+    newton, split = _newton_steps(c, za)
+    log_abs = _log_abs_split(n, za, *split) if confirming else None
     bad = ~np.isfinite(newton)
     if np.any(bad):
         newton[bad] = za[bad] / n  # crude far-field Newton step
@@ -312,19 +330,22 @@ def _aberth_sweep(c: np.ndarray, z: np.ndarray, active: np.ndarray, confirming: 
     limit = 0.5 * (1.0 + np.abs(za))
     factor = np.where(step > limit, limit / np.where(step > 0, step, 1.0), 1.0)
     za = za - w * factor
-    moving = ~(step / (1.0 + np.abs(za)) < _STALL)  # a nan step stays active
-    return za, moving, log_abs if confirming else None, log_pairs
+    moving = ~(step / (1.0 + np.abs(za)) < stall)  # a nan step stays active
+    return za, moving, log_abs, log_pairs
 
 
 def find_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> RootSet:
     """All roots of ``p`` with residuals certified below ``tol``.
 
-    The roots returned are the points of the confirming sweep, where its
-    evaluation and pair kernel computed the certificate; the sweep's steps,
-    all below ``_STALL``, are not taken.  When ``max_iter`` runs out first,
-    the certificate is computed at the last iterates by a separate pass.
-    Raises :class:`RootFindingError` if the certificate cannot be met within
-    ``max_iter`` sweeps, reporting the worst residual reached.
+    Roots freeze at a relative step below ``_FREEZE`` until the first
+    confirming sweep and below ``_STALL`` from then on: simple roots end in
+    one confirming sweep, and a slow root frozen too early is caught by the
+    first.  The roots returned are the points of the confirming sweep, where
+    its evaluation and pair kernel computed the certificate; the sweep's
+    steps, all below ``_STALL``, are not taken.  When ``max_iter`` runs out
+    first, the certificate is computed at the last iterates by a separate
+    pass.  Raises :class:`RootFindingError` if the certificate cannot be met
+    within ``max_iter`` sweeps, reporting the worst residual reached.
     """
     n = p.degree
     if n < 1:
@@ -333,12 +354,12 @@ def find_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> RootSe
     z = initial_points(p)
     active = np.arange(n)
     confirming = converged = False
-    sweeps = 0
+    sweeps, stall = 0, _FREEZE
     while sweeps < max_iter and not converged:
         if active.size == 0:
-            active, confirming = np.arange(n), True
+            active, confirming, stall = np.arange(n), True, _STALL
         sweeps += 1
-        za, moving, log_abs, log_pairs = _aberth_sweep(c, z, active, confirming)
+        za, moving, log_abs, log_pairs = _aberth_sweep(c, z, active, confirming, stall)
         converged = confirming and not moving.any()
         if not converged:  # a confirmed sweep's steps are left untaken
             z[active] = za

@@ -13,7 +13,6 @@ from polyzero.roots import (
     RootFindingError,
     _log_scales,
     _newton_steps,
-    _pairwise_inverse_sums,
     find_roots,
     initial_points,
     rootset_from_angles,
@@ -162,6 +161,10 @@ def test_scale_invariance_of_iteration():
     match_multisets(c.roots, a.roots, 1e-12)
 
 
+def _coupling_sums(z, rows):
+    return roots_mod._pair_sums(z, rows)[0]
+
+
 def _dense_pairwise(z):
     # The pairwise kernel before it took row indices: every row, with the
     # diagonal masked one row at a time.
@@ -218,7 +221,8 @@ class TestFrozenRoots:
 
     def test_newton_points_per_call(self, monkeypatch):
         # Every sweep used to update all n roots (about 17 n points at this
-        # size); frozen roots leave fewer than 10 n.
+        # size); frozen roots left 7.45 n, and freezing at 1e-9 until the
+        # first confirming sweep leaves 6.70 n.
         n = 1024
         points = []
 
@@ -228,7 +232,7 @@ class TestFrozenRoots:
 
         monkeypatch.setattr(roots_mod, "_newton_steps", counting)
         find_roots(make_family(FamilySpec("g_class", n, seed=1)), tol=1e-9)
-        assert sum(points) <= 10 * n
+        assert sum(points) <= 7 * n
         # The loop ends on a full confirming sweep.
         assert points[0] == points[-1] == n
 
@@ -238,21 +242,67 @@ class TestFrozenRoots:
         z[7] = z[3]  # coincident iterates take the finite guard
         dense = _dense_pairwise(z)
         rows = np.array([0, 3, 7, 150, 257, 299])
-        np.testing.assert_allclose(_pairwise_inverse_sums(z, rows), dense[rows], rtol=1e-13)
-        np.testing.assert_allclose(_pairwise_inverse_sums(z, np.arange(n)), dense, rtol=1e-13)
-        assert _pairwise_inverse_sums(z, np.arange(0)).shape == (0,)
+        np.testing.assert_allclose(_coupling_sums(z, rows), dense[rows], rtol=1e-13)
+        np.testing.assert_allclose(_coupling_sums(z, np.arange(n)), dense, rtol=1e-13)
+        assert _coupling_sums(z, np.arange(0)).shape == (0,)
 
 
+def _multiple_root_cases():
+    def times(factor, spec):
+        return Polynomial(tuple(np.convolve(factor, make_family(spec).coefficient_array())))
+
+    # Each with the confirming sweeps it took when roots froze at 1e-14 throughout.
+    return [
+        pytest.param(Polynomial((-1, 3, -3, 1)), 1, id="(z-1)^3"),
+        pytest.param(Polynomial((1, -8, 28, -56, 70, -56, 28, -8, 1)), 1, id="(z-1)^8"),
+        pytest.param(times([1, -2, 1], FamilySpec("littlewood", 64, seed=3)), 6, id="(z-1)^2 littlewood 64"),
+        pytest.param(times([1, 0, -2, 0, 1], FamilySpec("g_class", 512, seed=3)), 0, id="(z^2-1)^2 g_class 512"),
+    ]
+
+
+@pytest.fixture
+def warnings_are_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+class TestFreezeRule:
+    """Roots freeze at a 1e-9 step until the first confirming sweep, at 1e-14
+    after it."""
+
+    @staticmethod
+    def _confirming_sweeps(monkeypatch, p, tol):
+        flags = []
+        sweep = roots_mod._aberth_sweep
+
+        def counted(c, z, active, confirming, *args):
+            flags.append(confirming)
+            return sweep(c, z, active, confirming, *args)
+
+        monkeypatch.setattr(roots_mod, "_aberth_sweep", counted)
+        rs = find_roots(p, tol=tol)
+        return sum(flags), rs
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024, 2048])
+    @pytest.mark.parametrize("family", ["littlewood", "g_class", "unimodular"])
+    def test_simple_roots_take_one_confirming_sweep(self, family, n, seed, monkeypatch):
+        p = make_family(FamilySpec(family, n, seed=seed))
+        assert self._confirming_sweeps(monkeypatch, p, 1e-9)[0] == 1
+
+    @pytest.mark.parametrize("p,before", _multiple_root_cases())
+    def test_multiple_roots_still_certify(self, p, before, monkeypatch):
+        confirming, rs = self._confirming_sweeps(monkeypatch, p, 1e-8)
+        assert rs.residuals.max() <= 1e-8
+        assert confirming <= before + 1
+
+
+@pytest.mark.usefixtures("warnings_are_errors")  # the non-finite retry must not leak a warning
 class TestPairOnceKernel:
     """Each pair of requested rows is computed once; these cases put row
     blocks, frozen columns and the coincidence guard against each other."""
-
-    @pytest.fixture(autouse=True)
-    def _warnings_are_errors(self):
-        # The non-finite retry must not leak a divide or invalid warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            yield
 
     @staticmethod
     def _points(rng, n):
@@ -260,10 +310,10 @@ class TestPairOnceKernel:
 
     @staticmethod
     def _assert_dense(z, rows):
-        got = _pairwise_inverse_sums(z, rows)
+        got = _coupling_sums(z, rows)
         np.testing.assert_allclose(got, _dense_pairwise(z)[rows], rtol=1e-13)
 
-    @pytest.mark.parametrize("n", [300, 2048])
+    @pytest.mark.parametrize("n", [300, 1024, 2048])
     def test_rows_span_blocks_with_frozen_between(self, n, rng, monkeypatch):
         z = self._points(rng, n)
         rows = np.arange(1, n, 2)  # every other root frozen
@@ -278,7 +328,7 @@ class TestPairOnceKernel:
         self._assert_dense(z, rows)
         assert len(blocks) >= 3 and not any(blocks)
 
-    @pytest.mark.parametrize("n", [300, 2048])
+    @pytest.mark.parametrize("n", [300, 1024, 2048])
     def test_coincident_pair_split_across_blocks(self, n, rng):
         z = self._points(rng, n)
         rows = np.arange(1, n, 2)
@@ -286,21 +336,38 @@ class TestPairOnceKernel:
         self._assert_dense(z, rows)
         self._assert_dense(z, np.arange(n))
 
-    @pytest.mark.parametrize("n", [300, 2048])
+    @pytest.mark.parametrize("n", [300, 1024, 2048])
     def test_coincident_requested_and_frozen(self, n, rng):
         z = self._points(rng, n)
         rows = np.arange(1, n, 2)
         z[rows[3]] = z[n - 2]  # n - 2 is even, so frozen
         self._assert_dense(z, rows)
 
-    @pytest.mark.parametrize("n", [300, 2048])
+    @pytest.mark.parametrize("n", [300, 1024, 2048])
     def test_zero_and_one_rows(self, n, rng):
         z = self._points(rng, n)
-        assert _pairwise_inverse_sums(z, np.arange(0)).shape == (0,)
+        assert _coupling_sums(z, np.arange(0)).shape == (0,)
         self._assert_dense(z, np.array([n // 2]))
 
     def test_degree_one(self):
-        assert np.array_equal(_pairwise_inverse_sums(np.array([0.3 + 0.1j]), np.array([0])), [0.0])
+        assert np.array_equal(_coupling_sums(np.array([0.3 + 0.1j]), np.array([0])), [0.0])
+
+    def test_row_fill_bit_identical_to_broadcast(self, rng, monkeypatch):
+        n = 2048  # blocks from 2048 columns wide (row fill) down to 16 (broadcast)
+        z = self._points(rng, n)
+        z[n - 1] = z[5]  # a guarded block refills its differences
+        zr = z[:16]
+        blocks, sums = [], []
+        for width in (roots_mod._ROW_FILL, n + 1):  # the second never fills by rows
+            monkeypatch.setattr(roots_mod, "_ROW_FILL", width)
+            d = np.empty((16, n), dtype=complex)
+            roots_mod._coupling_block(d, zr, z, np.arange(16), reciprocals=False)
+            blocks.append(d)
+            sums.append((*roots_mod._pair_sums(z, np.arange(n), logs=True), _coupling_sums(z, np.arange(1, n, 3))))
+        assert np.array_equal(blocks[0], blocks[1])
+        assert np.array_equal(blocks[0], zr[:, None] - z[None, :])
+        for got, want in zip(*sums):
+            assert np.array_equal(got, want)
 
 
 def test_find_roots_memory_does_not_grow_with_the_degree():
@@ -333,7 +400,7 @@ def _near_circle_points(rng, n):
     return np.exp(rng.normal(scale=0.05, size=n)) * np.exp(2j * np.pi * rng.random(n))
 
 
-@pytest.mark.parametrize("n", [7, 256, 300, 2048])
+@pytest.mark.parametrize("n", [7, 256, 300, 1024, 2048])
 def test_log_scales_match_row_loop(n, rng):
     # Pair-once sums add in another order than whole rows.
     z = _near_circle_points(rng, n)
