@@ -204,6 +204,11 @@ class TestSweep:
         assert small_sweep.to_csv() == again.to_csv()
         assert small_sweep.to_json() == again.to_json()
 
+    def test_json_same_as_with_deep_copied_entries(self, small_sweep, monkeypatch):
+        got = small_sweep.to_json()
+        monkeypatch.setattr(harness.VerdictEntry, "to_dict", dataclasses.asdict)
+        assert got == small_sweep.to_json()
+
     def test_csv_header(self, small_sweep):
         header = small_sweep.to_csv().splitlines()[0]
         assert header == (

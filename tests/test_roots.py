@@ -247,16 +247,17 @@ class TestFrozenRoots:
         assert _coupling_sums(z, np.arange(0)).shape == (0,)
 
 
-def _multiple_root_cases():
-    def times(factor, spec):
-        return Polynomial(tuple(np.convolve(factor, make_family(spec).coefficient_array())))
+def _times(factor, spec):
+    return Polynomial(tuple(np.convolve(factor, make_family(spec).coefficient_array())))
 
+
+def _multiple_root_cases():
     # Each with the confirming sweeps it took when roots froze at 1e-14 throughout.
     return [
         pytest.param(Polynomial((-1, 3, -3, 1)), 1, id="(z-1)^3"),
         pytest.param(Polynomial((1, -8, 28, -56, 70, -56, 28, -8, 1)), 1, id="(z-1)^8"),
-        pytest.param(times([1, -2, 1], FamilySpec("littlewood", 64, seed=3)), 6, id="(z-1)^2 littlewood 64"),
-        pytest.param(times([1, 0, -2, 0, 1], FamilySpec("g_class", 512, seed=3)), 0, id="(z^2-1)^2 g_class 512"),
+        pytest.param(_times([1, -2, 1], FamilySpec("littlewood", 64, seed=3)), 6, id="(z-1)^2 littlewood 64"),
+        pytest.param(_times([1, 0, -2, 0, 1], FamilySpec("g_class", 512, seed=3)), 0, id="(z^2-1)^2 g_class 512"),
     ]
 
 
@@ -368,6 +369,98 @@ class TestPairOnceKernel:
         assert np.array_equal(blocks[0], zr[:, None] - z[None, :])
         for got, want in zip(*sums):
             assert np.array_equal(got, want)
+
+
+def _match_nearest(a, b):
+    """Largest relative distance from each of ``a`` to its nearest in ``b``;
+    the nearest points must pair the two multisets one to one."""
+    nearest = np.array([np.argmin(np.abs(b - x)) for x in a])
+    assert len(set(nearest.tolist())) == len(a)
+    return float(np.max(np.abs(a - b[nearest]) / np.maximum(1.0, np.abs(a))))
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+class TestSinglePrecisionSteering:
+    """The sweeps before the first confirming one take their coupling sums in
+    float32 where the rows span several blocks."""
+
+    @staticmethod
+    def _count_complex_blocks(monkeypatch):
+        blocks = []
+        block = roots_mod._coupling_block
+
+        def counted(*args, **kwargs):
+            blocks.append(1)
+            return block(*args, **kwargs)
+
+        monkeypatch.setattr(roots_mod, "_coupling_block", counted)
+        return blocks
+
+    @pytest.mark.parametrize("n", [300, 1024, 2048])
+    def test_sums_match_dense_within_float32(self, n, rng, monkeypatch):
+        z = _near_circle_points(rng, n)
+        rows = np.arange(1, n, 2)  # every other root frozen
+        blocks = self._count_complex_blocks(monkeypatch)
+        got = roots_mod._pair_sums(z, rows, single=True)[0]
+        assert not blocks  # the float32 kernel gave the sums
+        np.testing.assert_allclose(got, _dense_pairwise(z)[rows], rtol=1e-3)
+
+    @pytest.mark.parametrize("case", ["1e-12 apart", "coincident", "q would overflow", "beyond float32"])
+    @pytest.mark.parametrize("n", [300, 2048])
+    def test_non_finite_sums_fall_back_to_complex(self, case, n, rng, monkeypatch):
+        z = _near_circle_points(rng, n)
+        rows = np.arange(1, n, 2)
+        if case in ("1e-12 apart", "coincident"):
+            z[rows[-1]] = z[rows[0]] + (1e-12 if case == "1e-12 apart" else 0.0)
+        else:
+            z[rows[2]] = 1e30 if case == "q would overflow" else 1e40
+        blocks = self._count_complex_blocks(monkeypatch)
+        got = roots_mod._pair_sums(z, rows, single=True)[0]
+        assert blocks
+        np.testing.assert_allclose(got, _dense_pairwise(z)[rows], rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "p,known,atol",
+        [
+            pytest.param(
+                _times([0, 0, 0, 0, 1], FamilySpec("littlewood", 256, seed=1)), [0, 0, 0, 0], 1e-12, id="z^4 littlewood 256"
+            ),
+            pytest.param(
+                _times([-1e6, 1], FamilySpec("littlewood", 300, seed=1)), [1e6], 1e-6, id="(z-1e6) littlewood 300"
+            ),
+            pytest.param(
+                _times([-1e-12, 0, 1], FamilySpec("littlewood", 300, seed=1)),
+                [1e-6, -1e-6],
+                1e-14,
+                id="(z-1e-6)(z+1e-6) littlewood 300",
+            ),
+        ],
+    )
+    def test_edge_cases_certify(self, p, known, atol):
+        rs = find_roots(p, tol=1e-8)
+        assert rs.residuals.max() <= 1e-8
+        for a in set(known):
+            assert np.sum(np.abs(rs.roots - a) <= atol) == known.count(a)
+
+    @pytest.mark.parametrize("family", ["g_class", "littlewood", "unimodular"])
+    def test_same_roots_as_double_steering(self, family, monkeypatch):
+        # The dense iteration takes about 1.5 s a call at this size, so the
+        # reference is this solver with the float32 kernel off.  Iterates may
+        # settle on other roots, so the multisets are paired by nearest points.
+        p = make_family(FamilySpec(family, 2048, seed=5))
+        calls = []
+        kernel = roots_mod._single_pair_sums
+
+        def counted(*args):
+            calls.append(kernel(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(roots_mod, "_single_pair_sums", counted)
+        single = find_roots(p, tol=1e-9).roots
+        assert calls and all(c is not None for c in calls)
+        monkeypatch.setattr(roots_mod, "_single_pair_sums", lambda *args: None)
+        double = find_roots(p, tol=1e-9).roots
+        assert _match_nearest(single, double) <= 1e-14
 
 
 def test_find_roots_memory_does_not_grow_with_the_degree():
