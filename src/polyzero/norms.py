@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import Polynomial, _evaluate, circle_samples, evaluate, evaluate_with_derivative
+from .poly import Polynomial, _evaluate, circle_samples, evaluate
 from .roots import RootSet, log_abs_eval
 
 _TWO_PI = 2.0 * math.pi
@@ -87,10 +87,13 @@ def _stride(degree: int, n_points: int) -> int:
     return stride
 
 
-def _sample_rows(p: Polynomial, n_points: int, shifts):
+def _sample_rows(p: Polynomial, n_points: int, shifts, slope: bool = False):
     """Yield ``(q, r0, block)`` with
     ``block[i, j] = P(e((j L + r0 + i + shifts[q]) / n_points))``, ``L`` from
     :func:`_stride`, until every row of every shift has been yielded once.
+    With ``slope``, ``block`` has two planes: ``block[0]`` as above and
+    ``block[1]`` the same rows of ``z P'(z)`` (coefficients ``l c_l``), and a
+    batch holds half as many rows.
 
     Row ``r`` is the unscaled inverse DFT of ``c_l e((r + shift) l / n_points)``
     zero-padded to ``n_points / L``.  Rows go through one FFT per batch of at
@@ -107,7 +110,8 @@ def _sample_rows(p: Polynomial, n_points: int, shifts):
     n = p.degree
     stride = _stride(n, n_points)
     size = n_points // stride
-    batch = 1 << (max(1, _BLOCK_POINTS // size).bit_length() - 1)
+    planes = 2 if slope else 1
+    batch = 1 << (max(1, _BLOCK_POINTS // (planes * size)).bit_length() - 1)
     rows = min(batch, stride)
     grids = batch // rows  # shifts per FFT, > 1 only when L = 1
     c = p.coefficient_array()
@@ -116,8 +120,8 @@ def _sample_rows(p: Polynomial, n_points: int, shifts):
     table = np.ones((rows, n + 1), dtype=complex)
     for k, step in enumerate(steps[: rows.bit_length() - 1]):
         np.multiply(table[: 1 << k], step, out=table[1 << k : 2 << k])
-    twisted = np.empty((min(grids, len(shifts)), rows, n + 1), dtype=complex)
-    buf = np.empty((len(twisted), rows, size), dtype=complex)
+    twisted = np.empty((min(grids, len(shifts)), planes, rows, n + 1), dtype=complex)
+    buf = np.empty((len(twisted), planes, rows, size), dtype=complex)
     for q0 in range(0, len(shifts), grids):
         offsets = np.asarray(shifts[q0 : q0 + grids], dtype=float)
         first = c * np.exp((2j * np.pi * offsets / n_points)[:, None] * l)
@@ -127,10 +131,12 @@ def _sample_rows(p: Polynomial, n_points: int, shifts):
             for k in range(rows.bit_length() - 1, len(steps)):
                 if r0 >> k & 1:
                     phase *= steps[k]
-            np.multiply(table, phase[:, None, :], out=x)
+            np.multiply(table, phase[:, None, :], out=x[:, 0])
+            if slope:
+                np.multiply(x[:, 0], l, out=x[:, 1])
             out = np.fft.ifft(x, n=size, axis=-1, norm="forward", out=buf[: len(x)])
             for i, block in enumerate(out):
-                yield q0 + i, r0, block
+                yield q0 + i, r0, block if slope else block[0]
 
 
 def _power_sum(p: Polynomial, n_points: int, shift: float, exponent: float) -> float:
@@ -305,7 +311,16 @@ def sup_norm_enclosure(
 
 @dataclass
 class LevelSetInfo:
-    """Certified classification of the circle against the level |P| = 1."""
+    """Certified classification of the circle against the level |P| = 1.
+
+    ``pieces`` (shape ``(m, 2)``, in order, split at ``t = 0``) are the
+    maximal intervals above the level, closed at the midpoints of the
+    crossing cells that bound them.  On the classifier's first grid, a cell
+    certified whole, or in certified sub-cells only, is above or below by
+    its certificate.  A cell holding crossings is split at their midpoints,
+    and one holding unresolved sub-cells is kept whole; these few (sub-)cells
+    are above when ``|P| > 1`` at their midpoint.
+    """
 
     below: float            # measure certified |P| < 1
     above: float            # measure certified |P| > 1
@@ -313,6 +328,7 @@ class LevelSetInfo:
     tangent_measure: float  # unresolved cells without a sign change
     tangency: bool
     evaluations: int
+    pieces: np.ndarray      # above-level intervals, closed at crossing midpoints
 
     @property
     def enclosure(self) -> Interval:
@@ -324,11 +340,64 @@ def _abs_on_circle(p: Polynomial, t: np.ndarray) -> np.ndarray:
     return np.abs(evaluate(p, z))
 
 
-def _abs_and_slope_uniform(p: Polynomial, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """``|P|`` and the slope bound ``2 pi |P'| >= |d|P|/dt|`` on a uniform grid, via FFT."""
-    vals = circle_samples(p, n_points)
-    derivs = np.fft.ifft(p.coefficient_array()[1:] * np.arange(1, p.degree + 1), n_points) * n_points
-    return np.abs(vals), _TWO_PI * np.abs(derivs)
+def _grid_cells(p: Polynomial, n_points: int):
+    """Yield the cells ``[k, k + 1] / n_points`` of the uniform grid in batches
+    ``(r0, (ga, gb, da, db))``: ``g = |P| - 1`` and ``d = 2 pi |P'|`` at the
+    left and right ends, where entry ``[i, j]`` is cell ``k = j L + r0 + i``.
+
+    Values come from :func:`_sample_rows`, ``|P'|`` as ``|z P'(z)|`` in the
+    rows of ``P``.  Each row meets the next; the last row of a batch is
+    carried to the next batch, and the last row of the grid meets the first,
+    one column on.  No array of the grid's size outlives a batch.
+    """
+    carry = first = None
+    for _, r0, (vals, ders) in _sample_rows(p, n_points, (0.0,), slope=True):
+        g, d = np.abs(vals) - 1.0, _TWO_PI * np.abs(ders)
+        if carry is None:
+            first = g[0].copy(), d[0].copy()
+        else:
+            g, d, r0 = np.concatenate([carry[0], g]), np.concatenate([carry[1], d]), r0 - 1
+        carry = g[-1:].copy(), d[-1:].copy()
+        if len(g) > 1:
+            yield r0, (g[:-1], g[1:], d[:-1], d[1:])
+    stride = n_points // len(first[0])
+    yield stride - 1, (carry[0], np.roll(first[0], -1)[None], carry[1], np.roll(first[1], -1)[None])
+
+
+def _cover(ga, gb, da, db, w: float, m2: float):
+    """Masks ``(certified, below)`` of the cells of width ``w``: certified on one
+    side of the level, and certified below it.
+
+    Both ends on one side make ``|ga| + |gb| = |ga + gb|`` exactly and
+    ``ga gb > 0`` (a product that underflows would need a margin far below
+    any ``L_cell w`` the cover asks for).
+    """
+    certified = (np.abs(ga + gb) >= (np.maximum(da, db) + m2 * w) * w) & (ga * gb > 0)
+    return certified, certified & (ga < 0)
+
+
+def _level_pieces(p: Polynomial, n0: int, grid: np.ndarray, cuts: np.ndarray, unsure: np.ndarray) -> np.ndarray:
+    """The above-level pieces of :class:`LevelSetInfo` from the unresolved
+    first-grid cells ``grid = (k, g(k / n0), g((k + 1) / n0))``, sorted by
+    ``k``, the crossing midpoints ``cuts`` and the first-grid cells
+    ``unsure`` that hold unresolved sub-cells.  Between two unresolved cells
+    every cell is certified on the side of ``g`` at the first one's right end.
+    """
+    k, ga, gb = grid
+    points = np.unique(np.concatenate([[0.0, 1.0], k / n0, (k + 1) / n0, cuts]))
+    mids = 0.5 * (points[:-1] + points[1:])
+    cell = np.floor(mids * n0)
+    nxt = np.searchsorted(k, cell)
+    at = np.minimum(nxt, len(k) - 1)
+    inside = k[at] == cell
+    above = np.where(inside, ga[at] > 0, gb[nxt - 1] > 0)
+    split = np.zeros(len(k), dtype=bool)
+    split[np.searchsorted(k, np.floor(cuts * n0))] = True
+    split[np.searchsorted(k, unsure)] = True
+    check = inside & split[at]
+    above[check] = _abs_on_circle(p, mids[check]) > 1.0
+    edges = np.diff(np.concatenate([[0], above.astype(np.int8), [0]]))
+    return np.column_stack([points[edges == 1], points[edges == -1]])
 
 
 def classify_unit_level(
@@ -347,6 +416,14 @@ def classify_unit_level(
     the Bernstein bound ``(2 pi n)^2 sup|P|`` on the second derivative.
     Everything else is bisected down to ``min_width``.
 
+    The first grid of ``n0`` cells is cover-tested batch by batch as it comes
+    from the row sampler (:func:`_grid_cells`), and only its unresolved cells
+    are kept.  Every cell of a bisection level has the same width, so the
+    level is one packed array ``(ga, gb, da, db, a, k)``, ``k`` the first-grid
+    cell it came from.  The certified measures are ``math.fsum`` totals.
+    The above-level pieces that ``m+`` integrates are assembled from the
+    unresolved cells at the end (see :class:`LevelSetInfo`).
+
     Unresolved mass always widens the enclosure.  Point tangencies of
     ``|P|`` to the level (every real-coefficient polynomial with
     ``|P(1)| = 1`` has one at angle 0) leave a small sqrt(min_width)-scale
@@ -358,81 +435,80 @@ def classify_unit_level(
     n = p.degree
     if sup_hint is None:
         n0 = _initial_grid(n, floor=512)
-        samples = np.abs(circle_samples(p, n0))
-        ms = float(samples.max())
+        ms = max(float(np.abs(block).max()) for _, _, block in _sample_rows(p, n0, (0.0,)))
         kappa = 0.5 * (math.pi * max(n, 1) / n0) ** 2
         sup_hint = ms / math.sqrt(1.0 - kappa)
     m2 = (_TWO_PI * max(n, 1)) ** 2 * sup_hint
 
     n0 = _initial_grid(n)
-    t = np.arange(n0 + 1) / n0
-    f, fd = _abs_and_slope_uniform(p, n0)
-    g = np.append(f, f[0]) - 1.0
-    fd = np.append(fd, fd[0])
-    a, b = t[:-1], t[1:]
-    ga, gb = g[:-1], g[1:]
-    da, db = fd[:-1], fd[1:]
+    w = 1.0 / n0
+    below: list[float] = []
+    above: list[float] = []
+    tangent: list[float] = []
+    kept = []
+    for r0, ends in _grid_cells(p, n0):
+        certified, neg = _cover(*ends, w, m2)
+        below.append(np.count_nonzero(neg) * w)
+        above.append((np.count_nonzero(certified) - np.count_nonzero(neg)) * w)
+        i, j = np.nonzero(~certified)
+        k = j * (n0 // ends[0].shape[1]) + r0 + i
+        kept.append(np.stack([x[i, j] for x in ends] + [k / n0, k]))
+    cells = np.concatenate(kept, axis=1)
+    cells = cells[:, np.argsort(cells[5], kind="stable")]
+    grid = cells[[5, 0, 1]]
+    c = p.coefficient_array()
     evals = n0
-
-    below = 0.0
-    above = 0.0
-    crossings: list[tuple[float, float]] = []
-    tangent = 0.0
+    lo = hi = unsure = np.empty(0)
     budget_hit = False
 
-    while len(a):
-        w = b - a
-        l_cell = np.maximum(da, db) + m2 * w
-        cover = (np.abs(ga) + np.abs(gb)) >= l_cell * w
-        neg = (ga < 0) & (gb < 0) & cover
-        pos = (ga > 0) & (gb > 0) & cover
-        below += float(w[neg].sum())
-        above += float(w[pos].sum())
-        rest = ~(neg | pos)
-        a, b, ga, gb, da, db = a[rest], b[rest], ga[rest], gb[rest], da[rest], db[rest]
-        if not len(a):
+    while cells.shape[1]:
+        if w <= min_width:
+            flips = (cells[0] < 0) != (cells[1] < 0)
+            lo = cells[4, flips]
+            hi = lo + w
+            tangent.append(np.count_nonzero(~flips) * w)
+            unsure = cells[5, ~flips]
             break
-        done = (b - a) <= min_width
-        if np.any(done):
-            flips = (ga[done] < 0) != (gb[done] < 0)
-            for lo_t, hi_t, fl in zip(a[done], b[done], flips):
-                if fl:
-                    crossings.append((float(lo_t), float(hi_t)))
-                else:
-                    tangent += float(hi_t - lo_t)
-            keep = ~done
-            a, b, ga, gb, da, db = a[keep], b[keep], ga[keep], gb[keep], da[keep], db[keep]
-        if not len(a):
-            break
-        unresolved = float((b - a).sum())
+        unresolved = cells.shape[1] * w
         if evals > budget or (evals > 100_000 and unresolved > 0.5):
             # Exhausted, or clearly degenerate (|P| pinned to the level on
             # large mass, e.g. a monomial): stop refining.
-            tangent += unresolved
+            tangent.append(unresolved)
+            unsure = cells[5]
             budget_hit = True
             break
-        mid = 0.5 * (a + b)
-        vals, derivs = evaluate_with_derivative(p, np.exp(2j * np.pi * mid))
-        fm, dm = np.abs(vals), _TWO_PI * np.abs(derivs)
-        gm = fm - 1.0
-        evals += len(mid)
-        a = np.concatenate([a, mid])
-        b = np.concatenate([mid, b])
-        ga = np.concatenate([ga, gm])
-        gb = np.concatenate([gm, gb])
-        da = np.concatenate([da, dm])
-        db = np.concatenate([dm, db])
+        m = cells.shape[1]
+        mid = cells[4] + 0.5 * w
+        vals, derivs = _evaluate(c, np.exp(2j * np.pi * mid), order=1)
+        evals += m
+        # Left halves, then right halves; both share the midpoint values.
+        cells = np.concatenate([cells, cells], axis=1)
+        cells[1, :m] = cells[0, m:] = np.abs(vals) - 1.0
+        cells[3, :m] = cells[2, m:] = _TWO_PI * np.abs(derivs)
+        cells[4, m:] = mid
+        w *= 0.5
+        certified, neg = _cover(*cells[:4], w, m2)
+        below.append(np.count_nonzero(neg) * w)
+        above.append((np.count_nonzero(certified) - np.count_nonzero(neg)) * w)
+        cells = cells[:, ~certified]
 
-    tangency = budget_hit or tangent > max(
-        tangency_threshold, 100.0 * max(1, len(crossings)) * min_width
+    tangent_measure = math.fsum(tangent)
+    tangency = budget_hit or tangent_measure > max(
+        tangency_threshold, 100.0 * max(1, len(lo)) * min_width
     )
+    above_measure = math.fsum(above)
+    if grid.shape[1]:
+        pieces = _level_pieces(p, n0, grid, 0.5 * (lo + hi), unsure)
+    else:
+        pieces = np.array([[0.0, 1.0]]) if above_measure else np.empty((0, 2))
     return LevelSetInfo(
-        below=below,
-        above=above,
-        crossings=crossings,
-        tangent_measure=tangent,
+        below=math.fsum(below),
+        above=above_measure,
+        crossings=list(zip(lo.tolist(), hi.tolist())),
+        tangent_measure=tangent_measure,
         tangency=tangency,
         evaluations=evals,
+        pieces=pieces,
     )
 
 
@@ -512,11 +588,15 @@ def _detect_near_circle_zeros(
 
     Grid-scan for local minima below ``rel_threshold`` times the median
     sample, Newton-polish each, then deduplicate.  Detection only inspects
-    ``|P|`` samples; no external root list is consulted.
+    ``|P|`` samples (taken by :func:`_sample_rows`); no external root list is
+    consulted.
     """
     n = p.degree
     n0 = _initial_grid(n, floor=2048)
-    mags = np.abs(circle_samples(p, n0))
+    mags = np.empty(n0)
+    for _, r0, block in _sample_rows(p, n0, (0.0,)):
+        # Row r0 + i holds the samples r0 + i, r0 + i + L, ...: column r0 + i of an (n0 / L, L) view.
+        mags.reshape(block.shape[1], -1)[:, r0 : r0 + len(block)] = np.abs(block).T
     med = float(np.median(mags))
     if med == 0.0:
         med = float(mags.max())
@@ -686,39 +766,15 @@ def mahler_plus(
     """``(M+(P), m+(P))`` with ``m+ = integral log+ |P(e(t))| dt``.
 
     The integrand's kinks sit exactly on the level crossings ``|P| = 1``, so
-    integration runs per certified piece: full ``log |P|`` above the level,
-    zero below, and a narrow bracketed sliver around each crossing whose
-    contribution is bounded by its width.
+    integration runs over the classifier's above-level pieces
+    (``LevelSetInfo.pieces``): full ``log |P|`` on them and zero elsewhere.
+    A piece ends at the midpoint of a crossing cell, a narrow bracketed
+    sliver whose contribution is bounded by its width.
     """
     if level_info is None:
         level_info = classify_unit_level(p, min_width=min(tol * 1e-2, 1e-9))
-    pieces = _positive_pieces(p, level_info)
-    total = _integrate_log_abs(p, pieces, tol=tol) if len(pieces) else 0.0
-    m_plus = max(total, 0.0)
+    m_plus = max(_integrate_log_abs(p, level_info.pieces, tol=tol), 0.0)
     return math.exp(m_plus), m_plus
-
-
-def _positive_pieces(p: Polynomial, info: LevelSetInfo) -> np.ndarray:
-    """Maximal certified-above intervals, re-derived from a fresh scan.
-
-    The classifier certifies measure but discards cell lists; a uniform
-    rescan with crossing boundaries inserted reproduces the above-level
-    pieces, which is all the integrator needs.  Unsplit grid cells take
-    their midpoint values from one half-shifted FFT; only the sub-cells cut
-    at a crossing go through the blocked kernel.
-    """
-    cuts = [0.5 * (a + b) for a, b in info.crossings]
-    n0 = _initial_grid(p.degree)
-    grid = np.arange(n0 + 1) / n0
-    points = np.unique(np.concatenate([grid, np.asarray(cuts)]))
-    mids = 0.5 * (points[:-1] + points[1:])
-    cell = np.minimum((mids * n0).astype(int), n0 - 1)
-    split = (np.bincount(cell, minlength=n0) > 1)[cell]
-    above = np.empty(len(mids), dtype=bool)
-    above[~split] = np.abs(circle_samples(p, n0, shift=0.5))[cell[~split]] > 1.0
-    above[split] = _abs_on_circle(p, mids[split]) > 1.0
-    edges = np.diff(np.concatenate([[0], above.astype(np.int8), [0]]))
-    return np.column_stack([points[edges == 1], points[edges == -1]])
 
 
 # ---------------------------------------------------------------------------

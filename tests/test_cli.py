@@ -8,12 +8,17 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import polyzero
 from polyzero.cli import main
 from polyzero.harness import SweepConfig, certify
 from polyzero.poly import Polynomial, power_minus_one, write_polynomial
 
 
 def run_cli(*args, env=None):
+    # The child imports the same polyzero as this process, installed or not.
+    env = dict(os.environ if env is None else env)
+    src = os.path.dirname(os.path.dirname(polyzero.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "polyzero.cli", *args],
         capture_output=True,

@@ -479,7 +479,7 @@ def _horner_panels(p: Polynomial, intervals: np.ndarray, panels_per_unit: int) -
 
 
 def _positive_part(p: Polynomial) -> np.ndarray:
-    return norms._positive_pieces(p, classify_unit_level(p, min_width=1e-10))
+    return classify_unit_level(p, min_width=1e-10).pieces
 
 
 def _positive_pieces_loop(p: Polynomial, info) -> list[tuple[float, float]]:
@@ -501,13 +501,37 @@ def _positive_pieces_loop(p: Polynomial, info) -> list[tuple[float, float]]:
     return pieces
 
 
-@pytest.mark.parametrize("kind", ["littlewood", "unimodular", "g_class"])
+def _level_case(kind: str, n: int) -> Polynomial:
+    """A family member, or one of two inputs built around ``t = 0``.
+
+    ``tangent``: a Littlewood polynomial with coefficients flipped from the
+    top until ``P(1) = 1``; ``|P|`` has a minimum 1 at ``t = 0``, so the
+    classifier leaves unresolved cells there.  ``wrap``: a unimodular
+    polynomial rotated so that its largest grid sample sits at ``t = 0``.
+    """
+    if kind == "tangent":
+        c = np.array(make_family(FamilySpec("littlewood", n, seed=11)).coeffs).real
+        while c.sum() != 1:
+            sign = 1.0 if c.sum() < 1 else -1.0
+            c[np.nonzero(c == -sign)[0][-1]] = sign
+        return Polynomial(tuple(c))
+    if kind == "wrap":
+        p = make_family(FamilySpec("unimodular", n, seed=11))
+        n_points = norms._initial_grid(n)
+        return p.rotated(int(np.argmax(np.abs(norms.circle_samples(p, n_points)))) / n_points)
+    return make_family(FamilySpec(kind, n, seed=11))
+
+
+@pytest.mark.parametrize("kind", ["littlewood", "unimodular", "g_class", "tangent", "wrap"])
 @pytest.mark.parametrize("n", [16, 64, 256, 512])
 def test_positive_pieces_match_flag_loop(kind, n):
-    p = make_family(FamilySpec(kind, n, seed=11))
+    p = _level_case(kind, n)
     info = classify_unit_level(p, min_width=1e-8)
-    pieces = norms._positive_pieces(p, info)
-    assert [tuple(row) for row in pieces.tolist()] == _positive_pieces_loop(p, info)
+    assert [tuple(row) for row in info.pieces.tolist()] == _positive_pieces_loop(p, info)
+    if kind == "tangent":
+        assert info.tangent_measure > 0
+    if kind in ("tangent", "wrap"):
+        assert info.pieces[0, 0] == 0.0 and info.pieces[-1, 1] == 1.0
 
 
 class TestIntegrateLogAbs:
@@ -634,6 +658,29 @@ class TestBlockedSampling:
         assert err <= 1e-13 * float(np.abs(ref).max())
         mags = np.abs(ref)
         assert abs(norms._power_sum(p, n_points, shift, 1.0) - mags.sum()) <= 1e-13 * mags.sum()
+        # With slope, each batch also holds z P'(z) in the same rows.
+        slope_ref = norms.circle_samples(Polynomial(tuple(np.arange(n + 1) * p.coefficient_array())), n_points, shift=shift)
+        for _, r0, (vals, ders) in norms._sample_rows(p, n_points, (shift,), slope=True):
+            assert 2 * vals.size <= max(norms._BLOCK_POINTS, 2 * n_points // stride)
+            k = (np.arange(vals.shape[1])[None, :] * stride + r0 + np.arange(len(vals))[:, None]).ravel()
+            assert np.abs(vals.ravel() - ref[k]).max() <= 1e-13 * float(np.abs(ref).max())
+            assert np.abs(ders.ravel() - slope_ref[k]).max() <= 1e-13 * float(np.abs(slope_ref).max())
+
+    @pytest.mark.parametrize("n", [16, 256, 512, 5000])
+    def test_grid_cells_pair_each_point_with_the_next(self, n):
+        # One FFT (n = 16), several batches of rows (256, 512), and batches
+        # of a single row, where the first batch pairs nothing (5000).
+        p = make_family(FamilySpec("g_class", n, seed=2))
+        n_points = norms._initial_grid(n)
+        g = np.abs(norms.circle_samples(p, n_points)) - 1.0
+        d = 2 * np.pi * np.abs(norms.circle_samples(Polynomial(tuple(np.arange(n + 1) * p.coefficient_array())), n_points))
+        seen = np.zeros(n_points, dtype=int)
+        for r0, (ga, gb, da, db) in norms._grid_cells(p, n_points):
+            k = (np.arange(ga.shape[1])[None, :] * (n_points // ga.shape[1]) + r0 + np.arange(len(ga))[:, None]).ravel()
+            seen[k] += 1
+            for got, ref in ((ga, g[k]), (gb, np.roll(g, -1)[k]), (da, d[k]), (db, np.roll(d, -1)[k])):
+                assert np.abs(got.ravel() - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+        assert (seen == 1).all()
 
     @pytest.mark.parametrize("n_points", [2**11, 2**12, 2**14, 2**16, 8 * 100 * 2**6])
     def test_batched_nodes_match_single_calls(self, n_points):
@@ -686,6 +733,21 @@ class TestBlockedSampling:
         # One 2^19-point complex grid alone is 8 MiB.
         assert max(grids) >= 2**19
         assert peak < 2 * 2**20
+
+    def test_classifier_memory_stays_below_its_grid(self):
+        import tracemalloc
+
+        # The first grid has 2^14 points: |P| and |P'| on it as complex
+        # arrays alone would take 0.5 MiB.
+        p = make_family(FamilySpec("g_class", 512, seed=3))
+        assert norms._initial_grid(512) == 2**14
+        tracemalloc.start()
+        try:
+            classify_unit_level(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_mahler_plus_memory_stays_bounded(self):
         import tracemalloc

@@ -217,7 +217,8 @@ class TestFrozenRoots:
         p = make_family(FamilySpec(family, n, seed=5))
         frozen = find_roots(p, tol=1e-9).roots
         dense = _dense_aberth(p)
-        assert np.max(np.abs(frozen - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
+        # Float32 steering may return the same roots in another order.
+        match_multisets(frozen, dense, 1e-12 * max(1.0, np.max(np.abs(dense))))
 
     def test_newton_points_per_call(self, monkeypatch):
         # Every sweep used to update all n roots (about 17 n points at this
