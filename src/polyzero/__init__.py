@@ -33,7 +33,6 @@ from .zerostats import (
     angular_discrepancy,
     annular_discrepancy,
     region_count,
-    sector_count,
 )
 from .geometry import (
     AnnularSector,

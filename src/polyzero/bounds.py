@@ -20,7 +20,7 @@ Bound identifiers (the ``bound_id`` wire tokens) are grouped as:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -84,20 +84,6 @@ class BoundEntry:
     hypothesis_notes: str = ""
 
 
-@dataclass
-class BoundTable:
-    entries: dict[str, BoundEntry] = field(default_factory=dict)
-
-    def add(self, entry: BoundEntry):
-        self.entries[entry.bound_id] = entry
-
-    def __getitem__(self, key: str) -> BoundEntry:
-        return self.entries[key]
-
-    def __iter__(self):
-        return iter(self.entries.values())
-
-
 def _sqrt_term(value: float, n: int) -> float:
     return math.sqrt(max(value, 0.0) / n)
 
@@ -107,7 +93,7 @@ def discrepancy_bounds(
     n: int,
     p_list: tuple[float, ...] = (1.0, 2.0),
     kn_member: bool = False,
-) -> BoundTable:
+) -> dict[str, BoundEntry]:
     """Angular-discrepancy upper bounds from a norm profile.
 
     All entries scale like ``C * sqrt(term / n)``; conservative versions use
@@ -115,7 +101,7 @@ def discrepancy_bounds(
     ``CorollaryKnErf`` replaces ``1 - |E|`` by an erf expression coming from
     a Gaussian heuristic and is report-only.
     """
-    table = BoundTable()
+    entries: list[BoundEntry] = []
     c0_ok = profile.c0_abs > 0.0
     binf = b_norm_interval(profile, math.inf)
     binf_ok = c0_ok and binf.lo > 0.0
@@ -124,7 +110,7 @@ def discrepancy_bounds(
         ("ET16", ERDOS_TURAN_C),
         ("Ganelius", ganelius_constant()),
     ):
-        table.add(
+        entries.append(
             BoundEntry(
                 bound_id=bound_id,
                 value=coeff * _sqrt_term(binf.lo, n),
@@ -133,7 +119,7 @@ def discrepancy_bounds(
                 hypothesis_notes=note_b,
             )
         )
-    table.add(
+    entries.append(
         BoundEntry(
             bound_id="ShuWang",
             value=_sqrt_term(2.0 * binf.lo, n),
@@ -150,7 +136,7 @@ def discrepancy_bounds(
         ("CarneiroBp∞", CARNEIRO_C),
     ):
         val = coeff * _sqrt_term(mplus_scaled, n) if mp_ok else math.nan
-        table.add(
+        entries.append(
             BoundEntry(
                 bound_id=bound_id,
                 value=val,
@@ -162,7 +148,7 @@ def discrepancy_bounds(
     for p in p_list:
         bp = b_norm_interval(profile, p)
         ok = c0_ok and profile.pnorm_at_least_one(p)
-        table.add(
+        entries.append(
             BoundEntry(
                 bound_id=f"PropThm0_p[p={p:g}]",
                 value=CARNEIRO_C * _sqrt_term(bp.lo, n),
@@ -174,7 +160,7 @@ def discrepancy_bounds(
     coeff = 2.0 * math.sqrt(2.0) / math.sqrt(math.pi)
     e_int = profile.e_measure
     term = lambda e_val: (1.0 - e_val) * math.log(n + 1.0) + math.exp(-1.0)
-    table.add(
+    entries.append(
         BoundEntry(
             bound_id="CorollaryKn",
             value=coeff * _sqrt_term(term(e_int.hi), n),
@@ -185,7 +171,7 @@ def discrepancy_bounds(
     )
     erf_term = 1.0 - 0.25 * math.erf(math.sqrt(2.0 / (n + 1.0))) ** 2
     val = coeff * _sqrt_term(erf_term * math.log(n + 1.0) + math.exp(-1.0), n)
-    table.add(
+    entries.append(
         BoundEntry(
             bound_id="CorollaryKnErf",
             value=val,
@@ -195,7 +181,7 @@ def discrepancy_bounds(
             hypothesis_notes="Gaussian-limit heuristic; report-only",
         )
     )
-    return table
+    return {e.bound_id: e for e in entries}
 
 
 _RADIUS_COEFFICIENTS = {"sup_7": 7.0, "p_9": 9.0}
@@ -297,7 +283,7 @@ def annular_bounds(
     rho: float,
     p: float,
     gn_member: bool = False,
-) -> BoundTable:
+) -> dict[str, BoundEntry]:
     """Annular-sector discrepancy and outside-mass bounds for one (rho, p).
 
     Hard entries: ``tau(outside annulus) <= 2 B_p / (n (1 - rho))`` and the
@@ -307,13 +293,13 @@ def annular_bounds(
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0, 1)")
-    table = BoundTable()
+    entries: list[BoundEntry] = []
     bp = b_norm_interval(profile, p)
     binf = b_norm_interval(profile, math.inf)
     hyp_ok = profile.c0cn_at_least_one and profile.pnorm_at_least_one(p)
     notes = "" if hyp_ok else "needs |c0 cn| >= 1 and ||P||_p >= 1"
     outside = lambda b: 2.0 * b / (n * (1.0 - rho))
-    table.add(
+    entries.append(
         BoundEntry(
             bound_id=f"Lem2_tau_outside[p={p:g},rho={rho:g}]",
             value=outside(bp.lo),
@@ -325,7 +311,7 @@ def annular_bounds(
     annular = lambda b_p, b_i: (
         math.sqrt((2.0 / n) * max(min((8.0 / math.pi) * b_p, b_i), 0.0)) + outside(b_p)
     )
-    table.add(
+    entries.append(
         BoundEntry(
             bound_id=f"Lem2_annular[p={p:g},rho={rho:g}]",
             value=annular(bp.lo, binf.lo),
@@ -340,7 +326,7 @@ def annular_bounds(
     eps = max(binf.hi, 0.0) / n
     eps_prime = (2.0 / (1.0 - rho)) * math.sqrt(max((1.0 - e_mid) * eps + 1.0 / (math.e * p * n), 0.0))
     val_p = (CARNEIRO_C + eps_prime) * _sqrt_term(bp.hi, n)
-    table.add(
+    entries.append(
         BoundEntry(
             bound_id=f"Thm4_annular_p[p={p:g},rho={rho:g}]",
             value=val_p,
@@ -354,7 +340,7 @@ def annular_bounds(
     eps_dprime = factor * eps_prime
     c_val = thm4_constant(n, e_mid)
     val_gn = math.sqrt(math.log(n + 1.0) / n) * (c_val + eps_dprime)
-    table.add(
+    entries.append(
         BoundEntry(
             bound_id=f"Thm4_annular_Gn[p={p:g},rho={rho:g}]",
             value=val_gn,
@@ -364,7 +350,7 @@ def annular_bounds(
             hypothesis_notes="asymptotic: degree threshold n(eps, rho) unquantified",
         )
     )
-    return table
+    return {e.bound_id: e for e in entries}
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,18 @@
-"""Regions of the plane used by the zero-count statements, with membership
-predicates and SVG outlines.
+"""Regions of the plane used by the zero-count statements, with the one
+membership rule of each region shape and SVG outlines.
 
 Conventions: disks named on the circle are centered at ``exp(i*angle)`` with
-``|z| = 1`` exact; the annulus ``rho < |z| < 1/rho`` is open; the gear wheel
-is the closed unit disk minus ``G`` closed disks of radius ``gamma`` whose
-centers are equally spaced on the unit circle.
+``|z| = 1`` exact; the annulus ``rho < |z| < 1/rho`` is open; a sector is the
+half-open arc ``[alpha, beta)`` of directions; the gear wheel is the closed
+unit disk minus ``G`` closed disks of radius ``gamma`` whose centers are
+equally spaced on the unit circle.
+
+:func:`members` holds the rules.  Sectors are tested on arguments in turns
+(:func:`args_turns`) and annuli on moduli, so a caller holding exact polar
+data (a :class:`~polyzero.roots.RootSet`) passes it and the rule decides
+boundary points from it; :func:`contains` derives both from ``z``.  A gear
+point is tested against the two tooth centres next to it in angle only, as
+the nearer of those is its nearest centre: O(n) per gear.
 """
 from __future__ import annotations
 
@@ -19,8 +27,24 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class Sector:
+    """Half-open arc ``[alpha, beta)`` in radians on the circle.
+
+    ``beta == alpha`` (mod 2 pi) means the full circle; the width is always
+    in (0, 2 pi].
+    """
+
     alpha: float
     beta: float
+
+    @property
+    def width(self) -> float:
+        w = (self.beta - self.alpha) % _TWO_PI
+        return _TWO_PI if w == 0.0 else w
+
+    @property
+    def reference(self) -> float:
+        """Normalized arc length ``(beta - alpha) / (2 pi)``."""
+        return self.width / _TWO_PI
 
 
 @dataclass(frozen=True)
@@ -114,13 +138,15 @@ def covering_disk(alpha: float, delta_n: float) -> CoveringDisk:
 
 def tooth_arc(gamma: float) -> float:
     """Angular measure of the unit-circle arc inside a radius-``gamma`` disk
-    centered on the circle: ``2 arcsin((gamma/2) sqrt(4 - gamma^2))``.
+    centered on the circle: ``4 arcsin(gamma / 2)`` (chord geometry).
 
-    Equivalently ``4 arcsin(gamma / 2)`` (chord geometry), valid for the two
-    circles to intersect, i.e. ``0 < gamma < 2``.
+    Up to ``gamma = sqrt 2`` it is computed as ``2 arcsin((gamma/2) sqrt(4 -
+    gamma^2))``, which beyond gives the supplement of the arc.
     """
     if not 0.0 < gamma < 2.0:
         raise ValueError("gamma must be in (0, 2)")
+    if gamma > math.sqrt(2.0):
+        return 4.0 * math.asin(gamma / 2.0)
     return 2.0 * math.asin((gamma / 2.0) * math.sqrt(4.0 - gamma * gamma))
 
 
@@ -130,7 +156,8 @@ def build_gear(gamma: float, delta: float, allow_wide: bool = False, phase: floa
 
     The tooth count targets ``2 pi / (Gamma (1 + delta))``, rounded to the
     nearest integer and clamped so the removed disks stay pairwise disjoint
-    (``G <= pi / arcsin(gamma)``, tangency allowed); centers are then
+    (``G <= pi / arcsin(gamma)``, tangency allowed; one tooth beyond
+    ``gamma = 1``, where two disks on the circle always meet); centers are then
     re-spaced exactly evenly, so the realized gap can differ slightly from
     the requested one.  The first center sits at angle ``phase`` (default 0;
     rendering convenience only).  ``gamma`` beyond 1/2 is a
@@ -145,7 +172,7 @@ def build_gear(gamma: float, delta: float, allow_wide: bool = False, phase: floa
         raise ValueError("gamma > 1/2 needs allow_wide=True (construction only)")
     arc = tooth_arc(gamma)
     target = _TWO_PI / (arc * (1.0 + delta))
-    disjoint_cap = math.floor(math.pi / math.asin(gamma) + 1e-9)
+    disjoint_cap = 1 if gamma > 1.0 else math.floor(math.pi / math.asin(gamma) + 1e-9)
     teeth = max(1, min(round(target), disjoint_cap))
     angles = tuple(phase + _TWO_PI * k / teeth for k in range(teeth))
     return GearWheel(
@@ -158,35 +185,63 @@ def build_gear(gamma: float, delta: float, allow_wide: bool = False, phase: floa
     )
 
 
+def args_turns(z: np.ndarray) -> np.ndarray:
+    """Arguments of the points ``z`` (a 1-d array) in turns, in [0, 1)."""
+    t = np.mod(np.angle(z) / _TWO_PI, 1.0)
+    t[t >= 1.0] = 0.0  # guard against -eps wrapping to 1.0 exactly
+    return t
+
+
+def _in_gear(z: np.ndarray, turns: np.ndarray, moduli: np.ndarray, gear: GearWheel) -> np.ndarray:
+    """``|z| <= 1`` and outside the tooth disks ``k`` and ``k + 1`` next to
+    ``z`` in angle, ``k = floor((arg z - phase) G / 2 pi) mod G``.
+
+    At a fixed modulus the distance to a centre grows with the angle between
+    them, so the nearer of the two is the nearest centre; an angle off by a
+    rounding error past a centre still has that centre among the two.
+    Non-finite points fail ``|z| <= 1`` and are outside.
+    """
+    out = moduli <= 1.0
+    at = np.flatnonzero(out)
+    teeth = gear.teeth
+    k = np.floor((turns[at] - gear.center_angles[0] / _TWO_PI) * teeth).astype(int) % teeth
+    centers, w = gear.centers, z[at]
+    out[at] = (np.abs(w - centers[k]) > gear.gamma) & (np.abs(w - centers[(k + 1) % teeth]) > gear.gamma)
+    return out
+
+
+def members(region, z: np.ndarray, turns: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Membership of the points ``z`` (a 1-d array) in ``region``, given also
+    their arguments in turns and their moduli: the one rule of each shape.
+
+    Sectors are decided on ``turns``, annuli and the gear's unit disk on
+    ``moduli``, and disks on the circle and gear teeth by the distance test
+    on ``z``.
+    """
+    if isinstance(region, Sector):
+        width = region.reference
+        if width >= 1.0:
+            return np.ones(len(turns), dtype=bool)
+        return (turns - (region.alpha / _TWO_PI) % 1.0) % 1.0 < width
+    if isinstance(region, Annulus):
+        return (moduli > region.rho) & (moduli < 1.0 / region.rho)
+    if isinstance(region, AnnularSector):
+        annulus, sector = Annulus(region.rho), Sector(region.alpha, region.beta)
+        return members(annulus, z, turns, moduli) & members(sector, z, turns, moduli)
+    if isinstance(region, GearWheel):
+        return _in_gear(z, turns, moduli, region)
+    if isinstance(region, DiskOnCircle):
+        dist = np.abs(z - region.center)
+        return dist <= region.radius if region.closed else dist < region.radius
+    raise TypeError(f"unknown region {type(region).__name__}")
+
+
 def contains(region, z):
     """Membership predicate; ``z`` may be a scalar or an array."""
     zz = np.asarray(z, dtype=complex)
     scalar = zz.ndim == 0
     zz = np.atleast_1d(zz)
-    if isinstance(region, Sector):
-        width = (region.beta - region.alpha) % _TWO_PI
-        if width == 0.0:
-            width = _TWO_PI
-        rel = (np.angle(zz) - region.alpha) % _TWO_PI
-        out = rel < width if width < _TWO_PI else np.ones(len(zz), dtype=bool)
-    elif isinstance(region, DiskOnCircle):
-        dist = np.abs(zz - region.center)
-        out = dist <= region.radius if region.closed else dist < region.radius
-    elif isinstance(region, Annulus):
-        mod = np.abs(zz)
-        out = (mod > region.rho) & (mod < 1.0 / region.rho)
-    elif isinstance(region, AnnularSector):
-        mod = np.abs(zz)
-        out = (mod > region.rho) & (mod < 1.0 / region.rho)
-        out &= contains(Sector(region.alpha, region.beta), zz)
-    elif isinstance(region, GearWheel):
-        out = np.abs(zz) <= 1.0
-        centers = region.centers
-        for k in range(0, len(centers), 128):
-            blk = centers[k : k + 128]
-            out &= (np.abs(zz[:, None] - blk[None, :]) > region.gamma).all(axis=1)
-    else:
-        raise TypeError(f"unknown region {type(region).__name__}")
+    out = members(region, zz, args_turns(zz), np.abs(zz))
     return bool(out[0]) if scalar else out
 
 
@@ -238,14 +293,14 @@ def region_svg_paths(region) -> list[str]:
             _circle_path(0.0, 1.0 / region.rho),
         ]
     if isinstance(region, Sector):
-        width = (region.beta - region.alpha) % _TWO_PI or _TWO_PI
+        width = region.width
         steps = max(8, int(96 * width / _TWO_PI))
         arc = [
             2.0 * cmath.exp(1j * (region.alpha + width * k / steps)) for k in range(steps + 1)
         ]
         return [_path_from_points([0j] + arc)]
     if isinstance(region, AnnularSector):
-        width = (region.beta - region.alpha) % _TWO_PI or _TWO_PI
+        width = Sector(region.alpha, region.beta).width
         steps = max(8, int(96 * width / _TWO_PI))
         inner = [
             region.rho * cmath.exp(1j * (region.alpha + width * k / steps))

@@ -16,9 +16,7 @@ import csv
 import io
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,10 +27,10 @@ from .norms import NormProfile, ProfileTolerances, b_norm_interval, compute_prof
 from .poly import FamilySpec, Polynomial, is_g_class, is_unimodular, make_family
 from .roots import RootFindingError, RootSet, find_roots
 from .zerostats import (
-    SectorSpec,
     angular_discrepancy_report,
     annular_discrepancy,
     disk_counts,
+    region_count,
     tau_outside_annulus,
 )
 
@@ -284,7 +282,7 @@ def certify(
         # Norm-only report: every root-dependent entry is out of reach.
         entries = [
             _inapplicable(e.bound_id, e.kind, e.value, e.value_favorable, root_failure or "degree < 1")
-            for e in bounds_mod.discrepancy_bounds(profile, max(n, 1), cfg.p_list, kn_member)
+            for e in bounds_mod.discrepancy_bounds(profile, max(n, 1), cfg.p_list, kn_member).values()
         ]
     else:
         entries = (
@@ -327,7 +325,7 @@ def _angular_stage(roots, profile, cfg, kn_member, observed) -> list[VerdictEntr
     observed["angular_discrepancy_attained"] = disc["attained"]
     return [
         _upper_entry(entry, disc["value"], profile.e_tangency)
-        for entry in bounds_mod.discrepancy_bounds(profile, profile.degree, cfg.p_list, kn_member)
+        for entry in bounds_mod.discrepancy_bounds(profile, profile.degree, cfg.p_list, kn_member).values()
     ]
 
 
@@ -340,7 +338,7 @@ def _annular_stage(roots, profile, cfg, gn_member, observed) -> list[VerdictEntr
         worst = 0.0
         per_arc = []
         for alpha, beta in cfg.arcs:
-            stat = annular_discrepancy(roots, rho, SectorSpec(alpha, beta))
+            stat = annular_discrepancy(roots, rho, geometry.Sector(alpha, beta))
             per_arc.append(
                 {"arc": [alpha, beta], "discrepancy": stat.discrepancy, "tau": stat.tau_annular_sector}
             )
@@ -351,7 +349,8 @@ def _annular_stage(roots, profile, cfg, gn_member, observed) -> list[VerdictEntr
             "arcs": per_arc,
         }
         for p_exp in cfg.p_list:
-            for entry in bounds_mod.annular_bounds(profile, profile.degree, rho, p_exp, gn_member=gn_member):
+            table = bounds_mod.annular_bounds(profile, profile.degree, rho, p_exp, gn_member=gn_member)
+            for entry in table.values():
                 obs = tau_out if entry.bound_id.startswith("Lem2_tau_outside") else worst
                 entries.append(_upper_entry(entry, obs, profile.e_tangency))
     return entries
@@ -514,7 +513,7 @@ def _gear_side(roots, n, b_val, theta, delta, variant):
     gb = bounds_mod.gear_zero_upper_bound(n, b_val, theta, delta, variant, gear)
     if not gb.applicable:
         return None
-    count = int(np.sum(geometry.contains(gear, roots.roots)))
+    count = region_count(roots, gear).count
     return {
         "gamma": gamma,
         "teeth": gear.teeth,
@@ -600,34 +599,22 @@ def _csv_num(x) -> str:
 def sweep(cfg: SweepConfig) -> SweepResult:
     """Run the full (degree x trial) grid for one family.
 
-    Instances are independent; ``POLYZERO_THREADS`` caps optional thread
-    parallelism.  Output ordering and all RNG streams depend only on the
-    config, so re-runs are byte-identical apart from timing metadata.
+    Instances run one after another.  Output ordering and all RNG streams
+    depend only on the config, so re-runs are byte-identical apart from
+    timing metadata.
     """
-    tasks = []
+    reports = []
     for degree in cfg.degrees:
         for trial in range(cfg.trials):
-            tasks.append((degree, trial, _instance_seed(cfg.seed, degree, trial)))
-
-    def run_one(task):
-        degree, trial, inst_seed = task
-        spec = FamilySpec(cfg.family, degree, seed=inst_seed)
-        poly = make_family(spec)
-        descriptor = {
-            "family": cfg.family,
-            "degree": degree,
-            "trial": trial,
-            "seed": inst_seed,
-        }
-        return certify(poly, cfg, descriptor=descriptor, center_salt=inst_seed)
-
-    threads = int(os.environ.get("POLYZERO_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_one, tasks))
-    else:
-        reports = [run_one(t) for t in tasks]
-
+            inst_seed = _instance_seed(cfg.seed, degree, trial)
+            poly = make_family(FamilySpec(cfg.family, degree, seed=inst_seed))
+            descriptor = {
+                "family": cfg.family,
+                "degree": degree,
+                "trial": trial,
+                "seed": inst_seed,
+            }
+            reports.append(certify(poly, cfg, descriptor=descriptor, center_salt=inst_seed))
     aggregates = _aggregate(reports)
     hard = sum(len(r.hard_violations()) for r in reports)
     return SweepResult(config=cfg, reports=reports, aggregates=aggregates, hard_violation_count=hard)

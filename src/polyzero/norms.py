@@ -795,7 +795,6 @@ class ProfileTolerances:
     mplus_tol: float = 1e-8
     mahler_tol: float = 1e-8
     max_points: int = 2**20
-    level_budget: int = 2_000_000
 
 
 @dataclass
@@ -907,12 +906,7 @@ def compute_profile(
             p, float(exponent), tol=tols.quad_tol, max_points=tols.max_points
         )
     sup = sup_norm_enclosure(p, tol=tols.sup_tol, max_points=tols.max_points)
-    info = classify_unit_level(
-        p,
-        min_width=tols.e_tol,
-        budget=tols.level_budget,
-        sup_hint=sup.hi,
-    )
+    info = classify_unit_level(p, min_width=tols.e_tol, sup_hint=sup.hi)
     quad_points["level_set"] = info.evaluations
     if roots is not None:
         m_val, m_log = mahler(p, roots=roots, method="from_roots")

@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import args_turns
 from .poly import Polynomial, _evaluate_split
 
 _PAIR_ELEMS = 1 << 14  # complex entries per pair block: 256 KiB, in L2; 2/3 as many with logs
@@ -449,14 +450,11 @@ def find_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> RootSe
 
 
 def _build(z: np.ndarray, residuals: np.ndarray, tol: float) -> RootSet:
-    args = np.angle(z) / (2.0 * np.pi)
-    args = np.mod(args, 1.0)
-    args[args >= 1.0] = 0.0  # guard against -eps wrapping to 1.0 exactly
     return RootSet(
         roots=z,
         residuals=residuals,
         moduli=np.abs(z),
-        args_turns=args,
+        args_turns=args_turns(z),
         tolerance=tol,
     )
 

@@ -11,6 +11,12 @@ The supremum is computed exactly from the sorted root angles; it may be a
 limit value that no single arc attains (a point mass seen through shrinking
 arcs), which is reported through the ``attained`` flag.
 
+:func:`region_count` is the one counting layer.  Sectors, annuli, annular
+sectors and gear wheels are counted with the membership rule of their shape
+in :func:`geometry.members`, on the roots' stored ``args_turns`` and
+``moduli``, and the annular discrepancy and the mass outside the annulus
+take the same rules.  Gears cost O(n) each.
+
 Disks of radius ``r`` centred at ``e^{ia}`` on the unit circle are counted as
 a stabbing count.  A root ``rho e^{i phi}`` lies inside iff ``a`` is in the
 arc ``(phi - t, phi + t)`` with ``cos t = (rho^2 + 1 - r^2) / (2 rho)``, so
@@ -45,26 +51,7 @@ _QUERY = np.repeat([0.0, 2.0 * _TWO_PI, 3.0 * _TWO_PI], 2) + np.tile([-_ARC_WIND
 _DENSE_ELEMS = 1 << 16  # centre-root distances per block of the distance test
 
 
-@dataclass(frozen=True)
-class SectorSpec:
-    """Half-open arc ``[alpha, beta)`` in radians on the circle.
-
-    ``beta == alpha`` (mod 2 pi) with distinct endpoints means the full
-    circle; the width is always in (0, 2 pi].
-    """
-
-    alpha: float
-    beta: float
-
-    @property
-    def width(self) -> float:
-        w = (self.beta - self.alpha) % _TWO_PI
-        return _TWO_PI if w == 0.0 else w
-
-    @property
-    def reference(self) -> float:
-        """Normalized arc length ``(beta - alpha) / (2 pi)``."""
-        return self.width / _TWO_PI
+SectorSpec = geometry.Sector  # the arc type of the annular discrepancy, by its older name
 
 
 @dataclass(frozen=True)
@@ -88,37 +75,22 @@ class AnnularStat:
     reference: float
 
 
-def _sector_mask(args_turns: np.ndarray, s: SectorSpec) -> np.ndarray:
-    start = (s.alpha / _TWO_PI) % 1.0
-    width = s.width / _TWO_PI
-    rel = (args_turns - start) % 1.0
-    if width >= 1.0:
-        return np.ones_like(rel, dtype=bool)
-    return rel < width
-
-
-def sector_count(roots: RootSet, s: SectorSpec) -> CountStat:
-    """Number of roots with argument in the arc, any modulus."""
-    mask = _sector_mask(roots.args_turns, s)
-    return CountStat(count=int(mask.sum()), n=len(roots), reference=s.reference)
-
-
 def region_count(roots: RootSet, region) -> CountStat:
     """Exact membership count of the root multiset in a region.
 
     A :class:`geometry.DiskOnCircle` is counted on the arc index of its
     radius (see the module docstring), with the same result as
-    ``geometry.contains``.
+    ``geometry.contains``.  Every other shape takes its rule in
+    :func:`geometry.members` on the roots' stored ``args_turns`` and
+    ``moduli``, so exact polar data decides boundary roots.
     """
     if isinstance(region, geometry.DiskOnCircle):
         return CountStat(count=_disk_count(roots, region), n=len(roots))
-    if isinstance(region, geometry.Sector):
-        return sector_count(roots, SectorSpec(region.alpha, region.beta))
-    mask = geometry.contains(region, roots.roots)
+    mask = geometry.members(region, roots.roots, roots.args_turns, roots.moduli)
     ref = None
-    if isinstance(region, geometry.AnnularSector):
-        ref = SectorSpec(region.alpha, region.beta).reference
-    return CountStat(count=int(np.sum(mask)), n=len(roots), reference=ref)
+    if isinstance(region, (geometry.Sector, geometry.AnnularSector)):
+        ref = geometry.Sector(region.alpha, region.beta).reference
+    return CountStat(count=int(mask.sum()), n=len(roots), reference=ref)
 
 
 @dataclass(frozen=True)
@@ -317,28 +289,24 @@ def angular_discrepancy_report(roots: RootSet) -> dict:
 
 def tau_outside_annulus(roots: RootSet, rho: float) -> float:
     """``tau_n`` of the complement of the open annulus ``rho < |z| < 1/rho``."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must be in (0, 1)")
-    inside = (roots.moduli > rho) & (roots.moduli < 1.0 / rho)
-    return float((~inside).sum()) / len(roots)
+    return (len(roots) - region_count(roots, geometry.Annulus(rho)).count) / len(roots)
 
 
-def annular_discrepancy(roots: RootSet, rho: float, s: SectorSpec) -> AnnularStat:
+def annular_discrepancy(roots: RootSet, rho: float, s: geometry.Sector) -> AnnularStat:
     """``|tau_n(annular sector) - normalized arc length|`` for one arc.
 
     The annulus is open; the sector is the usual half-open arc.  The
     companion value ``tau_n`` outside the annulus is included since annular
     bounds are stated through it.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must be in (0, 1)")
-    in_annulus = (roots.moduli > rho) & (roots.moduli < 1.0 / rho)
-    in_sector = _sector_mask(roots.args_turns, s)
-    tau = float((in_annulus & in_sector).sum()) / len(roots)
+    polar = (roots.roots, roots.args_turns, roots.moduli)
+    in_annulus = geometry.members(geometry.Annulus(rho), *polar)
+    n = len(roots)
+    tau = int((in_annulus & geometry.members(s, *polar)).sum()) / n
     ref = s.reference
     return AnnularStat(
         discrepancy=abs(tau - ref),
         tau_annular_sector=tau,
-        tau_outside=float((~in_annulus).sum()) / len(roots),
+        tau_outside=(n - int(in_annulus.sum())) / n,
         reference=ref,
     )

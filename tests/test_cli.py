@@ -158,6 +158,15 @@ class TestGear:
     def test_wide_gamma_exit_1(self):
         assert run_cli("gear", "--gamma", "0.8", "--delta", "0").returncode == 1
 
+    def test_wide_gamma_beyond_one(self, tmp_path):
+        js = tmp_path / "gear.json"
+        svg = tmp_path / "gear.svg"
+        proc = run_cli("gear", "--gamma", "1.5", "--allow-wide", "--svg", str(svg), "--json", str(js))
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(js.read_text())
+        assert payload["teeth"] == 1
+        assert payload["tooth_arc"] == 4 * math.asin(0.75)
+
     def test_svg_deterministic_and_path_grammar(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         run_cli("gear", "--gamma", "0.3", "--delta", "0.1", "--svg", str(a))

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ class TestToothArc:
         assert abs(2 * math.pi / arc - 78.5) < 0.1
 
     def test_equals_chord_form(self):
-        # 2 asin((g/2) sqrt(4-g^2)) == 4 asin(g/2) below the crossover.
-        for g in (0.05, 0.3, 0.7, 1.0):
+        # 4 asin(g/2) on all of (0, 2), past the crossover at sqrt 2 too.
+        for g in (0.05, 0.3, 0.7, 1.0, 1.5, 1.9):
             assert abs(tooth_arc(g) - 4 * math.asin(g / 2)) < 1e-12
 
     def test_domain(self):
@@ -77,6 +78,11 @@ class TestBuildGear:
         gear = build_gear(0.8, 0.0, allow_wide=True)
         assert gear.wide
 
+    def test_disjoint_cap_beyond_unit_radius(self):
+        assert build_gear(1.0, 0.0, allow_wide=True).teeth == 2  # tangent at -1
+        for gamma in (1.0 + 1e-9, 1.5, 1.99):
+            assert build_gear(gamma, 0.0, allow_wide=True).teeth == 1
+
     def test_delta_range(self):
         with pytest.raises(ValueError):
             build_gear(0.1, 1.0)
@@ -103,6 +109,18 @@ class TestContains:
             c = cmath.exp(1j * spacing * k)
             want = abs(z) <= 1.0 and abs(z - c) > gear.gamma
             assert got == want
+
+    def test_gear_allocates_per_point_only(self, rng):
+        gear = build_gear(0.04, 0.0)
+        pts = np.sqrt(rng.random(4096)) * np.exp(2j * np.pi * rng.random(4096))
+        contains(gear, pts)
+        tracemalloc.start()
+        try:
+            contains(gear, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(pts) * gear.teeth  # below one float per point and tooth
 
     def test_tooth_gap_point(self):
         gamma = 0.04
@@ -146,7 +164,7 @@ class TestGearStatistics:
         samples = 1_000_000
         t = rng.random(samples)
         z = np.exp(2j * np.pi * t)
-        for gamma in (0.01, 0.1, 0.25, 0.5):
+        for gamma in (0.01, 0.1, 0.25, 0.5, 1.5):
             frac = float(np.mean(np.abs(z - 1.0) <= gamma))
             expect = tooth_arc(gamma) / (2 * math.pi)
             sigma = math.sqrt(expect * (1 - expect) / samples)

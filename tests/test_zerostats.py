@@ -19,7 +19,6 @@ from polyzero.zerostats import (
     annular_discrepancy,
     disk_counts,
     region_count,
-    sector_count,
     tau_outside_annulus,
 )
 
@@ -41,19 +40,19 @@ def explicit_product_rootset():
 class TestSectorCount:
     def test_eighth_roots_half_turn_arc(self):
         rs = unit_roots_rootset(8)
-        stat = sector_count(rs, SectorSpec(math.pi / 8, 9 * math.pi / 8))
+        stat = region_count(rs, geometry.Sector(math.pi / 8, 9 * math.pi / 8))
         assert stat.count == 4
         assert stat.tau == 0.5
 
     def test_full_circle(self):
         rs = unit_roots_rootset(8)
-        stat = sector_count(rs, SectorSpec(0.7, 0.7 + 2 * math.pi))
+        stat = region_count(rs, geometry.Sector(0.7, 0.7 + 2 * math.pi))
         assert stat.count == 8
         assert stat.reference == 1.0
 
     def test_half_open_boundary(self):
         rs = unit_roots_rootset(4)  # angles 0, 1/4, 1/2, 3/4 turns
-        stat = sector_count(rs, SectorSpec(0.0, math.pi / 2))
+        stat = region_count(rs, geometry.Sector(0.0, math.pi / 2))
         assert stat.count == 1  # angle 0 in, angle pi/2 out
 
     def test_random_arcs_against_membership_scan(self, rng):
@@ -62,7 +61,7 @@ class TestSectorCount:
         for _ in range(100):
             alpha = float(rng.uniform(0, 2 * math.pi))
             beta = alpha + float(rng.uniform(1e-6, 2 * math.pi))
-            stat = sector_count(rs, SectorSpec(alpha, beta))
+            stat = region_count(rs, geometry.Sector(alpha, beta))
             width = (beta - alpha) % (2 * math.pi) or 2 * math.pi
             brute = sum(
                 ((theta * 2 * math.pi - alpha) % (2 * math.pi)) < width
@@ -75,7 +74,7 @@ class TestSectorCount:
         rs = find_roots(p)
         cuts = np.sort(rng.uniform(0, 2 * math.pi, size=6))
         arcs = list(zip(cuts, np.roll(cuts, -1)))
-        total = sum(sector_count(rs, SectorSpec(a, b)).count for a, b in arcs)
+        total = sum(region_count(rs, geometry.Sector(a, b)).count for a, b in arcs)
         assert total == 14
 
 
@@ -96,11 +95,75 @@ class TestRegionCount:
         assert stat.count == 1
 
     def test_gear_region_count(self):
-        rs = unit_roots_rootset(64)
+        rs = find_roots(make_family(FamilySpec("littlewood", 64, seed=4)))
         gear = geometry.build_gear(0.3, 0.0)
-        stat = region_count(rs, gear)
-        brute = sum(geometry.contains(gear, z) for z in rs.roots)
-        assert stat.count == brute
+        assert region_count(rs, gear).count == int(_dense_gear(rs.roots, gear).sum())
+        # Exact data: the stored moduli 1, not computed |z| that round above
+        # 1, decide the unit disk (24 roots against 20).
+        exact, gear = unit_roots_rootset(128), geometry.build_gear(0.3, 0.25)
+        assert region_count(exact, gear).count == int(_dense_gear(exact.roots, gear, exact.moduli).sum()) == 24
+
+    def test_annular_sector_count_at_arc_ends(self, rng):
+        # Roots a few ulps from the arc ends: the annular sector's count and
+        # the annular discrepancy's decide them by the same rule.
+        ulps = np.arange(-4, 5)
+        for _ in range(200):
+            a = float(rng.uniform(-7.0, 7.0))
+            b = a + float(rng.uniform(0.1, 6.0))
+            ends = np.concatenate([e + ulps * np.spacing(e) for e in (a, b)])
+            rs = _rootset(0.8 * np.exp(1j * ends))
+            stat = annular_discrepancy(rs, 0.5, SectorSpec(a, b))
+            assert region_count(rs, geometry.AnnularSector(0.5, a, b)).tau == stat.tau_annular_sector
+
+    def test_sector_contains_agrees_with_count(self):
+        # Arcs that start or end at a root's own angle.
+        rs = find_roots(make_family(FamilySpec("littlewood", 64, seed=5)))
+        for t in rs.args_turns:
+            alpha = 2 * math.pi * float(t)
+            for s in (geometry.Sector(alpha, alpha + 1.0), geometry.Sector(alpha - 1.0, alpha)):
+                assert int(geometry.contains(s, rs.roots).sum()) == region_count(rs, s).count
+
+
+def _dense_gear(z, gear, moduli=None):
+    # Every point against every tooth centre.
+    z = np.asarray(z, dtype=complex)
+    moduli = np.abs(z) if moduli is None else moduli
+    return (moduli <= 1.0) & (np.abs(z[:, None] - gear.centers[None, :]) > gear.gamma).all(axis=1)
+
+
+class TestGearCounts:
+    """The two-nearest-teeth rule equals the dense test at every point."""
+
+    @pytest.mark.parametrize(
+        "gamma, delta, phase",
+        [
+            (0.04, 0.0, 0.0),
+            (math.pi / 60, 0.2577, 0.0),
+            (0.3, 0.25, 0.7),
+            (0.5, 0.0, -2.0),  # 6 tangent teeth
+            (0.8, 0.0, 10.0),
+            (1.0, 0.0, 0.3),  # 2 tangent teeth
+            (1.5, 0.0, 1.0),  # 1 tooth
+        ],
+    )
+    def test_against_dense_reference(self, gamma, delta, phase, rng):
+        gear = geometry.build_gear(gamma, delta, allow_wide=True, phase=phase)
+        c, psi = gear.centers, np.asarray(gear.center_angles)
+        pts = np.concatenate(
+            (
+                np.sqrt(rng.random(2000)) * np.exp(2j * math.pi * rng.random(2000)),
+                (c[:, None] + gamma * np.exp(2j * math.pi * rng.random(50))[None, :]).ravel(),
+                0.5 * (c + np.roll(c, -1)),  # the tangent points when teeth touch
+                np.exp(1j * (psi + gear.tooth_arc / 2.0)),  # where a tooth circle meets the unit circle
+                (1.0 - 2.0 * gamma) * np.exp(1j * (psi + math.pi / gear.teeth)),
+                [0.0, 1.0, -1.0, 1j, math.nan, complex(math.inf, 0.0)],
+            )
+        )
+        want = _dense_gear(pts, gear)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(geometry.contains(gear, pts), want)
+            assert region_count(_rootset(pts), gear).count == int(want.sum())
 
 
 class TestAngularDiscrepancy:
@@ -165,7 +228,7 @@ class TestAnnularDiscrepancy:
         rs = find_roots(p)
         s = SectorSpec(0.4, 2.9)
         tiny = annular_discrepancy(rs, 1e-9, s)
-        sector_tau = sector_count(rs, s).tau
+        sector_tau = region_count(rs, s).tau
         assert tiny.discrepancy == pytest.approx(abs(sector_tau - s.reference), abs=1e-15)
 
     def test_domination_triangle_inequality(self, rng):
