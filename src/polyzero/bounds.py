@@ -417,8 +417,8 @@ def min_degree_for_radius(coefficient: float, bound: float) -> int:
     branch finds the threshold with the exact postcondition
     ``f(n) <= bound < f(n-1)``.
     """
-    if coefficient <= 0 or bound <= 0:
-        raise ValueError("coefficient and bound must be positive")
+    if not (0.0 < coefficient < math.inf and 0.0 < bound < math.inf):  # also false for nan
+        raise ValueError("coefficient and bound must be positive and finite")
     f = lambda n: coefficient * math.log(n) / math.sqrt(n)
     for n in range(2, 9):
         if f(n) <= bound:

@@ -60,7 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--rho", type=_floats, default=(0.5, 0.9))
     pa.add_argument("--centers", type=int, default=720, help="sampled disk centers")
     pa.add_argument("--root-tol", type=float, default=1e-9)
-    pa.add_argument("--quad-tol", type=float, default=1e-9)
+    pa.add_argument(
+        "--quad-tol", type=float, default=1e-2,
+        help="relative half-width of the enclosures of integral |P|^p behind the p-norms, in (0, 1)",
+    )
     pa.add_argument("--sup-tol", type=float, default=1e-6)
     pa.add_argument("--out", help="write the report JSON here (default stdout)")
 
@@ -283,9 +286,12 @@ def _run_thresholds(args) -> int:
         if args.coefficient is not None and args.bound is not None
         else list(_DEFAULT_THRESHOLD_ROWS)
     )
+    try:
+        lines = [f"{coeff!r} {bound!r} {min_degree_for_radius(coeff, bound)}" for coeff, bound in rows]
+    except ValueError as exc:
+        return _usage_error(exc)
     print("coefficient bound min_degree")
-    for coeff, bound in rows:
-        print(f"{coeff!r} {bound!r} {min_degree_for_radius(coeff, bound)}")
+    print("\n".join(lines))
     return 0
 
 

@@ -48,13 +48,17 @@ _E_DEPENDENT_PREFIXES = ("PropThm0", "CorollaryKn", "Lem2", "Thm4", "Thm2_disk_p
 class ToleranceConfig:
     root_tol: float = 1e-9
     max_iter: int = 400
-    quad_tol: float = 1e-9
+    quad_tol: float = 1e-2
     sup_tol: float = 1e-6
     e_tol: float = 1e-8
     mplus_tol: float = 1e-8
     mahler_tol: float = 1e-8
     max_points: int = 2**20
     compute_mahler_plus: bool = True
+
+    def __post_init__(self):
+        if not 0.0 < self.quad_tol < 1.0:  # also false for nan
+            raise ValueError("quad_tol must be in (0, 1)")
 
     def profile_tolerances(self) -> ProfileTolerances:
         return ProfileTolerances(
@@ -174,7 +178,7 @@ def _profile_summary(profile: NormProfile, p_list) -> dict:
     out = {
         "degree": profile.degree,
         "c0cn_abs": profile.c0cn_abs,
-        "p_norms": {f"{p:g}": v for p, v in profile.p_norms.items()},
+        "p_norms": {f"{p:g}": [v.lo, v.hi] for p, v in profile.p_norms.items()},
         "sup_norm": [profile.sup_norm.lo, profile.sup_norm.hi],
         "mahler": profile.mahler,
         "log_mahler": profile.log_mahler,

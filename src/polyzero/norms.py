@@ -5,7 +5,7 @@ arc measure, written in turns: ``e(t) = exp(2*pi*i*t)``, ``t in [0, 1)``.
 
 Provided functionals:
 
-* ``p_norm``            -- ``(integral |P(e(t))|^p dt)**(1/p)``
+* ``p_norm``            -- enclosure of ``(integral |P(e(t))|^p dt)**(1/p)``
 * ``sup_norm_enclosure``-- certified interval around ``max |P|``
 * ``mahler``            -- geometric mean ``M(P)`` and ``m(P) = log M(P)``
 * ``mahler_plus``       -- ``exp(integral log+ |P|)`` and its logarithm
@@ -13,7 +13,10 @@ Provided functionals:
   ``{t : |P(e(t))| < 1}``
 * ``b_norm``            -- logarithmic p-norm built from the above
 
-Enclosures are Lipschitz/Bernstein-certified from grid samples; they are
+Enclosures are Lipschitz/Bernstein-certified from grid samples.  The
+p-norms take a trapezoid sum with a proven remainder, plus an a-priori
+allowance for the rounding of the samples and of the sum (an estimate for
+numpy's FFT, see :func:`_eval_err`).  The other enclosures are
 conservative but not formally validated interval arithmetic.
 """
 from __future__ import annotations
@@ -27,10 +30,12 @@ from .poly import Polynomial, _evaluate, circle_samples, evaluate
 from .roots import RootSet, log_abs_eval
 
 _TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
 
 
 class QuadratureError(RuntimeError):
-    """Grid refinement hit its cap before reaching the requested tolerance."""
+    """Grid refinement cannot reach the requested tolerance: it hit its cap,
+    or the tolerance is below the rounding of the quadrature itself."""
 
 
 @dataclass(frozen=True)
@@ -139,15 +144,17 @@ def _sample_rows(p: Polynomial, n_points: int, shifts, slope: bool = False):
                 yield q0 + i, r0, block if slope else block[0]
 
 
-def _power_sum(p: Polynomial, n_points: int, shift: float, exponent: float) -> float:
-    """``sum_k |P(e((k + shift) / n_points))|**exponent``, one batch of rows at a time."""
-    total, mags = 0.0, None
+def _power_sum(p: Polynomial, n_points: int, shift: float, exponent: float) -> tuple[float, float]:
+    """``(sum_k |P(t_k)|**exponent, max_k |P(t_k)|)`` over the grid
+    ``t_k = e((k + shift) / n_points)``, one batch of rows at a time."""
+    total, peak, mags = 0.0, 0.0, None
     for _, _, block in _sample_rows(p, n_points, (shift,)):
         mags = np.abs(block, out=mags)
+        peak = max(peak, float(mags.max()))
         if exponent != 1.0:
             np.power(mags, exponent, out=mags)
         total += float(mags.sum())
-    return total
+    return total, peak
 
 
 def _abs_at(p: Polynomial, n_points: int, index: np.ndarray, shifts):
@@ -170,62 +177,135 @@ def _abs_at(p: Polynomial, n_points: int, index: np.ndarray, shifts):
 # p-norms and sup-norm
 # ---------------------------------------------------------------------------
 
+def _eval_err(abs_sum: float, n: int, n_points: int) -> float:
+    """Bound on the rounding error of one sample of ``P`` on the circle, from
+    the evaluation kernel or from the row sampler on a grid of ``n_points``,
+    for a degree-``n`` polynomial with ``abs_sum = sum |c|``.
+
+    The kernel's a-priori error there is below ``4e-16 (n + 2) sum |c|``
+    (:func:`polyzero.poly._evaluate`).  A sample of :func:`_sample_rows` is
+    an FFT of size ``M`` of twiddled coefficients.  Each radix-2 level of
+    the FFT rounds by at most ``8u`` componentwise (``u = eps / 2``; Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 24.1,
+    with its own twiddles within ``2u``).  Each of the at most
+    ``log2 L + 1`` phase factors of a twiddle is off by ``2u theta + u``
+    from its rounded angle ``theta < pi``, and its product by ``2 sqrt(2) u``,
+    under ``11u`` together.  All twiddles have modulus 1, so every path from
+    a coefficient to a sample has weight 1, and the sample is off by at most
+    ``11u (log2 N + 2) sum |c|`` to first order (``N = L M``).  That bound is
+    for a radix-2 FFT; numpy's mixed-radix pocketfft is taken to meet it, so
+    the allowance is an a-priori estimate, not a proof.  Both terms are
+    added, so either route is covered.
+    """
+    return (4e-16 * (n + 2) + 1.3e-15 * (n_points.bit_length() + 1)) * abs_sum
+
+
+def _sum_rounding(n: int, n_points: int, exponent: float) -> float:
+    """Relative rounding allowance of the mean of ``|P|**exponent`` over
+    ``n_points`` computed samples, beyond that of the samples themselves.
+
+    Every sum is bounded as if it ran in order, one ulp per term: a batch
+    of at most ``max(_BLOCK_POINTS, 2n + 2)`` samples, the batch totals, and
+    one total per doubling; the modulus and the power add ``exponent + 2``
+    ulps.  It grows with ``n_points``, so no grid reaches a relative width
+    below its value on the first grid.
+    """
+    terms = max(_BLOCK_POINTS, 2 * n + 2) + n_points // _BLOCK_POINTS + 64
+    return (terms + exponent + 2) * _EPS
+
+
+def _trapezoid_error(exponent: float, n: int, n_points: int, sup: float, eval_err: float, mean: float) -> float:
+    """Bound on ``|mean - integral_0^1 |P(e(t))|**exponent dt|`` for the mean
+    ``mean`` of the computed samples on ``n_points`` uniform nodes, where
+    ``sup >= max |P|`` on the circle and each sample is off by at most
+    ``eval_err``; the rounding of the mean is :func:`_sum_rounding`.
+
+    ``|P(e(t))|`` is ``2 pi n sup``-Lipschitz in ``t`` (Bernstein), and the
+    periodic trapezoid rule is off by at most ``L / (4N)`` on an
+    ``L``-Lipschitz integrand; for ``exponent >= 1`` the integrand is
+    ``exponent sup**(exponent - 1) 2 pi n sup``-Lipschitz.  For
+    ``0 < exponent < 1`` it is Hoelder, ``|f(s) - f(t)| <= (2 pi n sup |s -
+    t|)**exponent``, which bounds the rule by ``(2 pi n sup / N)**exponent /
+    (exponent + 1)``.  For an even integer exponent ``|P|**exponent`` is a trig
+    polynomial of degree ``exponent n / 2``, which the rule integrates exactly
+    on more nodes than that.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sup = np.float64(sup)
+        if exponent >= 1.0:
+            slope = exponent * sup ** (exponent - 1.0)  # of x -> x**exponent on [0, sup]
+            exact = exponent % 2.0 == 0.0 and n_points > exponent * n / 2.0
+            rule = 0.0 if exact else slope * math.pi * n * sup / (2.0 * n_points)
+            samples = slope * eval_err
+        else:
+            rule = (_TWO_PI * n * sup / n_points) ** exponent / (exponent + 1.0)
+            samples = np.float64(eval_err) ** exponent
+        return float(rule + samples + _sum_rounding(n, n_points, exponent) * mean)
+
+
 def p_norm(
     p: Polynomial,
     exponent: float,
-    tol: float = 1e-9,
+    tol: float = 1e-2,
     max_points: int = 2**20,
-) -> float:
-    """``(integral_0^1 |P(e(t))|**exponent dt)**(1/exponent)``.
+) -> Interval:
+    """Enclosure of ``||P||_p = (integral_0^1 |P(e(t))|**exponent dt)**(1/exponent)``.
 
     ``exponent == 2`` is Parseval's identity, ``sqrt(sum |c_k|^2)``, with no
-    grid.  Other exponents take uniform periodic trapezoid sums (means of FFT
-    samples) over a doubling grid, with a short Romberg table for the stop
-    test and the returned value.  For even integer exponents the rule is
-    exact once the grid resolves the trig degree, so the loop stops at the
-    first comparison; |.|-type kinks (circle zeros) leave a clean h^2 family
-    that the extrapolation removes.  Each doubling samples only the
-    midpoints of the previous grid, as interleaved rows of about the
-    degree's length in FFT batches of bounded size (see
-    :func:`_sample_rows`), so memory does not grow with the grid.
+    grid and a rounding bound of ``(n + 5) / 4`` ulps.  Other exponents take the
+    uniform periodic trapezoid sum (the mean of FFT samples) of
+    ``|P|**exponent`` with the proven remainder of :func:`_trapezoid_error`.
+    Its ``sup`` is the Bernstein bound of the grid's own samples that
+    :func:`sup_norm_enclosure` uses, ``max |P(grid)| / sqrt(1 - (pi n /
+    N)^2 / 2)``.  The grid doubles from ``_initial_grid(n, floor=256)``
+    until the remainder is at most ``tol`` times the sum, each doubling
+    sampling only the midpoints of the previous grid, as interleaved rows of
+    about the degree's length in FFT batches of bounded size (see
+    :func:`_sample_rows`), so memory does not grow with the grid.  A grid of
+    more than ``max_points`` points is not sampled: the enclosure of the last
+    grid is returned, wider than ``tol`` asks.  The first grid is always
+    sampled.
+
+    Raises :class:`QuadratureError` only when ``tol`` is below the relative
+    rounding allowance of the sum itself (:func:`_sum_rounding`, about
+    ``2e-12`` up to degree 4095; for Parseval, ``(n + 5) / 4`` ulps), which
+    no grid can meet.
     """
     if exponent <= 0 or not math.isfinite(exponent):
         raise ValueError("exponent must be a positive finite real")
+    c = p.coefficient_array()
+    n = p.degree
     if exponent == 2.0:
-        return float(np.linalg.norm(p.coefficient_array()))
-    n_points = _initial_grid(p.degree, floor=256)
-    table: list[list[float]] = []  # Romberg rows over the doubling levels
-    diffs: list[float] = []
-    power_sum = 0.0
-    while n_points <= max_points:
-        # Each doubling adds only the midpoints of the previous grid.
-        if table:
-            power_sum += _power_sum(p, n_points // 2, 0.5, exponent)
-        else:
-            power_sum = _power_sum(p, n_points, 0.0, exponent)
-        raw = power_sum / n_points
-        row = [raw]
-        if table:
-            prev = table[-1]
-            for j in range(min(len(prev), 3)):
-                row.append(row[j] + (row[j] - prev[j]) / (4.0 ** (j + 1) - 1.0))
-            diffs.append(abs(raw - prev[0]))
-        table.append(row)
-        if len(table) >= 3:
-            best = row[-1]
-            prev_best = table[-2][min(len(row) - 1, len(table[-2]) - 1)]
-            # Extrapolation is trusted once the raw sums either converged on
-            # their own or contract like a clean h^2 family (|.|-type kinks
-            # on grid nodes do exactly that).
-            small = diffs[-1] <= 100.0 * tol * (1.0 + abs(raw))
-            clean = (
-                diffs[-1] > 0
-                and 2.5 <= diffs[-2] / diffs[-1] <= 20.0
-            ) or diffs[-1] == 0
-            if abs(best - prev_best) <= tol * (1.0 + abs(best)) and (small or clean):
-                return max(best, 0.0) ** (1.0 / exponent)
-        n_points *= 2
-    raise QuadratureError(f"p_norm grid cap {max_points} reached (p={exponent})")
+        # Two dot products of n + 1 squares and their sum round by at most
+        # (n + 2) u relative, the root halves that and adds u (u = eps / 2).
+        rel = (n + 5) * _EPS / 4.0
+        _check_attainable(tol, rel)
+        norm = float(np.linalg.norm(c))
+        return Interval(norm * (1.0 - rel), norm * (1.0 + rel))
+    n_points = _initial_grid(n, floor=256)
+    _check_attainable(tol, _sum_rounding(n, n_points, exponent))
+    abs_sum = float(np.sum(np.abs(c)))
+    total, peak = _power_sum(p, n_points, 0.0, exponent)
+    while True:
+        mean = total / n_points
+        eval_err = _eval_err(abs_sum, n, n_points)
+        sup = (peak + eval_err) / math.sqrt(1.0 - 0.5 * (math.pi * n / n_points) ** 2)
+        err = _trapezoid_error(exponent, n, n_points, sup, eval_err, mean)
+        if err <= tol * mean or 2 * n_points > max_points:
+            break
+        more, top = _power_sum(p, n_points, 0.5, exponent)
+        total, peak, n_points = total + more, max(peak, top), 2 * n_points
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.float64(mean - err) ** (1.0 / exponent) if mean > err else 0.0
+        hi = np.float64(mean + err) ** (1.0 / exponent) if mean + err < math.inf else math.inf
+    return Interval(float(lo), float(hi))
+
+
+def _check_attainable(tol: float, floor: float) -> None:
+    if not tol >= floor:
+        raise QuadratureError(
+            f"p_norm tol {tol:.3e} is below the {floor:.3e} rounding floor of the sum; no grid can meet it"
+        )
 
 
 def sup_norm_enclosure(
@@ -248,8 +328,8 @@ def sup_norm_enclosure(
     the new ``h``.  New midpoints come from the blocked kernel
     (:func:`evaluate`), or from a half-shifted FFT of the whole grid
     (:func:`_abs_at`, in batches of rows) when that is cheaper (many
-    near-equal peaks).  ``eval_err`` exceeds that kernel's a-priori error
-    on the circle (see :func:`polyzero.poly._evaluate`).
+    near-equal peaks).  ``eval_err`` is :func:`_eval_err` at the current
+    grid, which covers both routes.
     ``max_points`` caps the number of points evaluated, the first grid
     included.
     """
@@ -258,10 +338,8 @@ def sup_norm_enclosure(
         return Interval(v, v)
     c = p.coefficient_array()
     lip = _TWO_PI * float(np.sum(np.arange(len(c)) * np.abs(c)))
+    abs_sum = float(np.sum(np.abs(c)))
     n = p.degree
-    # Evaluation rounding allowance so the true sup cannot slip below ``lo``
-    # on constant-modulus edge cases.
-    eval_err = 4e-16 * (n + 2) * float(np.sum(np.abs(c)))
     n_cells = _initial_grid(n, floor=512)
     f_left = np.abs(circle_samples(p, n_cells))
     evaluated = n_cells
@@ -270,6 +348,9 @@ def sup_norm_enclosure(
     f_right = np.roll(f_left, -1)
     best: Interval | None = None
     while True:
+        # Evaluation rounding allowance so the true sup cannot slip below
+        # ``lo`` on constant-modulus edge cases.
+        eval_err = _eval_err(abs_sum, n, n_cells)
         lo = max(math.sqrt(ms) - eval_err, 0.0)
         h = 1.0 / n_cells
         kappa = 0.5 * (math.pi * n * h) ** 2
@@ -785,11 +866,13 @@ def mahler_plus(
 class ProfileTolerances:
     """Tolerances of :func:`compute_profile`.
 
+    ``quad_tol`` is the relative half-width to which ``p_norm`` encloses
+    ``integral |P|^p``.
     ``max_points`` caps the FFT grid of ``p_norm`` and the number of points
     ``sup_norm_enclosure`` evaluates (first grid plus refinement points).
     """
 
-    quad_tol: float = 1e-9
+    quad_tol: float = 1e-2
     sup_tol: float = 1e-6
     e_tol: float = 1e-8
     mplus_tol: float = 1e-8
@@ -812,7 +895,7 @@ class NormProfile:
     c0_abs: float
     cn_abs: float
     c0cn_abs: float
-    p_norms: dict[float, float]
+    p_norms: dict[float, Interval]
     sup_norm: Interval
     mahler: float
     log_mahler: float
@@ -828,16 +911,23 @@ class NormProfile:
         """``m(P / sqrt|c_0 c_n|) = m(P) - log sqrt|c_0 c_n|``."""
         return self.log_mahler - 0.5 * math.log(self.c0cn_abs)
 
+    def pnorm_at_least_one(self, exponent: float) -> bool:
+        """``||P||_p >= 1`` on the whole enclosure, whose ends already carry
+        the rounding allowance."""
+        norm = self.p_norms.get(exponent)
+        return norm is not None and norm.lo >= 1.0
+
     # Hypothesis screening leaves rounding-level slack so that polynomials
     # satisfying a condition by construction (unit-modulus coefficients
     # stored as floats) are not knocked out by the last bit.
 
-    def pnorm_at_least_one(self, exponent: float) -> bool:
-        return self.p_norms.get(exponent, 0.0) >= 1.0 - 1e-9
-
     @property
     def c0cn_at_least_one(self) -> bool:
         return self.c0cn_abs >= 1.0 - 1e-12
+
+
+def _end(interval: Interval, direction: str) -> float:
+    return {"point": interval.mid, "certify_upper": interval.hi, "certify_lower": interval.lo}[direction]
 
 
 def b_norm(
@@ -853,21 +943,17 @@ def b_norm(
     at ``1/(e p)`` where ``|E| = 1`` (the log term then carries no mass).
     ``direction`` selects which enclosure endpoints enter: ``certify_upper``
     maximizes the value, ``certify_lower`` minimizes it, ``point`` uses
-    midpoints.
+    midpoints.  ``B_p`` grows with the p-norm, so the p-norm end follows the
+    direction, and the ``|E|`` end follows the sign of the log term.
     """
     if direction not in ("point", "certify_upper", "certify_lower"):
         raise ValueError(f"bad direction {direction!r}")
     half_log = 0.5 * math.log(profile.c0cn_abs) if profile.c0cn_abs > 0 else -math.inf
     if math.isinf(exponent):
-        sup = {
-            "point": profile.sup_norm.mid,
-            "certify_upper": profile.sup_norm.hi,
-            "certify_lower": profile.sup_norm.lo,
-        }[direction]
-        return math.log(max(sup, 1e-300)) - half_log
+        return math.log(max(_end(profile.sup_norm, direction), 1e-300)) - half_log
     if exponent not in profile.p_norms:
         raise KeyError(f"profile lacks p-norm for p={exponent}")
-    log_term = math.log(max(profile.p_norms[exponent], 1e-300)) - half_log
+    log_term = math.log(max(_end(profile.p_norms[exponent], direction), 1e-300)) - half_log
     e_int = profile.e_measure
     if direction == "point":
         e_val = e_int.mid

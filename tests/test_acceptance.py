@@ -10,6 +10,7 @@ the quoted figures are kept as expected failures so any change surfaces.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -183,7 +184,9 @@ def test_criterion_4_rudin_shapiro():
         if abs(coeff_norm - want) > 1e-12 * want:
             failures.append(f"coefficient norm k={k}")
         quad = p_norm(pk, 2.0, tol=1e-10)
-        if abs(quad - want) > 1e-8 * want:
+        with mpmath.workdps(30):
+            exact_in = mpmath.mpf(2) ** (mpmath.mpf(k) / 2) in quad
+        if not exact_in or quad.width > 1e-8 * want:
             failures.append(f"quadrature norm k={k}: {quad}")
     print("  Rudin-Shapiro |E| enclosures (report-only, reference 2^-(k+1)):")
     for k in range(8, 13):
@@ -268,7 +271,9 @@ def test_criterion_7_disk_lower_bounds():
         sup = sup_norm_enclosure(p, tol=5e-3, max_points=2**22)
         b_inf = Interval(math.log(sup.lo), math.log(sup.hi))
         two_norm = p_norm(p, 2.0, tol=1e-10, max_points=2**23)
-        assert abs(two_norm - math.sqrt(2.0)) < 1e-9
+        with mpmath.workdps(30):
+            assert mpmath.sqrt(2) in two_norm
+        assert two_norm.width < 1e-9
         b2 = _analytic_b2_unit_roots()
         for theta in (0.5, 1.0):
             cons = disk_lower_bound(n, b_inf.lo, theta, "sup_7", c0_nonzero=True)

@@ -88,11 +88,27 @@ class TestAnalyze:
         assert all(e["verdict"] == "INAPPLICABLE" and e["notes"] for e in entries)
 
     def test_convergence_failure_exit_1(self):
-        # p_norm(p=1) reaches its grid cap on this input.
-        proc = run_cli("analyze", "--family", "littlewood", "--degree", "1024", "--seed", "1")
+        # A sup-norm tolerance of 0 cannot be met: the enclosure reaches its evaluation cap.
+        proc = run_cli("analyze", "--family", "littlewood", "--degree", "64", "--sup-tol", "0")
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: p_norm grid cap")
+        assert proc.stderr.startswith("error: sup_norm evaluation cap")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "family, degree", [("littlewood", 1024), ("g_class", 1024), ("g_class", 2048), ("unimodular", 2048)]
+    )
+    def test_former_grid_cap_inputs_complete(self, family, degree, tmp_path):
+        # p_norm(p=1) used to stop at its grid cap here, and analyze exited 1 with no report.
+        out = tmp_path / "report.json"
+        proc = run_cli("analyze", "--family", family, "--degree", str(degree), "--seed", "1", "--out", str(out))
+        assert proc.returncode in (0, 2), proc.stderr
+        report = json.loads(out.read_text())
+        assert report["root_failure"] == ""
+        # Every stage ran: the report has at least the entries of a small polynomial.
+        reference = certify(Polynomial((1.0,) * 17), SweepConfig())
+        assert {e.bound_id for e in reference.entries} <= {e["bound_id"] for e in report["entries"]}
+        for lo, hi in report["profile"]["p_norms"].values():
+            assert 0 < lo <= hi <= 1.03 * lo
 
     def test_usage_error_exit_64(self):
         assert run_cli("analyze", "--no-such-flag").returncode == 64
@@ -106,6 +122,14 @@ class TestAnalyze:
             (("analyze", "--family", "littlewood", "--rho", "1.5"), "rho"),
             (("sweep", "--trials", "0"), "trials"),
             (("analyze", "--family", "rudin_shapiro_P", "--degree", "30"), "recursion depth"),
+            (("analyze", "--family", "littlewood", "--degree", "64", "--quad-tol", "0"), "quad_tol"),
+            (("analyze", "--family", "littlewood", "--quad-tol", "-0.1"), "quad_tol"),
+            (("analyze", "--family", "littlewood", "--quad-tol", "1"), "quad_tol"),
+            (("analyze", "--family", "littlewood", "--quad-tol", "nan"), "quad_tol"),
+            (("analyze", "--family", "littlewood", "--quad-tol", "inf"), "quad_tol"),
+            (("thresholds", "--coefficient", "1", "--bound", "0"), "positive and finite"),
+            (("thresholds", "--coefficient", "nan", "--bound", "1"), "positive and finite"),
+            (("thresholds", "--coefficient", "1", "--bound", "inf"), "positive and finite"),
         ],
     )
     def test_invalid_parameters_exit_64(self, args, message):
@@ -219,11 +243,23 @@ class TestSweepCommand:
         assert proc.stderr.startswith(f"error: cannot write {target}")
         assert "Traceback" not in proc.stderr
 
-    def test_convergence_failure_exit_1(self):
-        proc = run_cli("sweep", "--family", "littlewood", "--degrees", "1024", "--trials", "1", "--centers", "16")
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: p_norm grid cap")
-        assert "Traceback" not in proc.stderr
+    @pytest.mark.parametrize(
+        "family, degree, trials",
+        # The last trial of each seed-0 grid is an instance (littlewood trial
+        # 39, g_class trial 20, n = 256) on which p_norm(p=1) used to stop at
+        # its grid cap and the sweep exited 1; so did littlewood at n = 1024.
+        [("littlewood", 256, 40), ("g_class", 256, 21), ("littlewood", 1024, 1)],
+    )
+    def test_former_grid_cap_instances_complete(self, family, degree, trials, tmp_path):
+        js, csv_path = tmp_path / "s.json", tmp_path / "s.csv"
+        proc = run_cli(
+            "sweep", "--family", family, "--degrees", str(degree), "--trials", str(trials), "--seed", "0",
+            "--centers", "16", "--out-json", str(js), "--out-csv", str(csv_path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"instances": trials, "hard_violation_count": 0}
+        assert len(json.loads(js.read_text())["reports"]) == trials
+        assert csv_path.read_text().count(f"\n{family},{degree},") > 0
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         """Evaluation runs through a BLAS matrix product; its thread count must not change a byte."""

@@ -48,27 +48,37 @@ def riemann_mean(p, func, points=1_000_000):
 
 class TestPNorm:
     def test_parseval_one_plus_z(self):
-        assert abs(p_norm(ONE_PLUS_Z, 2.0) - math.sqrt(2)) < 1e-12
+        iv = p_norm(ONE_PLUS_Z, 2.0)
+        with mpmath.workdps(30):  # the exact root, not its rounded double
+            assert mpmath.sqrt(2) in iv
+        assert iv.width < 1e-12
 
     def test_rudin_shapiro_two_norm(self):
         for k in (2, 5, 8):
             pk, _ = rudin_shapiro_pair(k)
-            assert abs(p_norm(pk, 2.0) - 2 ** (k / 2)) < 1e-10 * 2 ** (k / 2)
+            iv = p_norm(pk, 2.0)
+            with mpmath.workdps(30):
+                assert mpmath.mpf(2) ** (mpmath.mpf(k) / 2) in iv
+            assert iv.width < 1e-10 * 2 ** (k / 2)
 
     def test_four_norm_closed_form(self):
         # mean of (2 + 2 cos(2 pi t))^2 is 6, so ||1+z||_4 = 6^(1/4);
         # cross-checked against a million-point Riemann sum.
-        val = p_norm(ONE_PLUS_Z, 4.0, tol=1e-11)
-        assert abs(val - 6**0.25) < 1e-10
+        iv = p_norm(ONE_PLUS_Z, 4.0, tol=1e-11)
+        with mpmath.workdps(30):
+            assert mpmath.root(6, 4) in iv
+        assert iv.width < 1e-10
         oracle = riemann_mean(ONE_PLUS_Z, lambda m: m**4) ** 0.25
-        assert abs(val - oracle) < 1e-5
+        assert abs(iv.mid - oracle) < 1e-5
 
     def test_parseval_identity_families(self):
         for kind, n in (("littlewood", 64), ("unimodular", 256), ("g_class", 128)):
             p = make_family(FamilySpec(kind, n, seed=2))
-            lhs = p_norm(p, 2.0) ** 2
-            rhs = float(np.sum(np.abs(p.coefficient_array()) ** 2))
-            assert abs(lhs - rhs) <= 1e-9 * rhs
+            iv = p_norm(p, 2.0)
+            with mpmath.workdps(40):  # squares of doubles, exact at 40 digits
+                exact = mpmath.fsum(mpmath.mpf(c.real) ** 2 + mpmath.mpf(c.imag) ** 2 for c in map(complex, p.coeffs))
+                assert mpmath.mpf(iv.lo) ** 2 <= exact <= mpmath.mpf(iv.hi) ** 2
+            assert iv.hi**2 - iv.lo**2 <= 1e-9 * float(exact)
 
     @pytest.mark.parametrize("kind", ["littlewood", "unimodular", "g_class", "z^n-1"])
     @pytest.mark.parametrize("n", [16, 256, 512])
@@ -76,21 +86,143 @@ class TestPNorm:
         p = power_minus_one(n) if kind == "z^n-1" else make_family(FamilySpec(kind, n, seed=1))
         # The trapezoid sum of |P|^2 is exact on any grid of more than n points.
         n_points = norms._initial_grid(n, floor=256)
-        ladder = math.sqrt(norms._power_sum(p, n_points, 0.0, 2.0) / n_points)
-        assert abs(p_norm(p, 2.0) - ladder) <= 1e-13 * ladder
+        ladder = math.sqrt(norms._power_sum(p, n_points, 0.0, 2.0)[0] / n_points)
+        iv = p_norm(p, 2.0)
+        assert iv.lo - 1e-13 * ladder <= ladder <= iv.hi + 1e-13 * ladder
+        assert iv.width <= 1e-13 * ladder
 
     def test_norm_monotonicity(self):
+        # The p-norms of this polynomial differ by far more than the
+        # enclosures' widths, so the enclosures come out strictly ordered.
         p = make_family(FamilySpec("littlewood", 24, seed=5))
         exps = (0.5, 1.0, 2.0, 4.0)
         vals = [p_norm(p, e, tol=1e-10) for e in exps]
         for lo, hi in zip(vals, vals[1:]):
-            assert lo <= hi + 1e-9
+            assert lo.hi < hi.lo
 
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
             p_norm(ONE_PLUS_Z, 0.0)
         with pytest.raises(ValueError):
             p_norm(ONE_PLUS_Z, math.inf)
+
+
+def _times_one_plus_z(p: Polynomial) -> Polynomial:
+    c = (0,) + p.coeffs
+    return Polynomial(tuple(a + b for a, b in zip(p.coeffs + (0,), c)))
+
+
+# Inputs of the p-norm oracle: the random families, a zero on the circle
+# (at -1) and n equally spaced ones.
+ORACLE_INPUTS = {
+    **{f"{kind}-8": make_family(FamilySpec(kind, 8, seed=1)) for kind in ("littlewood", "unimodular", "g_class")},
+    "(1+z)littlewood-16": _times_one_plus_z(make_family(FamilySpec("littlewood", 16, seed=1))),
+    "z^8-1": power_minus_one(8),
+}
+
+
+def _p_norm_oracle(p: Polynomial, exponent: float) -> tuple:
+    """Ends of ``||P||_p`` by ``mpmath.quad`` at 30 digits, widened by its
+    error estimate, over ``2n`` panels split further at the zeros on the
+    circle, where ``|P|**exponent`` has kinks."""
+    zeros = np.roots(p.coeffs[::-1])
+    kinks = np.angle(zeros[np.abs(np.abs(zeros) - 1.0) < 1e-6]) / (2 * np.pi) % 1.0
+    with mpmath.workdps(30):
+        c = [mpmath.mpc(x) for x in reversed(p.coeffs)]
+        f = lambda t: abs(mpmath.polyval(c, mpmath.expjpi(2 * t))) ** exponent
+        edges = sorted(set(np.linspace(0.0, 1.0, 2 * p.degree + 1)) | set(kinks))
+        mean, err = mpmath.quad(f, edges, error=True)
+        return tuple(x ** (1 / mpmath.mpf(exponent)) for x in (mean - err, mean + err))
+
+
+class TestPNormEnclosure:
+    """``p_norm`` is an enclosure: it holds an independent oracle at any width."""
+
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, 3.0, 4.0])
+    @pytest.mark.parametrize("name", list(ORACLE_INPUTS))
+    def test_holds_the_mpmath_oracle(self, name, exponent):
+        p = ORACLE_INPUTS[name]
+        lo, hi = _p_norm_oracle(p, exponent)
+        for tol in (1e-2, 1e-6):
+            iv = p_norm(p, exponent, tol=tol)
+            assert iv.lo <= lo and hi <= iv.hi
+            # The integral of |P|^p is enclosed to relative half-width tol,
+            # unless the grid reached max_points first: with 0 < p < 1 the
+            # Hoelder remainder falls only as N^-p, and at 1e-6 only the even
+            # exponent, exact on any grid of more than pn/2 points, gets there.
+            if exponent == 4.0 or (tol == 1e-2 and exponent != 0.5):
+                assert iv.hi**exponent - iv.lo**exponent <= tol * (iv.hi**exponent + iv.lo**exponent)
+
+    def test_grid_cap_returns_the_wider_enclosure(self):
+        p = make_family(FamilySpec("littlewood", 24, seed=1))
+        tight = p_norm(p, 1.0)
+        capped = p_norm(p, 1.0, tol=1e-8, max_points=1024)
+        assert capped.lo < tight.lo and tight.hi < capped.hi
+
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, 2.0, 4.0])
+    def test_tol_below_the_rounding_floor_raises(self, exponent):
+        # No grid meets a width below the rounding of the sum itself.
+        p = make_family(FamilySpec("littlewood", 24, seed=1))
+        with pytest.raises(norms.QuadratureError, match="rounding floor"):
+            p_norm(p, exponent, tol=1e-300, max_points=1024)
+        assert p_norm(p, exponent, tol=1e-11, max_points=1024).lo > 0
+
+    # The inputs that perfbench/run.py --workload certify --seed 1 --trace 1
+    # screened out when p_norm stopped at its grid cap by raising.
+    @pytest.mark.parametrize(
+        "family, n, seed",
+        [
+            ("unimodular", 512, 6458563966016472101),
+            ("g_class", 512, 5419960199252836875),
+            ("unimodular", 256, 5042286102247878611),
+            ("unimodular", 512, 288972297443631358),
+            ("g_class", 512, 8756996140288490638),
+            ("littlewood", 512, 4098100859735482951),
+            ("littlewood", 512, 2965078568720608159),
+            ("unimodular", 512, 7529555325022376280),
+            ("littlewood", 512, 7435136800771136714),
+            ("littlewood", 256, 6868625655263699318),
+            ("unimodular", 512, 2209730374710691631),
+            ("g_class", 512, 604615462439619009),
+            ("littlewood", 512, 5169092218741387130),
+            ("unimodular", 512, 226941365434660745),
+            ("unimodular", 512, 4413744024731470602),
+            ("littlewood", 512, 8789383732530759591),
+            ("littlewood", 512, 8506128159777040893),
+            ("g_class", 512, 3658395830721554074),
+            ("littlewood", 512, 7656361441515884799),
+        ],
+    )
+    def test_benchmark_screened_inputs_return(self, family, n, seed):
+        cfg = SweepConfig()
+        tols = cfg.tolerances.profile_tolerances()
+        p = make_family(FamilySpec(family, n, seed=seed))
+        for exponent in cfg.p_list:
+            iv = p_norm(p, float(exponent), tol=tols.quad_tol, max_points=tols.max_points)
+            assert 1.0 <= iv.lo <= iv.hi < math.inf
+
+
+def test_eval_err_covers_the_row_sampler():
+    # A degree-8 polynomial on 2^20 points is sampled as 2^16 rows of 16, so
+    # its twiddles take the most phase products; check the rows with the
+    # most bits set against 30-digit values.
+    p = make_family(FamilySpec("littlewood", 8, seed=1))
+    n_points = 2**20
+    allowance = norms._eval_err(float(np.sum(np.abs(p.coefficient_array()))), p.degree, n_points)
+    stride = norms._stride(p.degree, n_points)
+    c = [mpmath.mpc(x) for x in reversed(p.coeffs)]
+    worst, checked = 0.0, 0
+    with mpmath.workdps(30):
+        for _, r0, block in norms._sample_rows(p, n_points, (0.0,)):
+            for i, row in enumerate(block):
+                if bin(r0 + i).count("1") < 15:
+                    continue
+                for j, value in enumerate(row):
+                    exact = mpmath.polyval(c, mpmath.expjpi(mpmath.mpf(2 * (j * stride + r0 + i)) / n_points))
+                    worst = max(worst, float(abs(mpmath.mpc(value) - exact)))
+                    checked += 1
+    assert checked == 17 * 16
+    assert worst <= allowance
 
 
 class TestSupNorm:
@@ -262,9 +394,10 @@ class TestBNorm:
             p = make_family(FamilySpec(kind, n, seed=seed))
             prof = compute_profile(p, roots=find_roots(p), p_list=(0.5, 1.0, 2.0, 4.0))
             for exponent in (0.5, 1.0, 2.0, 4.0):
-                if prof.p_norms[exponent] < 1.0:
+                if not prof.pnorm_at_least_one(exponent):
                     continue
-                rhs = (1.0 - prof.e_measure.lo) * math.log(prof.p_norms[exponent])
+                # The smallest p-norm the enclosure allows.
+                rhs = (1.0 - prof.e_measure.lo) * math.log(prof.p_norms[exponent].lo)
                 rhs += 1.0 / (math.e * exponent)
                 assert prof.log_mahler_plus <= rhs + 1e-8
 
@@ -624,7 +757,9 @@ class TestBlockedSampling:
         mags = np.abs(norms.circle_samples(self.P, n_points, shift=shift))
         for exponent in (1.0, 2.0, 0.5):
             ref = float(np.sum(mags**exponent))
-            assert abs(norms._power_sum(self.P, n_points, shift, exponent) - ref) <= 1e-12 * ref
+            total, peak = norms._power_sum(self.P, n_points, shift, exponent)
+            assert abs(total - ref) <= 1e-12 * ref
+            assert abs(peak - mags.max()) <= 1e-12 * mags.max()
 
     @pytest.mark.parametrize("n_points", [2**16, 8 * 100 * 2**6])
     @pytest.mark.parametrize("shift", [0.5, 0.3])
@@ -657,7 +792,9 @@ class TestBlockedSampling:
         assert (seen == 1).all()
         assert err <= 1e-13 * float(np.abs(ref).max())
         mags = np.abs(ref)
-        assert abs(norms._power_sum(p, n_points, shift, 1.0) - mags.sum()) <= 1e-13 * mags.sum()
+        total, peak = norms._power_sum(p, n_points, shift, 1.0)
+        assert abs(total - mags.sum()) <= 1e-13 * mags.sum()
+        assert abs(peak - mags.max()) <= 1e-13 * mags.max()
         # With slope, each batch also holds z P'(z) in the same rows.
         slope_ref = norms.circle_samples(Polynomial(tuple(np.arange(n + 1) * p.coefficient_array())), n_points, shift=shift)
         for _, r0, (vals, ders) in norms._sample_rows(p, n_points, (shift,), slope=True):
@@ -726,7 +863,8 @@ class TestBlockedSampling:
         monkeypatch.setattr(norms, "_power_sum", recorded)
         tracemalloc.start()
         try:
-            p_norm(p, 1.0)
+            # Tighter than the default width, so the grid doubles to its cap.
+            p_norm(p, 1.0, tol=1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
