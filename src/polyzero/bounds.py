@@ -188,8 +188,12 @@ _RADIUS_COEFFICIENTS = {"sup_7": 7.0, "p_9": 9.0}
 
 
 def _radius(n: int, B: float, theta: float, variant: str) -> float:
-    """Disk and gear radius ``c (2 B)^theta / sqrt(n)``; ``c`` = 7 (sup_7), 9 (p_9)."""
-    return _RADIUS_COEFFICIENTS[variant] * (2.0 * B) ** theta / math.sqrt(n)
+    """Disk and gear radius ``c (2 B)^theta / sqrt(n)``; ``c`` = 7 (sup_7), 9 (p_9).
+
+    A ``B`` below 0 (an enclosure end past the true, nonnegative value) is
+    taken as 0, where a fractional power would be complex.
+    """
+    return _RADIUS_COEFFICIENTS[variant] * (2.0 * max(B, 0.0)) ** theta / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -207,7 +211,6 @@ def disk_lower_bound(
     B: float,
     theta: float,
     variant: str,
-    custom_gamma: float | None = None,
     c0_nonzero: bool = True,
     c0cn_ge_1: bool = False,
     pnorm_ge_1: bool = False,
@@ -220,28 +223,30 @@ def disk_lower_bound(
     and ``B_p``; ``Gn_9`` uses ``9 (log n)^theta / sqrt(n)`` for polynomials
     with unimodular end coefficients; ``custom_radius`` fixes the radius
     ``33 pi log(n) / sqrt(n)`` and guarantees ``31 sqrt(n) log n`` zeros.
+    A ``B`` not certified positive leaves ``sup_7`` and ``p_9`` inapplicable,
+    with their formulas taken at ``B = 0``.
     """
     if not 0.5 <= theta <= 1.0:
         raise ValueError("theta must be in [1/2, 1]")
     if n < 1:
         raise ValueError("degree must be >= 1")
     notes = []
-    if variant == "sup_7":
+    if variant in _RADIUS_COEFFICIENTS:
         gamma = _radius(n, B, theta, variant)
-        min_zeros = math.sqrt(n) * (2.0 * B) ** theta
-        ok = c0_nonzero and B > 0
-        if not c0_nonzero:
-            notes.append("P(0) = 0")
+        min_zeros = math.sqrt(n) * (2.0 * max(B, 0.0)) ** theta
+        if variant == "sup_7":
+            ok = c0_nonzero
+            if not c0_nonzero:
+                notes.append("P(0) = 0")
+        else:
+            ok = c0cn_ge_1 and pnorm_ge_1
+            if not c0cn_ge_1:
+                notes.append("|c0 cn| < 1")
+            if not pnorm_ge_1:
+                notes.append("||P||_p < 1")
+        ok = ok and B > 0
         if B <= 0:
-            notes.append("B_inf not certified positive")
-    elif variant == "p_9":
-        gamma = _radius(n, B, theta, variant)
-        min_zeros = math.sqrt(n) * (2.0 * B) ** theta
-        ok = c0cn_ge_1 and pnorm_ge_1 and B > 0
-        if not c0cn_ge_1:
-            notes.append("|c0 cn| < 1")
-        if not pnorm_ge_1:
-            notes.append("||P||_p < 1")
+            notes.append(f"B_{'inf' if variant == 'sup_7' else 'p'} not certified positive")
     elif variant == "Gn_9":
         gamma = 9.0 * math.log(n) ** theta / math.sqrt(n)
         min_zeros = math.sqrt(n) * math.log(n) ** theta
@@ -251,7 +256,7 @@ def disk_lower_bound(
         if not gn_member:
             notes.append("not in the unimodular-ends class")
     elif variant == "custom_radius":
-        gamma = custom_gamma if custom_gamma is not None else 33.0 * math.pi * math.log(n) / math.sqrt(n)
+        gamma = 33.0 * math.pi * math.log(n) / math.sqrt(n)
         min_zeros = 31.0 * math.sqrt(n) * math.log(n)
         ok = gn_member
         if not gn_member:

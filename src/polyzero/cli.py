@@ -281,11 +281,10 @@ _DEFAULT_THRESHOLD_ROWS = (
 
 
 def _run_thresholds(args) -> int:
-    rows = (
-        [(args.coefficient, args.bound)]
-        if args.coefficient is not None and args.bound is not None
-        else list(_DEFAULT_THRESHOLD_ROWS)
-    )
+    given = (args.coefficient, args.bound)
+    if given.count(None) == 1:
+        return _usage_error(ValueError("--coefficient and --bound must be given together"))
+    rows = [given] if None not in given else _DEFAULT_THRESHOLD_ROWS
     try:
         lines = [f"{coeff!r} {bound!r} {min_degree_for_radius(coeff, bound)}" for coeff, bound in rows]
     except ValueError as exc:

@@ -274,8 +274,8 @@ def _path_from_points(points: list[complex], close: bool = True) -> str:
     return " ".join(parts)
 
 
-def _circle_path(center: complex, radius: float, samples: int = 256) -> str:
-    pts = [center + radius * cmath.exp(2j * math.pi * k / samples) for k in range(samples)]
+def _circle_path(center: complex, radius: float) -> str:
+    pts = [center + radius * cmath.exp(2j * math.pi * k / 256) for k in range(256)]
     return _path_from_points(pts)
 
 
@@ -316,8 +316,9 @@ def region_svg_paths(region) -> list[str]:
     raise TypeError(f"unknown region {type(region).__name__}")
 
 
-def _gear_outline(gear: GearWheel, arc_samples: int = 24) -> str:
-    """Boundary of the gear: unit-circle teeth joined by inward bite arcs."""
+def _gear_outline(gear: GearWheel) -> str:
+    """Boundary of the gear: unit-circle teeth joined by inward bite arcs,
+    24 segments per bite and 12 per tooth."""
     half = gear.tooth_arc / 2.0
     pts: list[complex] = []
     for k, psi in enumerate(gear.center_angles):
@@ -337,12 +338,11 @@ def _gear_outline(gear: GearWheel, arc_samples: int = 24) -> str:
         mid = center + gear.gamma * cmath.exp(1j * (0.5 * (a0 + a1)))
         if abs(mid) > 1.0:
             a0, a1 = a1, a0 + _TWO_PI
-        for s in range(arc_samples + 1):
-            pts.append(center + gear.gamma * cmath.exp(1j * (a0 + (a1 - a0) * s / arc_samples)))
+        for s in range(25):
+            pts.append(center + gear.gamma * cmath.exp(1j * (a0 + (a1 - a0) * s / 24)))
         # Tooth: unit-circle arc to the next bite.
         tooth_start = enter
         tooth_end = next_psi - half
-        steps = max(2, arc_samples // 2)
-        for s in range(1, steps + 1):
-            pts.append(cmath.exp(1j * (tooth_start + (tooth_end - tooth_start) * s / steps)))
+        for s in range(1, 13):
+            pts.append(cmath.exp(1j * (tooth_start + (tooth_end - tooth_start) * s / 12)))
     return _path_from_points(pts)

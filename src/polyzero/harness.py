@@ -5,10 +5,20 @@ For each instance: compute roots, the norm profile, the observed statistics
 counts), every applicable bound, and a verdict per bound with margins on
 both enclosure sides.
 
-Verdict logic: PASS when the conservative-side comparison holds,
-INDETERMINATE when only the favorable side holds, VIOLATION only when even
-the favorable side fails.  A numerical enclosure therefore cannot
-manufacture a counterexample to a true statement.
+One rule (:func:`_entry`) decides every verdict, in this order:
+
+1. INAPPLICABLE when the bound's hypotheses fail;
+2. PASS when the conservative-side comparison holds, except INDETERMINATE
+   for an entry that reads ``|E|`` when the level set ``|P| = 1`` has a
+   material tangent part (``e_tangency``);
+3. INDETERMINATE when only the favorable side holds, and for every failing
+   report-only entry (margin-only: never a hard verdict);
+4. VIOLATION when even the favorable side fails.
+
+A numerical enclosure therefore cannot manufacture a counterexample to a
+true statement.  A gear wheel is built on the radius of the disk bound at
+the same ``B`` end, and applies only where that disk bound does and its
+radius is at most 1/2.
 """
 from __future__ import annotations
 
@@ -41,7 +51,11 @@ VIOLATION = "VIOLATION"
 INDETERMINATE = "INDETERMINATE"
 INAPPLICABLE = "INAPPLICABLE"
 
-_E_DEPENDENT_PREFIXES = ("PropThm0", "CorollaryKn", "Lem2", "Thm4", "Thm2_disk_p")
+# Bound ids of the entries that read ``|E|``, whose PASS a tangent level set
+# downgrades.
+_E_DEPENDENT_PREFIXES = (
+    "PropThm0", "CorollaryKn", "Lem2", "Thm4", "Thm2_disk_p", "GearUpper_exact[variant=p_9",
+)
 
 
 @dataclass
@@ -196,55 +210,34 @@ def _profile_summary(profile: NormProfile, p_list) -> dict:
     return out
 
 
-def _verdict(margin_conservative: float, margin_favorable: float, tangency: bool = False) -> str:
-    """The verdict of one comparison from its two enclosure-side margins.
-
-    VIOLATION needs even the favorable margin to fail.  ``tangency`` (a
-    material tangent level set ``|P| = 1``) downgrades a PASS to
-    INDETERMINATE.
-    """
-    if margin_conservative >= 0:
-        return INDETERMINATE if tangency else PASS
-    return INDETERMINATE if margin_favorable >= 0 else VIOLATION
-
-
-def _inapplicable(bound_id: str, kind: str, bound: float, bound_favorable: float, notes: str) -> VerdictEntry:
-    return VerdictEntry(
-        bound_id=bound_id,
-        kind=kind,
-        observed=None,
-        bound=bound,
-        bound_favorable=bound_favorable,
-        margin_conservative=math.nan,
-        margin_favorable=math.nan,
-        verdict=INAPPLICABLE,
-        notes=notes,
-    )
+def _entry(
+    bound_id: str,
+    kind: str,
+    observed: float | None,
+    bound: float,
+    bound_favorable: float,
+    margin_c: float,
+    margin_f: float,
+    e_tangency: bool = False,
+    notes: str = "",
+    applicable: bool = True,
+) -> VerdictEntry:
+    """The entry of one comparison, its verdict by the module's one rule."""
+    if not applicable:
+        verdict = INAPPLICABLE
+    elif margin_c >= 0:
+        verdict = INDETERMINATE if e_tangency and bound_id.startswith(_E_DEPENDENT_PREFIXES) else PASS
+    elif margin_f >= 0 or kind == "report":
+        verdict = INDETERMINATE
+    else:
+        verdict = VIOLATION
+    return VerdictEntry(bound_id, kind, observed, bound, bound_favorable, margin_c, margin_f, verdict, notes)
 
 
 def _upper_entry(entry: bounds_mod.BoundEntry, observed: float, e_tangency: bool) -> VerdictEntry:
-    margin_c = entry.value - observed
-    margin_f = entry.value_favorable - observed
-    verdict = _verdict(margin_c, margin_f, e_tangency and _uses_e(entry.bound_id))
-    if not entry.applicable:
-        verdict = INAPPLICABLE
-    elif entry.kind == "report" and verdict == VIOLATION:
-        verdict = INDETERMINATE  # margin-only entries are never hard verdicts
-    return VerdictEntry(
-        bound_id=entry.bound_id,
-        kind=entry.kind,
-        observed=observed,
-        bound=entry.value,
-        bound_favorable=entry.value_favorable,
-        margin_conservative=margin_c,
-        margin_favorable=margin_f,
-        verdict=verdict,
-        notes=entry.hypothesis_notes,
-    )
-
-
-def _uses_e(bound_id: str) -> bool:
-    return any(bound_id.startswith(pfx) for pfx in _E_DEPENDENT_PREFIXES)
+    margins = (entry.value - observed, entry.value_favorable - observed)
+    return _entry(entry.bound_id, entry.kind, observed, entry.value, entry.value_favorable, *margins,
+                  e_tangency, entry.hypothesis_notes, entry.applicable)
 
 
 def stratified_center_angles(count: int, seed: int, salt: int = 0) -> np.ndarray:
@@ -285,16 +278,15 @@ def certify(
     if roots is None or n < 1:
         # Norm-only report: every root-dependent entry is out of reach.
         entries = [
-            _inapplicable(e.bound_id, e.kind, e.value, e.value_favorable, root_failure or "degree < 1")
+            _entry(e.bound_id, e.kind, None, e.value, e.value_favorable, math.nan, math.nan,
+                   notes=root_failure or "degree < 1", applicable=False)
             for e in bounds_mod.discrepancy_bounds(profile, max(n, 1), cfg.p_list, kn_member).values()
         ]
     else:
-        entries = (
-            _angular_stage(roots, profile, cfg, kn_member, observed)
-            + _annular_stage(roots, profile, cfg, gn_member, observed)
-            + _disk_stage(p, roots, supplied_roots, profile, cfg, gn_member, center_salt, observed)
-            + _gear_stage(roots, profile, cfg, observed)
-        )
+        entries = _angular_stage(roots, profile, cfg, kn_member, observed)
+        entries += _annular_stage(roots, profile, cfg, gn_member, observed)
+        disk_entries, disks = _disk_stage(p, roots, supplied_roots, profile, cfg, gn_member, center_salt, observed)
+        entries += disk_entries + _gear_stage(roots, profile, cfg, disks, observed)
     return BoundReport(
         descriptor=descriptor,
         profile=_profile_summary(profile, cfg.p_list),
@@ -360,8 +352,12 @@ def _annular_stage(roots, profile, cfg, gn_member, observed) -> list[VerdictEntr
     return entries
 
 
-def _disk_stage(p, roots, supplied_roots, profile, cfg, gn_member, center_salt, observed) -> list[VerdictEntry]:
+def _disk_stage(p, roots, supplied_roots, profile, cfg, gn_member, center_salt, observed):
     """Disk lower bounds against the minimum open count over sampled centers.
+
+    Returns the entries and, for the gear stage, ``(B, conservative,
+    favorable)`` disk bounds per ``(theta, variant, p)`` of ``sup_7`` and
+    ``p_9`` (``p`` is None for ``sup_7``).
 
     When the caller supplied the roots, a VIOLATION is re-examined once on
     solver roots at a tenth of ``root_tol``.  Solver roots are not rerun: the
@@ -373,6 +369,7 @@ def _disk_stage(p, roots, supplied_roots, profile, cfg, gn_member, center_salt, 
     observed["disk_centers"] = len(center_angles)
     disk_obs = observed["disks"] = {}
     entries = []
+    disks = {}
     refined_roots: RootSet | None = None
     cases = [("Thm2_disk", "sup_7", None)]
     cases += [("Thm2_disk_p", "p_9", p_exp) for p_exp in cfg.p_list]
@@ -394,12 +391,13 @@ def _disk_stage(p, roots, supplied_roots, profile, cfg, gn_member, center_salt, 
                 # Conservative: smallest disk must hold the largest requirement.
                 cons = bounds_mod.disk_lower_bound(n, b.lo, theta, variant, **kwargs)
                 fav = bounds_mod.disk_lower_bound(n, b.hi, theta, variant, **kwargs)
+                disks[theta, variant, p_exp] = (b, cons, fav)
             if not (cons.applicable and fav.applicable):
                 notes = cons.hypothesis_notes or fav.hypothesis_notes
-                entries.append(_inapplicable(bound_id, "lower", fav.min_zeros, cons.min_zeros, notes))
+                entries.append(_entry(bound_id, "lower", None, fav.min_zeros, cons.min_zeros, math.nan, math.nan,
+                                      notes=notes, applicable=False))
                 continue
-            tangency = profile.e_tangency and variant == "p_9"
-            entry, obs = _disk_check(cfg, roots, center_angles, cons, fav, bound_id, tangency)
+            entry, obs = _disk_check(cfg, roots, center_angles, cons, fav, bound_id, profile.e_tangency)
             if entry.verdict == VIOLATION and supplied_roots and refined_roots is None:
                 try:
                     refined_roots = find_roots(
@@ -408,13 +406,15 @@ def _disk_stage(p, roots, supplied_roots, profile, cfg, gn_member, center_salt, 
                 except RootFindingError:
                     pass
                 if refined_roots is not None:
-                    entry, obs = _disk_check(cfg, refined_roots, center_angles, cons, fav, bound_id, tangency)
+                    entry, obs = _disk_check(
+                        cfg, refined_roots, center_angles, cons, fav, bound_id, profile.e_tangency
+                    )
             entries.append(entry)
             disk_obs[bound_id] = obs
-    return entries
+    return entries, disks
 
 
-def _disk_check(cfg, roots, center_angles, cons, fav, bound_id, tangency):
+def _disk_check(cfg, roots, center_angles, cons, fav, bound_id, e_tangency):
     open_c, closed_c = disk_counts(roots, center_angles, cons.gamma)
     open_f = open_c if fav.gamma == cons.gamma else disk_counts(roots, center_angles, fav.gamma)[0]
     # Lower-bound margins: observed open count minus the required count,
@@ -432,100 +432,55 @@ def _disk_check(cfg, roots, center_angles, cons, fav, bound_id, tangency):
     if cfg.record_disk_counts:
         obs["open_counts"] = [int(v) for v in open_c]
         obs["closed_counts"] = [int(v) for v in closed_c]
-    entry = VerdictEntry(
-        bound_id=bound_id,
-        kind="lower",
-        observed=float(open_c.min()),
-        bound=fav.min_zeros,
-        bound_favorable=cons.min_zeros,
-        margin_conservative=margin_c,
-        margin_favorable=margin_f,
-        verdict=_verdict(margin_c, margin_f, tangency),
-        notes=cons.hypothesis_notes,
-    )
+    entry = _entry(bound_id, "lower", float(open_c.min()), fav.min_zeros, cons.min_zeros, margin_c, margin_f,
+                   e_tangency, cons.hypothesis_notes)
     return entry, obs
 
 
-def _gear_stage(roots, profile, cfg, observed) -> list[VerdictEntry]:
-    """Gear-wheel upper bounds, exact and closed form, on both B endpoints."""
+def _gear_stage(roots, profile, cfg, disks, observed) -> list[VerdictEntry]:
+    """Gear-wheel upper bounds, exact and closed form, on the disk bounds at
+    both B ends (``disks`` from :func:`_disk_stage`)."""
     n = profile.degree
     gear_obs = observed["gear"] = {}
     entries = []
-    cases = [("sup_7", math.inf, "")] + [("p_9", p_exp, f",p={p_exp:g}") for p_exp in cfg.p_list]
+    cases = [("sup_7", None, "")] + [("p_9", p_exp, f",p={p_exp:g}") for p_exp in cfg.p_list]
     for theta in cfg.theta_list:
         for delta in cfg.gear_deltas:
-            for variant, exponent, p_tag in cases:
-                b = b_norm_interval(profile, exponent)
+            for variant, p_exp, p_tag in cases:
+                b, cons_disk, fav_disk = disks[theta, variant, p_exp]
                 tag = f"[variant={variant}{p_tag},theta={theta:g},delta={delta:g}]"
-                hyp_ok = variant == "sup_7" or (
-                    profile.c0cn_at_least_one and profile.pnorm_at_least_one(exponent)
-                )
-                sides = []
-                if hyp_ok and profile.c0_abs > 0:
-                    sides = [_gear_side(roots, n, b_val, theta, delta, variant) for b_val in (b.lo, b.hi)]
-                if not sides or any(s is None for s in sides):
-                    entries.append(
-                        _inapplicable(
-                            f"GearUpper_exact{tag}", "upper", math.nan, math.nan,
-                            "radius > 1/2 or hypotheses fail",
-                        )
-                    )
+                sides = [
+                    _gear_side(roots, n, b_val, theta, delta, variant, disk)
+                    for b_val, disk in ((b.lo, cons_disk), (b.hi, fav_disk))
+                ]
+                if None in sides:
+                    entries.append(_entry(f"GearUpper_exact{tag}", "upper", None, math.nan, math.nan, math.nan,
+                                          math.nan, notes="radius > 1/2 or hypotheses fail", applicable=False))
                     continue
-                order = int(np.argmin([s["margin"] for s in sides]))
-                cons_side, fav_side = sides[order], sides[1 - order]
-                margin_c, margin_f = cons_side["margin"], fav_side["margin"]
-                entries.append(
-                    VerdictEntry(
-                        bound_id=f"GearUpper_exact{tag}",
-                        kind="upper",
-                        observed=float(cons_side["count"]),
-                        bound=cons_side["exact_form"],
-                        bound_favorable=fav_side["exact_form"],
-                        margin_conservative=margin_c,
-                        margin_favorable=margin_f,
-                        verdict=_verdict(margin_c, margin_f, profile.e_tangency and variant == "p_9"),
-                    )
-                )
-                closed_margins = [s["closed_form"] - s["count"] for s in sides]
-                entries.append(
-                    VerdictEntry(
-                        bound_id=f"GearUpper_closed{tag}",
-                        kind="upper",
-                        observed=float(cons_side["count"]),
-                        bound=min(s["closed_form"] for s in sides),
-                        bound_favorable=max(s["closed_form"] for s in sides),
-                        margin_conservative=min(closed_margins),
-                        margin_favorable=max(closed_margins),
-                        verdict=_verdict(min(closed_margins), max(closed_margins)),
-                    )
-                )
-                gear_obs[f"GearUpper_exact{tag}"] = {
-                    "teeth": cons_side["teeth"],
-                    "gamma": cons_side["gamma"],
-                    "count": cons_side["count"],
-                }
+                # Conservative: the end with the smaller exact margin (the B.lo end on a tie).
+                sides.sort(key=lambda side: side[1].exact_form - side[2])
+                (gear, gb_c, count_c), (_, gb_f, count_f) = sides
+                entries.append(_entry(
+                    f"GearUpper_exact{tag}", "upper", float(count_c), gb_c.exact_form, gb_f.exact_form,
+                    gb_c.exact_form - count_c, gb_f.exact_form - count_f, profile.e_tangency,
+                ))
+                # The closed form does not depend on B; only the counts differ.
+                closed = gb_c.closed_form
+                entries.append(_entry(
+                    f"GearUpper_closed{tag}", "upper", float(count_c), closed, closed,
+                    closed - max(count_c, count_f), closed - min(count_c, count_f), profile.e_tangency,
+                ))
+                gear_obs[f"GearUpper_exact{tag}"] = {"teeth": gear.teeth, "gamma": gear.gamma, "count": count_c}
     return entries
 
 
-def _gear_side(roots, n, b_val, theta, delta, variant):
-    if b_val <= 0:
+def _gear_side(roots, n, b_val, theta, delta, variant, disk):
+    """``(gear, GearBound, count)`` on one end's disk bound, or None where it does not apply."""
+    if not (disk.applicable and disk.gamma <= 0.5):
         return None
-    gamma = bounds_mod._radius(n, b_val, theta, variant)
-    if gamma > 0.5:
-        return None
-    gear = geometry.build_gear(gamma, delta)
+    gear = geometry.build_gear(disk.gamma, delta)
     gb = bounds_mod.gear_zero_upper_bound(n, b_val, theta, delta, variant, gear)
-    if not gb.applicable:
-        return None
-    count = region_count(roots, gear).count
-    return {
-        "gamma": gamma,
-        "teeth": gear.teeth,
-        "count": count,
-        "exact_form": gb.exact_form,
-        "closed_form": gb.closed_form,
-        "margin": gb.exact_form - count,
-    }
+    return (gear, gb, region_count(roots, gear).count) if gb.applicable else None
 
 
 # ---------------------------------------------------------------------------

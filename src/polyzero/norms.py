@@ -481,12 +481,16 @@ def _level_pieces(p: Polynomial, n0: int, grid: np.ndarray, cuts: np.ndarray, un
     return np.column_stack([points[edges == 1], points[edges == -1]])
 
 
+# The level-set classifier stops after this many evaluations, and calls its
+# unresolved mass a tangency above this measure.
+_LEVEL_BUDGET = 2_000_000
+_TANGENCY_THRESHOLD = 1e-3
+
+
 def classify_unit_level(
     p: Polynomial,
     min_width: float = 1e-9,
-    budget: int = 2_000_000,
     sup_hint: float | None = None,
-    tangency_threshold: float = 1e-3,
 ) -> LevelSetInfo:
     """Split the circle into cells certified above / below ``|P| = 1``.
 
@@ -495,7 +499,8 @@ def classify_unit_level(
     bound: ``|g(a)| + |g(b)| >= L_cell (b - a)`` with
     ``L_cell = max(2 pi |P'(a)|, 2 pi |P'(b)|) + M2 (b - a)`` and ``M2``
     the Bernstein bound ``(2 pi n)^2 sup|P|`` on the second derivative.
-    Everything else is bisected down to ``min_width``.
+    Everything else is bisected down to ``min_width``, within a budget of
+    ``_LEVEL_BUDGET`` evaluations.
 
     The first grid of ``n0`` cells is cover-tested batch by batch as it comes
     from the row sampler (:func:`_grid_cells`), and only its unresolved cells
@@ -510,7 +515,7 @@ def classify_unit_level(
     ``|P(1)| = 1`` has one at angle 0) leave a small sqrt(min_width)-scale
     residue and are absorbed by the widening; the ``tangency`` flag fires
     only when the unresolved mass is material (above
-    ``tangency_threshold``), signalling level-set degeneracy that the
+    ``_TANGENCY_THRESHOLD``), signalling level-set degeneracy that the
     downstream certification should treat as indeterminate.
     """
     n = p.degree
@@ -551,7 +556,7 @@ def classify_unit_level(
             unsure = cells[5, ~flips]
             break
         unresolved = cells.shape[1] * w
-        if evals > budget or (evals > 100_000 and unresolved > 0.5):
+        if evals > _LEVEL_BUDGET or (evals > 100_000 and unresolved > 0.5):
             # Exhausted, or clearly degenerate (|P| pinned to the level on
             # large mass, e.g. a monomial): stop refining.
             tangent.append(unresolved)
@@ -575,7 +580,7 @@ def classify_unit_level(
 
     tangent_measure = math.fsum(tangent)
     tangency = budget_hit or tangent_measure > max(
-        tangency_threshold, 100.0 * max(1, len(lo)) * min_width
+        _TANGENCY_THRESHOLD, 100.0 * max(1, len(lo)) * min_width
     )
     above_measure = math.fsum(above)
     if grid.shape[1]:
@@ -593,18 +598,14 @@ def classify_unit_level(
     )
 
 
-def e_measure_enclosure(
-    p: Polynomial,
-    tol: float = 1e-8,
-    budget: int = 2_000_000,
-) -> tuple[Interval, bool]:
+def e_measure_enclosure(p: Polynomial, tol: float = 1e-8) -> tuple[Interval, bool]:
     """Enclosure of ``|E|`` plus a tangency flag.
 
     ``tol`` is the width to which each level crossing is localized; the
     enclosure width is at most (number of crossings + 2) * tol plus any
     unresolved tangent measure.
     """
-    info = classify_unit_level(p, min_width=tol, budget=budget)
+    info = classify_unit_level(p, min_width=tol)
     return info.enclosure, info.tangency
 
 
@@ -612,12 +613,14 @@ def e_measure_enclosure(
 # Mahler measure
 # ---------------------------------------------------------------------------
 
+_MAHLER_MAX_POINTS = 2**20
+
+
 def mahler(
     p: Polynomial,
     roots: RootSet | None = None,
     method: str = "from_roots",
     tol: float = 1e-8,
-    max_points: int = 2**20,
 ) -> tuple[float, float]:
     """``(M(P), m(P))``: geometric mean of ``|P|`` on the circle and its log.
 
@@ -625,7 +628,7 @@ def mahler(
     reference method.  ``quadrature`` integrates ``log |P|`` directly,
     pairing detected near-circle zeros with the exact factor integral
     ``integral log|e(t) - w| dt = log max(1, |w|)`` so the remaining
-    integrand is smooth.
+    integrand is smooth, on grids of up to ``_MAHLER_MAX_POINTS`` points.
     """
     if method == "from_roots":
         if roots is None:
@@ -636,18 +639,18 @@ def mahler(
         return math.exp(m), m
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    return _mahler_quadrature(p, tol=tol, max_points=max_points)
+    return _mahler_quadrature(p, tol=tol)
 
 
-def _refine_local_zeros(p: Polynomial, seeds: np.ndarray, iterations: int = 40) -> np.ndarray:
+def _refine_local_zeros(p: Polynomial, seeds: np.ndarray) -> np.ndarray:
     """Newton-polish each seed toward the nearest zero of ``p``.
 
     Iterates Newton on ``P/P'`` rather than ``P`` itself: that quotient has
     a simple zero at every root, so convergence stays quadratic at multiple
-    zeros too.
+    zeros too.  Runs a fixed 40 steps.
     """
     z = seeds.astype(complex)
-    for _ in range(iterations):
+    for _ in range(40):
         v, dv, ddv = _evaluate(p.coeffs, z, order=2)
         denom = dv * dv - v * ddv
         denom = np.where(denom == 0, 1e-300, denom)
@@ -659,16 +662,12 @@ def _refine_local_zeros(p: Polynomial, seeds: np.ndarray, iterations: int = 40) 
     return z
 
 
-def _detect_near_circle_zeros(
-    p: Polynomial,
-    band: float = 0.05,
-    rel_threshold: float = 0.3,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Zeros within ``band`` of the unit circle with their multiplicities,
+def _detect_near_circle_zeros(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros within 0.05 of the unit circle with their multiplicities,
     found from |P| dips.
 
-    Grid-scan for local minima below ``rel_threshold`` times the median
-    sample, Newton-polish each, then deduplicate.  Detection only inspects
+    Grid-scan for local minima below 0.3 times the median sample,
+    Newton-polish each, then deduplicate.  Detection only inspects
     ``|P|`` samples (taken by :func:`_sample_rows`); no external root list is
     consulted.
     """
@@ -683,14 +682,14 @@ def _detect_near_circle_zeros(
         med = float(mags.max())
     left = np.roll(mags, 1)
     right = np.roll(mags, -1)
-    is_min = (mags <= left) & (mags <= right) & (mags < rel_threshold * med)
+    is_min = (mags <= left) & (mags <= right) & (mags < 0.3 * med)
     idx = np.nonzero(is_min)[0]
     if len(idx) == 0:
         return np.empty(0, dtype=complex), np.empty(0, dtype=int)
     seeds = np.exp(2j * np.pi * idx / n0)
     zeros = _refine_local_zeros(p, seeds)
     vals = np.abs(evaluate(p, zeros))
-    keep = (np.abs(np.abs(zeros) - 1.0) < band) & (vals < 1e-6 * med)
+    keep = (np.abs(np.abs(zeros) - 1.0) < 0.05) & (vals < 1e-6 * med)
     zeros = zeros[keep]
     if len(zeros) == 0:
         return zeros, np.empty(0, dtype=int)
@@ -724,7 +723,7 @@ def _zero_multiplicities(p: Polynomial, zeros: np.ndarray) -> np.ndarray:
     return np.clip(np.round(est), 1, max(p.degree, 1)).astype(int)
 
 
-def _mahler_quadrature(p: Polynomial, tol: float, max_points: int) -> tuple[float, float]:
+def _mahler_quadrature(p: Polynomial, tol: float) -> tuple[float, float]:
     paired, mult = _detect_near_circle_zeros(p)
     correction = float(
         np.sum(mult * np.maximum(0.0, np.log(np.maximum(np.abs(paired), 1e-300))))
@@ -732,7 +731,7 @@ def _mahler_quadrature(p: Polynomial, tol: float, max_points: int) -> tuple[floa
     n_points = _initial_grid(p.degree, floor=2048)
     prev_raw = None
     prev_rich = None
-    while n_points <= max_points:
+    while n_points <= _MAHLER_MAX_POINTS:
         t = np.arange(n_points) / n_points
         z = np.exp(2j * np.pi * t)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -757,7 +756,7 @@ def _mahler_quadrature(p: Polynomial, tol: float, max_points: int) -> tuple[floa
             return math.exp(est), est
         prev_raw, prev_rich = raw, rich
         n_points *= 2
-    raise QuadratureError(f"mahler quadrature cap {max_points} reached")
+    raise QuadratureError(f"mahler quadrature cap {_MAHLER_MAX_POINTS} reached")
 
 
 def _deflated_log_abs(p: Polynomial, z: np.ndarray, paired: np.ndarray, mult: np.ndarray) -> np.ndarray:

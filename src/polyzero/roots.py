@@ -459,15 +459,10 @@ def _build(z: np.ndarray, residuals: np.ndarray, tol: float) -> RootSet:
     )
 
 
-def rootset_from_known(
-    p: Polynomial,
-    roots,
-    tol: float = 1e-8,
-    full_scale: bool | None = None,
-) -> RootSet:
+def rootset_from_known(p: Polynomial, roots, tol: float = 1e-8) -> RootSet:
     """Certify an externally supplied root list against ``p``.
 
-    Useful when the roots are known analytically.  For large degrees the
+    Useful when the roots are known analytically.  Beyond degree 4096 the
     pairwise residual scale is replaced by its lower cap ``|c_n|`` (which only
     makes the certificate stricter) to avoid an O(n^2) pass.
     """
@@ -475,9 +470,7 @@ def rootset_from_known(
     if len(z) != p.degree:
         raise ValueError("root count must match the degree")
     abs_cn = abs(p.coeffs[-1])
-    if full_scale is None:
-        full_scale = len(z) <= 4096
-    if full_scale:
+    if len(z) <= 4096:
         log_scale = _log_scales(z, abs_cn)
     else:
         log_scale = np.full(len(z), math.log(abs_cn))

@@ -280,11 +280,7 @@ def angular_discrepancy(roots: RootSet) -> float:
 def angular_discrepancy_report(roots: RootSet) -> dict:
     """Discrepancy value plus whether any genuine arc attains it."""
     full, attained = _discrepancy_parts(roots)
-    return {
-        "value": full,
-        "attained": attained >= full - 1e-15,
-        "attained_value": attained,
-    }
+    return {"value": full, "attained": attained >= full - 1e-15}
 
 
 def tau_outside_annulus(roots: RootSet, rho: float) -> float:

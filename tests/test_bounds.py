@@ -182,6 +182,15 @@ class TestDiskLowerBound:
         assert not d.applicable
         assert "c0 cn" in d.hypothesis_notes
 
+    @pytest.mark.parametrize("variant, name", [("sup_7", "B_inf"), ("p_9", "B_p")])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_negative_b_is_inapplicable_with_real_values(self, variant, name, theta):
+        # A conservative B end below 0 once made the fractional power complex.
+        d = disk_lower_bound(10**4, -0.25, theta, variant, c0cn_ge_1=True, pnorm_ge_1=True)
+        assert not d.applicable
+        assert d.gamma == 0.0 and d.min_zeros == 0.0
+        assert d.hypothesis_notes == f"{name} not certified positive"
+
     def test_custom_radius_constants(self):
         n = 2307257
         d = disk_lower_bound(n, 0.0, 1.0, "custom_radius", gn_member=True)

@@ -63,6 +63,17 @@ class TestAnalyze:
         jb.pop("timing")
         assert json.dumps(ja, sort_keys=True) == json.dumps(jb, sort_keys=True)
 
+    def test_small_p_with_negative_b_end_completes(self, tmp_path):
+        # At p = 0.05 the p-norm enclosure is wide and its B_p interval
+        # reaches below 0; the p_9 disk and gear entries are INAPPLICABLE.
+        out = tmp_path / "report.json"
+        proc = run_cli("analyze", "--family", "littlewood", "--degree", "16", "--p", "0.05", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(out.read_text())
+        assert payload["profile"]["b_values"]["0.05"][0] < 0
+        p9 = [e for e in payload["entries"] if "p=0.05" in e["bound_id"] and "disk" in e["bound_id"]]
+        assert p9 and all(e["verdict"] == "INAPPLICABLE" for e in p9)
+
     def test_missing_file_exit_1(self):
         assert run_cli("analyze", "--poly", "/does/not/exist.json").returncode == 1
 
@@ -130,6 +141,8 @@ class TestAnalyze:
             (("thresholds", "--coefficient", "1", "--bound", "0"), "positive and finite"),
             (("thresholds", "--coefficient", "nan", "--bound", "1"), "positive and finite"),
             (("thresholds", "--coefficient", "1", "--bound", "inf"), "positive and finite"),
+            (("thresholds", "--coefficient", "5"), "given together"),
+            (("thresholds", "--bound", "0.5"), "given together"),
         ],
     )
     def test_invalid_parameters_exit_64(self, args, message):

@@ -14,15 +14,16 @@ from polyzero.harness import (
     VIOLATION,
     SweepConfig,
     ToleranceConfig,
+    _disk_stage,
+    _entry,
     _gear_stage,
     _upper_entry,
-    _verdict,
     certify,
     report_json,
     stratified_center_angles,
     sweep,
 )
-from polyzero.norms import compute_profile
+from polyzero.norms import Interval, compute_profile
 from polyzero.poly import FamilySpec, Polynomial, make_family, power_minus_one
 from polyzero.roots import unit_roots_rootset
 
@@ -260,7 +261,8 @@ class TestVerdict:
         ],
     )
     def test_ladder(self, margin_c, margin_f, tangency, expected):
-        assert _verdict(margin_c, margin_f, tangency) == expected
+        entry = _entry("Thm2_disk_p[p=2,theta=1]", "lower", 3.0, 2.0, 1.0, margin_c, margin_f, tangency)
+        assert entry.verdict == expected
 
     @pytest.mark.parametrize(
         "bound_id, kind, applicable, value, tangency, expected",
@@ -274,11 +276,23 @@ class TestVerdict:
             ("Lem2_annular[p=2,rho=0.5]", "upper", True, 0.9, True, INDETERMINATE),
             ("ShuWang", "upper", True, 0.9, True, PASS),
             ("Thm4_annular_p[p=2,rho=0.5]", "report", True, 0.9, True, INDETERMINATE),
+            # INAPPLICABLE wins over any margins.
+            ("Lem2_annular[p=2,rho=0.5]", "upper", False, 0.9, True, INAPPLICABLE),
+            ("CorollaryKnErf", "report", False, 0.2, False, INAPPLICABLE),
+            # A report entry with both margins negative stays INDETERMINATE.
+            ("Thm4_annular_Gn[p=2,rho=0.5]", "report", True, 0.2, True, INDETERMINATE),
+            # Of the gear entries only the p_9 exact form reads |E|.
+            ("GearUpper_exact[variant=p_9,p=2,theta=1,delta=0]", "upper", True, 0.9, True, INDETERMINATE),
+            ("GearUpper_exact[variant=sup_7,theta=1,delta=0]", "upper", True, 0.9, True, PASS),
+            ("GearUpper_closed[variant=p_9,p=2,theta=1,delta=0]", "upper", True, 0.9, True, PASS),
         ],
     )
     def test_upper_entry(self, bound_id, kind, applicable, value, tangency, expected):
-        entry = BoundEntry(bound_id, value, value + 0.1, applicable, kind=kind)
-        assert _upper_entry(entry, 0.5, tangency).verdict == expected
+        margins = (value - 0.5, value + 0.1 - 0.5)
+        entry = _entry(bound_id, kind, 0.5, value, value + 0.1, *margins, tangency, applicable=applicable)
+        assert entry.verdict == expected
+        # _upper_entry is the same rule on a BoundEntry.
+        assert _upper_entry(BoundEntry(bound_id, value, value + 0.1, applicable, kind=kind), 0.5, tangency) == entry
 
     def test_closed_gear_check_has_no_tangency_downgrade(self):
         n = 512
@@ -292,8 +306,64 @@ class TestVerdict:
             tols=cfg.tolerances.profile_tolerances(), with_mahler_plus=False,
         )
         tangent = dataclasses.replace(profile, e_tangency=True)
-        verdicts = {e.bound_id: e.verdict for e in _gear_stage(roots, tangent, cfg, {})}
+        _, disks = _disk_stage(power_minus_one(n), roots, True, tangent, cfg, False, 0, {})
+        verdicts = {e.bound_id: e.verdict for e in _gear_stage(roots, tangent, cfg, disks, {})}
         tag = "[variant=p_9,p=2,theta=1,delta=0]"
         assert verdicts[f"GearUpper_exact{tag}"] == INDETERMINATE
         assert verdicts[f"GearUpper_closed{tag}"] == PASS
         assert verdicts["GearUpper_exact[variant=sup_7,theta=1,delta=0]"] == PASS
+
+    @pytest.mark.parametrize("family, n", [("power_minus_one", 600), ("unimodular", 64)])
+    def test_tangency_downgrades_exactly_the_entries_that_read_e(self, monkeypatch, family, n):
+        if family == "power_minus_one":
+            poly, roots = power_minus_one(n), unit_roots_rootset(n)
+        else:
+            poly, roots = make_family(FamilySpec(family, n, seed=1)), None
+        plain = certify(poly, roots=roots)
+        real = harness.compute_profile
+        monkeypatch.setattr(
+            harness, "compute_profile", lambda *a, **k: dataclasses.replace(real(*a, **k), e_tangency=True)
+        )
+        tangent = certify(poly, roots=roots)
+        reads_e = (
+            "PropThm0_p[", "CorollaryKn", "Lem2_tau_outside[", "Lem2_annular[", "Thm4_annular_p[",
+            "Thm4_annular_Gn[", "Thm2_disk_p[", "GearUpper_exact[variant=p_9,",
+        )
+        downgraded = set()
+        for before, after in zip(plain.entries, tangent.entries, strict=True):
+            assert before.bound_id == after.bound_id
+            if before.verdict == PASS and after.verdict == INDETERMINATE:
+                downgraded.add(before.bound_id)
+            else:
+                assert after.verdict == before.verdict, before.bound_id
+        passed = {e.bound_id for e in plain.entries if e.verdict == PASS}
+        assert downgraded == {b for b in passed if b.startswith(reads_e)}
+        assert downgraded and downgraded != passed
+
+    def test_p9_gear_inapplicable_where_its_disk_bound_is(self):
+        n = 600
+        poly, roots = power_minus_one(n), unit_roots_rootset(n)
+        cfg = SweepConfig()
+        profile = compute_profile(poly, roots=roots, p_list=cfg.p_list, tols=cfg.tolerances.profile_tolerances())
+        # Lower ends of the p-norms below 1: ||P||_p >= 1 is no longer certified.
+        low = dataclasses.replace(profile, p_norms={p: Interval(0.5, v.hi) for p, v in profile.p_norms.items()})
+        assert not any(low.pnorm_at_least_one(p) for p in cfg.p_list)
+        for prof, p9_applies in ((profile, True), (low, False)):
+            observed = {}
+            _, disks = _disk_stage(poly, roots, True, prof, cfg, False, 0, observed)
+            entries = {e.bound_id: e for e in _gear_stage(roots, prof, cfg, disks, observed)}
+            for theta in cfg.theta_list:
+                for p in cfg.p_list:
+                    _, cons, fav = disks[theta, "p_9", p]
+                    assert (cons.applicable and fav.applicable) == p9_applies
+                    for delta in cfg.gear_deltas:
+                        tag = f"[variant=p_9,p={p:g},theta={theta:g},delta={delta:g}]"
+                        exact = entries[f"GearUpper_exact{tag}"]
+                        if p9_applies:
+                            assert exact.verdict == PASS
+                        else:
+                            assert exact.verdict == INAPPLICABLE
+                            assert exact.notes == "radius > 1/2 or hypotheses fail"
+                            assert f"GearUpper_closed{tag}" not in entries
+            sup7 = [e for e in entries.values() if e.bound_id.startswith("GearUpper_exact[variant=sup_7")]
+            assert sup7 and all(e.verdict == PASS for e in sup7)
