@@ -52,10 +52,10 @@ INDETERMINATE = "INDETERMINATE"
 INAPPLICABLE = "INAPPLICABLE"
 
 # Bound ids of the entries that read ``|E|``, whose PASS a tangent level set
-# downgrades.
-_E_DEPENDENT_PREFIXES = (
-    "PropThm0", "CorollaryKn", "Lem2", "Thm4", "Thm2_disk_p", "GearUpper_exact[variant=p_9",
-)
+# downgrades: ``CorollaryKn`` exactly (not the report-only ``CorollaryKnErf``,
+# whose erf term reads no ``|E|``), and every id with one of these prefixes.
+_E_DEPENDENT_ID = "CorollaryKn"
+_E_DEPENDENT_PREFIXES = ("PropThm0", "Lem2", "Thm4", "Thm2_disk_p", "GearUpper_exact[variant=p_9")
 
 
 @dataclass
@@ -226,7 +226,8 @@ def _entry(
     if not applicable:
         verdict = INAPPLICABLE
     elif margin_c >= 0:
-        verdict = INDETERMINATE if e_tangency and bound_id.startswith(_E_DEPENDENT_PREFIXES) else PASS
+        reads_e = bound_id == _E_DEPENDENT_ID or bound_id.startswith(_E_DEPENDENT_PREFIXES)
+        verdict = INDETERMINATE if e_tangency and reads_e else PASS
     elif margin_f >= 0 or kind == "report":
         verdict = INDETERMINATE
     else:

@@ -26,11 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import Polynomial, _evaluate, circle_samples, evaluate
+from .poly import Polynomial, _evaluate, evaluate
 from .roots import RootSet, log_abs_eval
 
 _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # smallest normal float
+_HUGE = float(np.finfo(float).max)
 
 
 class QuadratureError(RuntimeError):
@@ -109,7 +111,7 @@ def _sample_rows(p: Polynomial, n_points: int, shifts, slope: bool = False):
     ``c_l e(shift l / n_points)`` and the steps ``e(2^k l / n_points)`` of the
     bits of ``r0``: a call takes ``n + 1`` complex exponentials per shift and
     per bit of ``L``, and a twiddle at most ``log2 L`` roundings more than
-    the direct one.  A single grid of one shift is :func:`circle_samples`
+    the direct one.  A single grid of one shift is :func:`polyzero.poly.circle_samples`
     bit for bit.  ``block`` is overwritten by the next batch.
     """
     n = p.degree
@@ -220,22 +222,44 @@ def _trapezoid_error(exponent: float, n: int, n_points: int, sup: float, eval_er
     ``sup >= max |P|`` on the circle and each sample is off by at most
     ``eval_err``; the rounding of the mean is :func:`_sum_rounding`.
 
-    ``|P(e(t))|`` is ``2 pi n sup``-Lipschitz in ``t`` (Bernstein), and the
-    periodic trapezoid rule is off by at most ``L / (4N)`` on an
-    ``L``-Lipschitz integrand; for ``exponent >= 1`` the integrand is
-    ``exponent sup**(exponent - 1) 2 pi n sup``-Lipschitz.  For
-    ``0 < exponent < 1`` it is Hoelder, ``|f(s) - f(t)| <= (2 pi n sup |s -
-    t|)**exponent``, which bounds the rule by ``(2 pi n sup / N)**exponent /
-    (exponent + 1)``.  For an even integer exponent ``|P|**exponent`` is a trig
-    polynomial of degree ``exponent n / 2``, which the rule integrates exactly
-    on more nodes than that.
+    For ``exponent = p >= 1`` the rule's error is the smaller of two proven
+    remainders for ``f(t) = |P(e(t))|**p`` on ``N = n_points`` nodes, with
+    ``S = sup``:
+
+    * first order, ``pi p n S**p / (2N)``.  ``|P(e(t))|`` is
+      ``2 pi n S``-Lipschitz in ``t`` (Bernstein), so ``f`` is
+      ``L = 2 pi p n S**p``-Lipschitz, and the periodic trapezoid rule is off
+      by at most ``L / (4N)`` on an ``L``-Lipschitz integrand;
+    * second order, ``2 pi p n**2 S**p / N**2``, smaller once ``N > 4n``.
+      The rule's error is ``sum_{j != 0} fhat(jN)`` (aliasing), and two
+      integrations by parts give ``|fhat(k)| <= V / (2 pi k)**2`` with ``V``
+      the total variation of ``f'`` over a period, so the error is at most
+      ``2 zeta(2) V / (2 pi N)**2 = V / (12 N**2)``.  ``|f'| <= L``.  Where
+      ``P != 0``, ``g = |P|**2`` is a real trig polynomial of degree ``n``
+      and ``f'' = (p/2) g**(p/2 - 2) h`` with ``h = (p/2 - 1) g'**2 + g g''``
+      of degree at most ``2n``: unless ``h = 0``, it has at most ``4n``
+      zeros per period, and ``P`` has at most ``n`` zeros on the circle.
+      Between consecutive points of these at most ``5n``, ``f'`` is
+      monotone, so each arc adds at most ``2L`` to ``V``; ``f'`` jumps only
+      at a zero of ``P`` on the circle, and only when ``p = 1``, each jump
+      at most ``2L``.  So ``V <= 12 n L = 24 pi p n**2 S**p``.
+
+    For ``0 < exponent < 1`` the integrand is Hoelder, ``|f(s) - f(t)| <=
+    (2 pi n S |s - t|)**exponent``, which bounds the rule by ``(2 pi n S /
+    N)**exponent / (exponent + 1)``.  For an even integer exponent
+    ``|P|**exponent`` is a trig polynomial of degree ``exponent n / 2``,
+    which the rule integrates exactly on more nodes than that.  The samples
+    add ``exponent S**(exponent - 1) eval_err`` (``eval_err**exponent`` below
+    1).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sup = np.float64(sup)
         if exponent >= 1.0:
             slope = exponent * sup ** (exponent - 1.0)  # of x -> x**exponent on [0, sup]
             exact = exponent % 2.0 == 0.0 and n_points > exponent * n / 2.0
-            rule = 0.0 if exact else slope * math.pi * n * sup / (2.0 * n_points)
+            first = math.pi * n / (2.0 * n_points)
+            second = _TWO_PI * n * n / (n_points * float(n_points))
+            rule = 0.0 if exact else slope * sup * min(first, second)
             samples = slope * eval_err
         else:
             rule = (_TWO_PI * n * sup / n_points) ** exponent / (exponent + 1.0)
@@ -264,7 +288,18 @@ def p_norm(
     :func:`_sample_rows`), so memory does not grow with the grid.  A grid of
     more than ``max_points`` points is not sampled: the enclosure of the last
     grid is returned, wider than ``tol`` asks.  The first grid is always
-    sampled.
+    sampled.  With the second-order remainder, ``exponent = 1`` on the
+    random families stops at ``N = 64 n`` at the default ``tol``, the second
+    grid (it took ``512 n`` with the first-order remainder alone).
+
+    Coefficients outside the range of :func:`_scale_exponent` are first
+    scaled by the exact power of two ``2**-k`` that brings ``max |c_j|`` into
+    ``[1/2, 1)``, and the ends scaled back by ``2**k`` (widened by an ulp where
+    that rounds), so neither ``|P|**exponent`` nor the remainder overflows or
+    underflows.  A scaled-down coefficient that leaves the normal range
+    rounds by at most ``2**-1075``, so every sample moves by at most
+    ``(n + 1) 2**-1075``, far inside the sample allowance; trailing
+    coefficients that round to 0 are dropped.
 
     Raises :class:`QuadratureError` only when ``tol`` is below the relative
     rounding allowance of the sum itself (:func:`_sum_rounding`, about
@@ -274,6 +309,10 @@ def p_norm(
     if exponent <= 0 or not math.isfinite(exponent):
         raise ValueError("exponent must be a positive finite real")
     c = p.coefficient_array()
+    k = _scale_exponent(c, exponent)
+    if k:
+        c = np.trim_zeros(np.ldexp(c.real, -k) + 1j * np.ldexp(c.imag, -k), "b")
+        return _ldexp_interval(p_norm(Polynomial(tuple(c)), exponent, tol, max_points), k)
     n = p.degree
     if exponent == 2.0:
         # Two dot products of n + 1 squares and their sum round by at most
@@ -301,6 +340,36 @@ def p_norm(
     return Interval(float(lo), float(hi))
 
 
+def _scale_exponent(c: np.ndarray, exponent: float) -> int:
+    """Binary exponent ``k`` of the scaling ``2**-k`` that :func:`p_norm` applies
+    to the coefficients ``c``: 0 while they are safe as they are, else the
+    ``k`` with ``max |c_j|`` in ``[2**(k - 1), 2**k)``.
+
+    Safe means, with ``q = max(exponent, 1)`` and ``S < 2 (n + 1) max |c_j|``
+    the sup that ``p_norm`` bounds: the mean of ``|P|**exponent``, at least
+    ``max |c_j|**q`` for ``exponent >= 1``, stays above ``2**-900``, and
+    ``2**40 n**2 S**q``, above every sum and remainder formed on grids of up
+    to ``2**32`` points, below ``2**1000``.
+    """
+    k = math.frexp(float(np.max(np.abs(c))))[1]
+    q = max(exponent, 1.0)
+    bits = len(c).bit_length()
+    return 0 if q * (k - 1) >= -900 and q * (k + bits + 1) + 2 * bits + 40 <= 1000 else k
+
+
+def _ldexp_interval(iv: Interval, k: int) -> Interval:
+    """``iv`` times ``2**k``, widened by an ulp at an end that lands below the
+    normal range (where the product rounds); an upper end that overflows is
+    ``inf``, a lower one the largest float."""
+    with np.errstate(over="ignore"):
+        lo, hi = float(np.ldexp(iv.lo, k)), float(np.ldexp(iv.hi, k))
+    if lo < _TINY:
+        lo = max(math.nextafter(lo, 0.0), 0.0)
+    if hi < _TINY:
+        hi = math.nextafter(hi, math.inf)
+    return Interval(min(lo, _HUGE), hi)
+
+
 def _check_attainable(tol: float, floor: float) -> None:
     if not tol >= floor:
         raise QuadratureError(
@@ -321,7 +390,8 @@ def sup_norm_enclosure(
     Bernstein second-derivative bound on the trig polynomial ``g = |P|**2``,
     which gives ``max g <= max_samples / (1 - (pi n h)^2 / 2)``.
 
-    Sampling starts on a uniform FFT grid.  Each refinement drops every cell
+    Sampling starts on a uniform grid from the row sampler
+    (:func:`_sample_rows`).  Each refinement drops every cell
     that cannot hold the maximizer (its better endpoint fails the Bernstein
     or the Lipschitz bound read backwards) and bisects the rest; both
     endpoints of every kept cell are evaluated, so the bounds stay valid at
@@ -341,7 +411,11 @@ def sup_norm_enclosure(
     abs_sum = float(np.sum(np.abs(c)))
     n = p.degree
     n_cells = _initial_grid(n, floor=512)
-    f_left = np.abs(circle_samples(p, n_cells))
+    f_left = np.empty(n_cells)
+    grid = f_left.reshape(-1, _stride(n, n_cells))  # grid[j, r] is point j L + r
+    for _, r0, block in _sample_rows(p, n_cells, (0.0,)):
+        np.abs(block.T, out=grid[:, r0 : r0 + len(block)])
+    del block  # the sampler's buffer, else held through the refinement
     evaluated = n_cells
     ms = float((f_left**2).max())
     cells = np.arange(n_cells)  # left endpoint index of each kept cell

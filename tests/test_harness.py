@@ -326,7 +326,7 @@ class TestVerdict:
         )
         tangent = certify(poly, roots=roots)
         reads_e = (
-            "PropThm0_p[", "CorollaryKn", "Lem2_tau_outside[", "Lem2_annular[", "Thm4_annular_p[",
+            "PropThm0_p[", "Lem2_tau_outside[", "Lem2_annular[", "Thm4_annular_p[",
             "Thm4_annular_Gn[", "Thm2_disk_p[", "GearUpper_exact[variant=p_9,",
         )
         downgraded = set()
@@ -337,8 +337,20 @@ class TestVerdict:
             else:
                 assert after.verdict == before.verdict, before.bound_id
         passed = {e.bound_id for e in plain.entries if e.verdict == PASS}
-        assert downgraded == {b for b in passed if b.startswith(reads_e)}
+        assert downgraded == {b for b in passed if b == "CorollaryKn" or b.startswith(reads_e)}
         assert downgraded and downgraded != passed
+
+    @pytest.mark.parametrize("n, seed", [(64, 0), (1024, 1)])
+    def test_tangency_keeps_the_erf_corollary(self, monkeypatch, n, seed):
+        # CorollaryKnErf's erf term reads no |E|, though its id extends CorollaryKn's.
+        poly = make_family(FamilySpec("littlewood", n, seed=seed))
+        real = harness.compute_profile
+        monkeypatch.setattr(
+            harness, "compute_profile", lambda *a, **k: dataclasses.replace(real(*a, **k), e_tangency=True)
+        )
+        verdicts = certify(poly).verdicts
+        assert verdicts["CorollaryKnErf"] == PASS
+        assert verdicts["CorollaryKn"] == INDETERMINATE
 
     def test_p9_gear_inapplicable_where_its_disk_bound_is(self):
         n = 600
