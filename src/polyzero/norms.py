@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import Polynomial, _evaluate, evaluate
+from .poly import Polynomial, _blocks, _evaluate, evaluate
 from .roots import RootSet, log_abs_eval
 
 _TWO_PI = 2.0 * math.pi
@@ -112,9 +112,13 @@ def _sample_rows(p: Polynomial, n_points: int, shifts, slope: bool = False):
     bits of ``r0``: a call takes ``n + 1`` complex exponentials per shift and
     per bit of ``L``, and a twiddle at most ``log2 L`` roundings more than
     the direct one.  A single grid of one shift is :func:`polyzero.poly.circle_samples`
-    bit for bit.  ``block`` is overwritten by the next batch.
+    bit for bit.  ``block`` is overwritten by the next batch.  A grid of at
+    most ``degree`` points raises ``ValueError``, as ``circle_samples`` does:
+    its rows would drop coefficients.
     """
     n = p.degree
+    if n_points <= n:
+        raise ValueError("need more sample points than the degree")
     stride = _stride(n, n_points)
     size = n_points // stride
     planes = 2 if slope else 1
@@ -418,8 +422,7 @@ def sup_norm_enclosure(
     del block  # the sampler's buffer, else held through the refinement
     evaluated = n_cells
     ms = float((f_left**2).max())
-    cells = np.arange(n_cells)  # left endpoint index of each kept cell
-    f_right = np.roll(f_left, -1)
+    cells = f_right = None  # on the first grid, cell k runs from point k to point k + 1
     best: Interval | None = None
     while True:
         # Evaluation rounding allowance so the true sup cannot slip below
@@ -439,8 +442,15 @@ def sup_norm_enclosure(
         # The maximizer's cell has an endpoint within h/2 of it, where
         # g >= max g (1 - kappa) and |P| >= sup - lip h/2.
         cutoff = max(math.sqrt(ms * max(1.0 - kappa, 0.0)), math.sqrt(ms) - lip * h / 2.0)
-        keep = np.maximum(f_left, f_right) >= cutoff - 2.0 * eval_err
-        cells, f_left, f_right = cells[keep], f_left[keep], f_right[keep]
+        floor = cutoff - 2.0 * eval_err
+        if cells is None:
+            # Masks, not full-grid copies: only the kept cells are gathered.
+            hit = f_left >= floor
+            cells = np.flatnonzero(hit | np.roll(hit, -1))
+            f_left, f_right = f_left[cells], f_left[(cells + 1) % n_cells]
+        else:
+            keep = np.maximum(f_left, f_right) >= floor
+            cells, f_left, f_right = cells[keep], f_left[keep], f_right[keep]
         use_fft = len(cells) * (n + 1) > n_cells * math.log2(n_cells)
         evaluated += n_cells if use_fft else len(cells)
         if evaluated > max_points:
@@ -616,7 +626,7 @@ def classify_unit_level(
     cells = np.concatenate(kept, axis=1)
     cells = cells[:, np.argsort(cells[5], kind="stable")]
     grid = cells[[5, 0, 1]]
-    c = p.coefficient_array()
+    blocks = _blocks(p.coeffs, order=1)
     evals = n0
     lo = hi = unsure = np.empty(0)
     budget_hit = False
@@ -639,7 +649,7 @@ def classify_unit_level(
             break
         m = cells.shape[1]
         mid = cells[4] + 0.5 * w
-        vals, derivs = _evaluate(c, np.exp(2j * np.pi * mid), order=1)
+        vals, derivs = _evaluate(blocks, np.exp(2j * np.pi * mid), order=1)
         evals += m
         # Left halves, then right halves; both share the midpoint values.
         cells = np.concatenate([cells, cells], axis=1)

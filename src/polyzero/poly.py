@@ -76,30 +76,12 @@ class Polynomial:
 _TABLE_ENTRIES = 2**14  # power-table entries per block of points
 
 
-def _evaluate(coeffs, z: np.ndarray, order: int = 0) -> np.ndarray:
-    """``P, P', ..., P^(order)`` at ``z``, stacked: shape ``(order + 1,) + z.shape``.
-
-    The one evaluation kernel, blocked after Paterson and Stockmeyer (SIAM
-    J. Comput. 2, 1973): each row of coefficients (``c_j``, ``j c_j``, ...)
-    splits into ``nb`` blocks of ``L = ceil(sqrt(n + 1))``; per block of
-    points, a power table ``z^0 .. z^L`` by repeated products, one matrix
-    product for every block value ``v_b = sum_i c_{bL+i} z^i`` of every row,
-    and Horner in ``w = z^L`` over the blocks.  O(sqrt n) numpy calls.
-
-    Error, to first order in ``u = 2**-53``: at most
-    ``(sqrt(5) n + nb + 2 sqrt(2) L) u sum_j |c_j| |z|^j`` per row.  Term
-    ``j = bL + i`` passes through at most ``j`` complex products (``i - 1``
-    in the table, ``L - 1`` in each of ``b`` factors ``w``, ``b`` in the
-    outer Horner), each within ``sqrt(5) u`` (Brent, Percival, Zimmermann,
-    Math. Comp. 76, 2007); each component of ``v_b`` is a real dot product
-    of length ``2L`` in any summation order (``gamma_2L``, so
-    ``2 sqrt(2) L u`` in modulus); the outer Horner adds ``nb`` sums.  The
-    constant is about ``2.3 n u`` at large ``n`` and below ``3.6 (n + 2) u``,
-    the allowance of ``norms.sup_norm_enclosure``, for every ``n``.
-
-    A point's value does not depend on the other points of the call: points are
-    product columns, never fewer than two (BLAS rounds a matrix-vector product apart).
-    """
+def _blocks(coeffs, order: int = 0) -> np.ndarray:
+    """The coefficient rows ``c_j``, ``j c_j``, ... of ``P, P', ..., P^(order)`` cut
+    into ``nb`` blocks of ``L = isqrt(n) + 1``, shape ``(nb (order + 1), L)``: row
+    ``b (order + 1) + k`` is block ``b`` of row ``k``.  :func:`_evaluate` takes
+    them in place of the coefficients, so a caller that evaluates many times
+    builds them once."""
     c = np.asarray(coeffs, dtype=complex)
     L = math.isqrt(len(c) - 1) + 1
     nb = -(-len(c) // L)
@@ -107,34 +89,96 @@ def _evaluate(coeffs, z: np.ndarray, order: int = 0) -> np.ndarray:
     rows[0, : len(c)] = c
     for k in range(1, order + 1):
         rows[k, :-1] = rows[k - 1, 1:] * np.arange(1, nb * L)
-    # Column b (order + 1) + k holds block b of row k.
-    blocks = rows.reshape(order + 1, nb, L).transpose(2, 1, 0).reshape(L, -1)
-    flat = np.repeat(z.reshape(-1), 2) if z.size == 1 else z.reshape(-1)
+    return rows.reshape(order + 1, nb, L).transpose(1, 0, 2).reshape(-1, L)
+
+
+def _powers(table: np.ndarray) -> None:
+    """Fill rows ``2 ..`` of ``table`` with the powers of row 1 (row 0 is 1) by
+    doubling: rows ``h + 1 .. 2h`` are rows ``1 .. h`` times row ``h``."""
+    h = 1
+    while h + 1 < len(table):
+        k = min(h, len(table) - 1 - h)
+        np.multiply(table[1 : k + 1], table[h], out=table[h + 1 : h + k + 1])
+        h += k
+
+
+def _evaluate(coeffs, z: np.ndarray, order: int = 0) -> np.ndarray:
+    """``P, P', ..., P^(order)`` at ``z``, stacked: shape ``(order + 1,) + z.shape``.
+    ``coeffs`` is the coefficient vector or its :func:`_blocks` at this ``order``.
+
+    The one evaluation kernel, blocked after Paterson and Stockmeyer (SIAM
+    J. Comput. 2, 1973): each row of coefficients splits into ``nb`` blocks
+    of ``L = isqrt(n) + 1`` (:func:`_blocks`).  Per block of points, a power
+    table ``z^0 .. z^L`` by doubling, one matrix product for every block value
+    ``v_b = sum_i c_{bL+i} z^i`` of every row, then ``sum_b v_b w^b`` with
+    ``w = z^L``: the powers ``w^b`` by doubling in the rows of the spent table,
+    one product, and the blocks folded in halves.  O(log n) numpy calls.
+
+    Error, to first order in ``u = 2**-53``: at most
+    ``(sqrt(5) n + sqrt(2) nb + 2 sqrt(2) L) u sum_j |c_j| |z|^j`` per row.
+    Term ``j = bL + i`` still passes through at most ``j`` complex products:
+    a power by doubling is a product tree, so ``z^i`` takes ``i - 1``,
+    ``w^b`` takes ``b (L - 1) + b - 1`` and ``v_b w^b`` one more, each within
+    ``sqrt(5) u`` (Brent, Percival, Zimmermann, Math. Comp. 76, 2007).  Each
+    component of ``v_b`` is a real dot product of length ``2L`` in any
+    summation order (``gamma_2L``, so ``2 sqrt(2) L u`` in modulus).  The
+    outer sum adds each term through at most ``ceil(log2 nb) < nb`` sums per
+    component, ``sqrt(2) nb u`` in modulus, where Horner took ``nb``.  The
+    constant is about ``2.3 n u`` at large ``n`` and at most ``3.38 (n + 2) u``
+    (at ``n = 4``), below the ``3.6 (n + 2) u`` allowance of
+    ``norms.sup_norm_enclosure``, for every ``n``.
+
+    A point's value does not depend on the other points of the call: points
+    are columns of the product, padded with zeros to a multiple of 8 per
+    block, since BLAS rounds a partial tile of columns (and a matrix-vector
+    product) apart, and every other step is elementwise.  Memory:
+    ``(L + 1 + nb (order + 1)) * 16`` bytes per point of a block of
+    ``_TABLE_ENTRIES // (L + 1)`` points.
+    """
+    blocks = np.asarray(coeffs, dtype=complex)
+    if blocks.ndim == 1:
+        blocks = _blocks(blocks, order)
+    L = blocks.shape[1]
+    nb = len(blocks) // (order + 1)
+    flat = z.reshape(-1)
     out = np.empty((order + 1, flat.size), dtype=complex)
     chunks = -(-flat.size // max(2, _TABLE_ENTRIES // (L + 1)))
-    edges = np.arange(chunks + 1) * flat.size // max(chunks, 1)
+    edges = [k * flat.size // max(chunks, 1) for k in range(chunks + 1)]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        table = np.empty((L + 1, hi - lo), dtype=complex)
-        table[0], table[1] = 1.0, flat[lo:hi]
-        for i in range(2, L + 1):
-            np.multiply(table[i - 1], table[1], out=table[i])
-        vals = np.ascontiguousarray((table[:L].T @ blocks).T).reshape(nb, order + 1, hi - lo)
-        acc = vals[-1]
-        for b in range(nb - 2, -1, -1):
-            acc = acc * table[L] + vals[b]
-        out[:, lo:hi] = acc
-    return out[:, : z.size].reshape((order + 1,) + z.shape)
+        m = hi - lo
+        table = np.empty((L + 1, -(-m // 8) * 8), dtype=complex)
+        table[0], table[1, :m], table[1, m:] = 1.0, flat[lo:hi], 0.0
+        _powers(table)
+        vals = (blocks @ table[:L]).reshape(nb, order + 1, -1)
+        table[1] = table[L]
+        _powers(table[:nb])
+        vals[1:] *= table[1:nb, None]
+        k = nb
+        while k > 1:
+            vals[: k // 2] += vals[k - k // 2 : k]
+            k -= k // 2
+        out[:, lo:hi] = vals[0, :, :m]
+        del table, vals  # before the next block allocates its own
+    return out.reshape((order + 1,) + z.shape)
 
 
-def _evaluate_split(coeffs, z: np.ndarray, order: int = 0):
+def _evaluate_split(coeffs, z: np.ndarray, order: int = 0, blocks=None):
     """:func:`_evaluate` that cannot overflow: ``(inside, inner, outer)``, the mask
     ``|z| <= 1``, the kernel on ``P`` at ``z[inside]`` and on ``R(u) = u**n P(1/u)``
     at ``u = 1/z[~inside]``, where ``P(z) = z**n R(1/z)`` would grow like ``|z|**n``.
+    ``blocks`` is :func:`_split_blocks` of ``coeffs`` at this ``order``, or
+    ``None`` to build it here.
     """
+    inner_blocks, outer_blocks = _split_blocks(coeffs, order) if blocks is None else blocks
     inside = np.abs(z) <= 1.0
-    inner = _evaluate(coeffs, z[inside], order)
-    outer = _evaluate(coeffs[::-1], 1.0 / z[~inside], order)
+    inner = _evaluate(inner_blocks, z[inside], order)
+    outer = _evaluate(outer_blocks, 1.0 / z[~inside], order)
     return inside, inner, outer
+
+
+def _split_blocks(coeffs, order: int = 0):
+    """The :func:`_blocks` of ``P`` and of the reversed ``R`` that :func:`_evaluate_split` takes."""
+    return _blocks(coeffs, order), _blocks(coeffs[::-1], order)
 
 
 def evaluate(p: Polynomial, z):

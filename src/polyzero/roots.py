@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import args_turns
-from .poly import Polynomial, _evaluate_split
+from .poly import Polynomial, _evaluate_split, _split_blocks
 
 _PAIR_ELEMS = 1 << 14  # complex entries per pair block: 256 KiB, in L2; 2/3 as many with logs
 _PAIR_MIN_ROWS = 16
@@ -267,8 +267,9 @@ def _coupling_block(d, zr, zc, diag, lg=None, reciprocals=True, guard=False):
     return _coupling_block(d, zr, zc, diag, guard=True)
 
 
-def _newton_steps(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """``(P(z) / P'(z), (inside, P, R))`` without overflow for any |z|.
+def _newton_steps(coeffs: np.ndarray, z: np.ndarray, blocks=None) -> tuple[np.ndarray, tuple]:
+    """``(P(z) / P'(z), (inside, P, R))`` without overflow for any |z|; ``blocks``
+    as in :func:`poly._evaluate_split` at ``order = 1``.
 
     For |z| <= 1 this is ``P / P'`` from the blocked kernel.  For |z| > 1 the
     reversed polynomial ``R(u) = u**n P(1/u)`` is evaluated at ``u = 1/z``, using
@@ -280,7 +281,7 @@ def _newton_steps(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, tuple]
     n = len(coeffs) - 1
     out = np.empty_like(z)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        inside, (p, dp), (r, dr) = _evaluate_split(coeffs, z, order=1)
+        inside, (p, dp), (r, dr) = _evaluate_split(coeffs, z, order=1, blocks=blocks)
         out[inside] = p / np.where(dp == 0, 1e-300, dp)
         zo = z[~inside]
         ratio = n - (1.0 / zo) * dr / np.where(r == 0, 1e-300, r)
@@ -373,7 +374,7 @@ def initial_points(p: Polynomial) -> np.ndarray:
     return points
 
 
-def _aberth_sweep(c: np.ndarray, z: np.ndarray, active: np.ndarray, confirming: bool, stall: float):
+def _aberth_sweep(c: np.ndarray, z: np.ndarray, active: np.ndarray, confirming: bool, stall: float, blocks):
     """One sweep over the roots ``active``: their updated points, which of them
     still move (relative step not below ``stall``), and, in a confirming
     sweep, ``log |P|`` and the log pair sums at the current points (``None``
@@ -381,10 +382,11 @@ def _aberth_sweep(c: np.ndarray, z: np.ndarray, active: np.ndarray, confirming: 
     so none is held through the next sweep's evaluation.  The sweeps that
     freeze at ``_FREEZE``, all before the first confirming one, take their
     coupling sums in float32 where ``_pair_sums`` splits them into blocks.
+    ``blocks`` are the evaluation blocks of ``c`` (:func:`poly._split_blocks`).
     """
     n = len(z)
     za = z[active]
-    newton, split = _newton_steps(c, za)
+    newton, split = _newton_steps(c, za, blocks)
     log_abs = _log_abs_split(n, za, *split) if confirming else None
     bad = ~np.isfinite(newton)
     if np.any(bad):
@@ -421,6 +423,7 @@ def find_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> RootSe
         raise RootFindingError("degree-0 polynomial has no roots")
     c = p.coefficient_array()
     z = initial_points(p)
+    blocks = _split_blocks(c, order=1)
     active = np.arange(n)
     confirming = converged = False
     sweeps, stall = 0, _FREEZE
@@ -428,7 +431,7 @@ def find_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> RootSe
         if active.size == 0:
             active, confirming, stall = np.arange(n), True, _STALL
         sweeps += 1
-        za, moving, log_abs, log_pairs = _aberth_sweep(c, z, active, confirming, stall)
+        za, moving, log_abs, log_pairs = _aberth_sweep(c, z, active, confirming, stall, blocks)
         converged = confirming and not moving.any()
         if not converged:  # a confirmed sweep's steps are left untaken
             z[active] = za

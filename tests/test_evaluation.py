@@ -7,6 +7,7 @@ a wrong coefficient order, a dropped term or an overflow shows while
 last-bit rounding does not.
 """
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from polyzero.poly import (
     _TABLE_ENTRIES,
     FamilySpec,
     Polynomial,
+    _evaluate,
     evaluate,
     evaluate_with_derivative,
     make_family,
@@ -157,10 +159,10 @@ class TestLargeModulus:
 
 
 def _kernel_bound(n: int) -> float:
-    """The kernel's first-order error factor ``(sqrt(5) n + nb + 2 sqrt(2) L) u`` (see ``poly._evaluate``)."""
+    """The kernel's first-order error factor ``(sqrt(5) n + sqrt(2) nb + 2 sqrt(2) L) u`` (see ``poly._evaluate``)."""
     size = n + 1
     block = math.isqrt(size - 1) + 1
-    return (math.sqrt(5) * n + -(-size // block) + 2 * math.sqrt(2) * block) * 2.0**-53
+    return (math.sqrt(5) * n + math.sqrt(2) * -(-size // block) + 2 * math.sqrt(2) * block) * 2.0**-53
 
 
 def _points_per_block(n: int) -> int:
@@ -225,7 +227,7 @@ class TestBlockBoundaries:
         _check_against_oracle(Polynomial(_COEFFS), z, derivative)
 
     @pytest.mark.parametrize("derivative", [False, True])
-    @pytest.mark.parametrize("n", [0, 1, 2, 40, 2047])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 8, 9, 40, 2047])
     def test_degrees(self, n, derivative):
         rng = np.random.default_rng(n + 100)
         p = Polynomial(tuple(rng.standard_normal((n + 1, 2)) @ (1.0, 1j)))
@@ -242,6 +244,25 @@ class TestBlockBoundaries:
             assert evaluate_with_derivative(p, z)[1] == evaluate_with_derivative(p, pair)[1][0]
         else:
             assert evaluate(p, z) == evaluate(p, pair)[0]
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_memory_per_point(n):
+    """At order 1 the kernel holds at most ``(L + 1 + 4 nb) * 16`` bytes per point
+    of a point block above its result, however many blocks the call has."""
+    L = math.isqrt(n) + 1
+    nb = -(-(n + 1) // L)
+    per_block = _points_per_block(n)
+    c = np.random.default_rng(n).standard_normal((n + 1, 2)) @ (1.0, 1j)
+    z = _points(1.0, 3 * per_block + 5, seed=n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = _evaluate(c, z, order=1)
+        held = tracemalloc.get_traced_memory()[1] - base - out.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held <= (L + 1 + 4 * nb) * 16 * per_block
 
 
 def _sup_allowance(p: Polynomial) -> float:

@@ -876,6 +876,11 @@ class TestBlockedSampling:
             assert len(blocks) == 1
             assert np.array_equal(blocks[0][0], circle_samples(self.P, n_points, shift=shift))
 
+    def test_grid_must_exceed_the_degree(self):
+        # Rows of n_points <= n samples would drop coefficients: z^8 - 1 has mean |P| 0 on 8 points.
+        with pytest.raises(ValueError, match="more sample points than the degree"):
+            norms._power_sum(power_minus_one(8), 8, 0.0, 1.0)
+
     def test_stride_keeps_blocks_above_the_degree(self):
         assert norms._stride(100, 2**12) == 1
         assert norms._stride(100, 2**13) == 2**13 // 128

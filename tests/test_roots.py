@@ -227,9 +227,9 @@ class TestFrozenRoots:
         n = 1024
         points = []
 
-        def counting(c, z):
+        def counting(c, z, *blocks):
             points.append(len(z))
-            return _newton_steps(c, z)
+            return _newton_steps(c, z, *blocks)
 
         monkeypatch.setattr(roots_mod, "_newton_steps", counting)
         find_roots(make_family(FamilySpec("g_class", n, seed=1)), tol=1e-9)
@@ -541,9 +541,9 @@ class TestCertificatePass:
         p = make_family(FamilySpec("g_class", 64, seed=4))
         sweeps = []
 
-        def counting(c, z):
+        def counting(c, z, *blocks):
             sweeps.append(len(z))
-            return _newton_steps(c, z)
+            return _newton_steps(c, z, *blocks)
 
         monkeypatch.setattr(roots_mod, "_newton_steps", counting)
         find_roots(p, tol=1e-8)
