@@ -14,7 +14,7 @@ import sys
 
 from . import geometry
 from .bounds import min_degree_for_radius
-from .harness import SweepConfig, ToleranceConfig, certify, report_json, sweep
+from .harness import SweepConfig, ToleranceConfig, certify, json_text, report_json, sweep
 from .norms import QuadratureError
 from .poly import (
     FAMILY_KINDS,
@@ -264,7 +264,7 @@ def _run_gear(args) -> int:
         payload["roots_inside_gear"] = int(membership.sum())
     if args.svg and not _write(args.svg, _gear_svg(gear, roots, membership)):
         return 1
-    text = json.dumps(payload, sort_keys=True, indent=1)
+    text = json_text(payload)
     if args.json_out:
         if not _write(args.json_out, text + "\n"):
             return 1

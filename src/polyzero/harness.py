@@ -23,6 +23,7 @@ radius is at most 1/2.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -172,20 +173,56 @@ class BoundReport:
         return out
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
+def _plain(obj):  # a scalar converted as json_text says
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
+    return repr(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+@functools.cache
+def _encoders(depth: int):
+    """Strict and NaN-writing C encoders of a container of scalars at ``depth``."""
+    sep = (",\n" + " " * (depth + 1), ": ")
+    return [json.JSONEncoder(sort_keys=True, allow_nan=nan, separators=sep).encode for nan in (False, True)]
+
+
+def _write_json(obj, depth: int, out: list) -> None:
+    if not isinstance(obj, (dict, list, tuple)):
+        out.append(_encoders(0)[1](_plain(obj)))
+        return
+    if isinstance(obj, dict) and not all(isinstance(k, str) for k in obj):
+        obj = {str(k): v for k, v in obj.items()}
+    is_dict = isinstance(obj, dict)
+    inner, close = "\n" + " " * (depth + 1), "\n" + " " * depth + ("}" if is_dict else "]")
+    if not any(isinstance(v, (dict, list, tuple)) for v in (obj.values() if is_dict else obj)):
+        strict, lenient = _encoders(depth)
+        try:
+            text = strict(obj)
+        except (ValueError, TypeError):  # a non-finite float or a numpy scalar: convert, retry
+            text = lenient({k: _plain(v) for k, v in obj.items()} if is_dict else [_plain(v) for v in obj])
+        out.append(f"{text[0]}{inner}{text[1:-1]}{close}" if obj else text)
+        return
+    sep = ("{" if is_dict else "[") + inner
+    for key in sorted(obj) if is_dict else range(len(obj)):
+        out.append(f"{sep}{_encoders(0)[1](key)}: " if is_dict else sep)
+        _write_json(obj[key], depth + 1, out)
+        sep = "," + inner
+    out.append(close)
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=1)`` byte for byte, with numpy scalars
+    unboxed by ``.item()``, non-finite Python floats as ``"nan"``, ``"inf"``, ``"-inf"``,
+    and keys as ``str(key)``; other types raise ``TypeError``.  A container of scalars
+    is one call of the C encoder (``indent=None``, the ``indent=1`` separators, brackets
+    then moved to their own lines): nothing is copied but one that needs a conversion."""
+    out: list = []
+    _write_json(obj, 0, out)
+    return "".join(out)
 
 
 def report_json(report: BoundReport, include_timing: bool = True) -> str:
-    return json.dumps(_json_safe(report.to_dict(include_timing)), sort_keys=True, indent=1)
+    return json_text(report.to_dict(include_timing))
 
 
 def _profile_summary(profile: NormProfile, p_list) -> dict:
@@ -506,12 +543,12 @@ class SweepResult:
     def to_json(self, include_timing: bool = False) -> str:
         payload = {
             "schema": "polyzero-sweep/1",
-            "config": _json_safe(asdict(self.config)),
-            "aggregates": _json_safe(self.aggregates),
+            "config": asdict(self.config),
+            "aggregates": self.aggregates,
             "hard_violation_count": self.hard_violation_count,
-            "reports": [_json_safe(r.to_dict(include_timing=include_timing)) for r in self.reports],
+            "reports": [r.to_dict(include_timing=include_timing) for r in self.reports],
         }
-        return json.dumps(payload, sort_keys=True, indent=1)
+        return json_text(payload)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -399,10 +399,10 @@ def sup_norm_enclosure(
     that cannot hold the maximizer (its better endpoint fails the Bernstein
     or the Lipschitz bound read backwards) and bisects the rest; both
     endpoints of every kept cell are evaluated, so the bounds stay valid at
-    the new ``h``.  New midpoints come from the blocked kernel
-    (:func:`evaluate`), or from a half-shifted FFT of the whole grid
-    (:func:`_abs_at`, in batches of rows) when that is cheaper (many
-    near-equal peaks).  ``eval_err`` is :func:`_eval_err` at the current
+    the new ``h``.  New midpoints come from the blocked kernel, on blocks
+    built once (:func:`_abs_on_circle`), or from a half-shifted FFT of the
+    whole grid (:func:`_abs_at`, in batches of rows) when that is cheaper
+    (many near-equal peaks).  ``eval_err`` is :func:`_eval_err` at the current
     grid, which covers both routes.
     ``max_points`` caps the number of points evaluated, the first grid
     included.
@@ -411,6 +411,7 @@ def sup_norm_enclosure(
         v = abs(p.coeffs[0])
         return Interval(v, v)
     c = p.coefficient_array()
+    blocks = _blocks(c)  # for the refinement's midpoints
     lip = _TWO_PI * float(np.sum(np.arange(len(c)) * np.abs(c)))
     abs_sum = float(np.sum(np.abs(c)))
     n = p.degree
@@ -460,7 +461,7 @@ def sup_norm_enclosure(
             for _, sel, vals in _abs_at(p, n_cells, cells, (0.5,)):
                 f_mid[sel] = vals
         else:
-            f_mid = _abs_on_circle(p, (cells + 0.5) / n_cells)
+            f_mid = _abs_on_circle(blocks, (cells + 0.5) / n_cells)
         ms = max(ms, float((f_mid**2).max()))
         cells = np.concatenate([2 * cells, 2 * cells + 1])
         f_left, f_right = np.concatenate([f_left, f_mid]), np.concatenate([f_mid, f_right])
@@ -500,9 +501,8 @@ class LevelSetInfo:
         return Interval(self.below, 1.0 - self.above)
 
 
-def _abs_on_circle(p: Polynomial, t: np.ndarray) -> np.ndarray:
-    z = np.exp(2j * np.pi * t)
-    return np.abs(evaluate(p, z))
+def _abs_on_circle(blocks: np.ndarray, t: np.ndarray) -> np.ndarray:  # blocks of P at order 0
+    return np.abs(_evaluate(blocks, np.exp(2j * np.pi * t))[0])
 
 
 def _grid_cells(p: Polynomial, n_points: int):
@@ -537,11 +537,12 @@ def _cover(ga, gb, da, db, w: float, m2: float):
     ``ga gb > 0`` (a product that underflows would need a margin far below
     any ``L_cell w`` the cover asks for).
     """
-    certified = (np.abs(ga + gb) >= (np.maximum(da, db) + m2 * w) * w) & (ga * gb > 0)
+    with np.errstate(over="ignore"):  # an overflow is inf of its sign: the tests read the same
+        certified = (np.abs(ga + gb) >= (np.maximum(da, db) + m2 * w) * w) & (ga * gb > 0)
     return certified, certified & (ga < 0)
 
 
-def _level_pieces(p: Polynomial, n0: int, grid: np.ndarray, cuts: np.ndarray, unsure: np.ndarray) -> np.ndarray:
+def _level_pieces(blocks: np.ndarray, n0: int, grid: np.ndarray, cuts: np.ndarray, unsure: np.ndarray) -> np.ndarray:
     """The above-level pieces of :class:`LevelSetInfo` from the unresolved
     first-grid cells ``grid = (k, g(k / n0), g((k + 1) / n0))``, sorted by
     ``k``, the crossing midpoints ``cuts`` and the first-grid cells
@@ -560,7 +561,7 @@ def _level_pieces(p: Polynomial, n0: int, grid: np.ndarray, cuts: np.ndarray, un
     split[np.searchsorted(k, np.floor(cuts * n0))] = True
     split[np.searchsorted(k, unsure)] = True
     check = inside & split[at]
-    above[check] = _abs_on_circle(p, mids[check]) > 1.0
+    above[check] = _abs_on_circle(blocks, mids[check]) > 1.0
     edges = np.diff(np.concatenate([[0], above.astype(np.int8), [0]]))
     return np.column_stack([points[edges == 1], points[edges == -1]])
 
@@ -668,7 +669,7 @@ def classify_unit_level(
     )
     above_measure = math.fsum(above)
     if grid.shape[1]:
-        pieces = _level_pieces(p, n0, grid, 0.5 * (lo + hi), unsure)
+        pieces = _level_pieces(blocks[::2], n0, grid, 0.5 * (lo + hi), unsure)  # rows of P
     else:
         pieces = np.array([[0.0, 1.0]]) if above_measure else np.empty((0, 2))
     return LevelSetInfo(

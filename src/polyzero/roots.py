@@ -399,7 +399,7 @@ def _aberth_sweep(c: np.ndarray, z: np.ndarray, active: np.ndarray, confirming: 
     # Damp wild steps far from convergence.
     step = np.abs(w)
     limit = 0.5 * (1.0 + np.abs(za))
-    factor = np.where(step > limit, limit / np.where(step > 0, step, 1.0), 1.0)
+    factor = np.divide(limit, step, out=np.ones_like(step), where=step > limit)  # only where used
     za = za - w * factor
     moving = ~(step / (1.0 + np.abs(za)) < stall)  # a nan step stays active
     return za, moving, log_abs, log_pairs

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -97,6 +98,16 @@ class TestAnalyze:
         reference = certify(Polynomial((1.0, *(re for re, _ in coeffs[1:]))), SweepConfig(disk_centers=32))
         assert [e["bound_id"] for e in entries] == [e.bound_id for e in reference.entries]
         assert all(e["verdict"] == "INAPPLICABLE" and e["notes"] for e in entries)
+
+    def test_subnormal_coefficient_warns_nothing(self, tmp_path):
+        # Here the Aberth damping and the level-set cover meet values that
+        # overflow, which they must discard or read only by sign, silently.
+        poly_file, out = tmp_path / "p.json", tmp_path / "report.json"
+        poly_file.write_text(json.dumps({"coeffs": [[5e-324, 0], [1, 0]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--poly", str(poly_file), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["root_failure"] == ""
 
     def test_convergence_failure_exit_1(self):
         # A sup-norm tolerance of 0 cannot be met: the enclosure reaches its evaluation cap.

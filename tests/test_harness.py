@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polyzero.harness as harness
 from polyzero.bounds import BoundEntry
@@ -19,6 +22,7 @@ from polyzero.harness import (
     _gear_stage,
     _upper_entry,
     certify,
+    json_text,
     report_json,
     stratified_center_angles,
     sweep,
@@ -210,6 +214,20 @@ class TestSweep:
         monkeypatch.setattr(harness.VerdictEntry, "to_dict", dataclasses.asdict)
         assert got == small_sweep.to_json()
 
+    def test_json_peak_is_a_small_multiple_of_its_bytes(self, small_sweep):
+        # The writer holds one string per container of scalars, and copies
+        # only a container it must convert.  A deep copy of the payload fed
+        # to the pure-Python indenting encoder peaked at about 7.2x.
+        small_sweep.to_json()  # encoders and caches built
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            text = small_sweep.to_json()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * len(text)
+
     def test_csv_header(self, small_sweep):
         header = small_sweep.to_csv().splitlines()[0]
         assert header == (
@@ -379,3 +397,115 @@ class TestVerdict:
                             assert f"GearUpper_closed{tag}" not in entries
             sup7 = [e for e in entries.values() if e.bound_id.startswith("GearUpper_exact[variant=sup_7")]
             assert sup7 and all(e.verdict == PASS for e in sup7)
+
+
+def _json_safe(obj):
+    """The report conversion the writer replaced, kept here as its oracle."""
+    if isinstance(obj, dict):
+        return {str(k): _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def _oracle(obj):
+    try:
+        return json.dumps(_json_safe(obj), sort_keys=True, indent=1)
+    except TypeError:
+        return TypeError
+
+
+def _written(obj):
+    try:
+        return json_text(obj)
+    except TypeError:
+        return TypeError
+
+
+# Scalars that need a conversion or an escape, or that the report format refuses.
+_SPECIAL_LEAVES = [
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 2**64, True, None,
+    np.float32(0.1), np.float32(math.nan), np.float32(-math.inf), np.float64(math.nan),
+    np.float64(math.inf), np.float64(-0.0), np.int64(-(2**63)), np.int64(7),
+    "", "é∞ Bp\u221e", 'q"uote \\ back\nline\ttab\x01', "\ud800", "\U0001f600",
+]
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(_SPECIAL_LEAVES),
+    st.text(),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_KEYS = st.one_of(st.text(max_size=6), st.integers(-3, 12), st.sampled_from(["inf", "é", 'a"b', "1"]))
+
+
+def _trees(depth: int):
+    if depth == 0:
+        return _LEAVES
+    sub = _trees(depth - 1)
+    return st.one_of(
+        _LEAVES,
+        st.lists(sub, max_size=4),
+        st.lists(sub, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, sub, max_size=4),
+    )
+
+
+def _nestings(leaf):
+    """``leaf`` alone, in flat containers, and in nested ones with empty siblings."""
+    return [
+        leaf,
+        [leaf],
+        (leaf, 1.5, "s"),
+        {"k": leaf, 3: leaf, "a": None},
+        {"a": [leaf, {"b": leaf, "e": {}}], "c": (leaf, []), 2: {"d": [[leaf], ()]}},
+        [[[[[[leaf]]]]], {"x": {"y": {"z": {"w": {"v": leaf}}}}}],
+    ]
+
+
+class TestJsonText:
+    """``json_text`` writes the bytes of the old deep copy plus ``json.dumps(indent=1)``."""
+
+    @pytest.mark.parametrize("leaf", _SPECIAL_LEAVES, ids=repr)
+    def test_special_scalars_flat_and_nested(self, leaf):
+        for obj in _nestings(leaf):
+            assert _written(obj) == _oracle(obj) != TypeError
+
+    @pytest.mark.parametrize("bad", [np.bool_(True), object(), {1, 2}, np.longdouble(1.0), 1j])
+    def test_unsupported_types_raise(self, bad):
+        for obj in _nestings(bad):
+            with pytest.raises(TypeError):
+                json_text(obj)
+            assert _oracle(obj) is TypeError
+
+    def test_colliding_and_non_str_keys(self):
+        for obj in ({1: "a", "1": "b"}, {"1": "b", 1: "a"}, {True: 1, None: [2], 1.5: {}}, {-1: {0: [np.int64(3)]}}):
+            assert json_text(obj) == _oracle(obj)
+
+    def test_reports(self, small_sweep):
+        report = small_sweep.reports[0]
+        assert report_json(report) == _oracle(report.to_dict())
+        payload = {
+            "schema": "polyzero-sweep/1",
+            "config": dataclasses.asdict(small_sweep.config),
+            "aggregates": small_sweep.aggregates,
+            "hard_violation_count": small_sweep.hard_violation_count,
+            "reports": [r.to_dict(include_timing=False) for r in small_sweep.reports],
+        }
+        assert small_sweep.to_json() == _oracle(payload)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(_trees(6))
+    @example({"a": [math.nan, {"b": np.float32(math.inf)}], 1: ()})
+    def test_matches_oracle(self, obj):
+        assert _written(obj) == _oracle(obj)

@@ -576,9 +576,9 @@ def _count_evaluations(monkeypatch) -> dict[str, int]:
             counts["shifted_fft" if shift else "fft"] += n_points
         return rows(p, n_points, shifts)
 
-    def counted_horner(p, t):
+    def counted_horner(blocks, t):
         counts["horner"] += len(t)
-        return horner(p, t)
+        return horner(blocks, t)
 
     monkeypatch.setattr(norms, "_sample_rows", counted_rows)
     monkeypatch.setattr(norms, "_abs_on_circle", counted_horner)
