@@ -45,6 +45,7 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    sweep_cfg, tols = SweepConfig(), ToleranceConfig()
     parser = _Parser(prog="polyzero", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -54,28 +55,28 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--family", choices=FAMILY_KINDS, help="generate from a family")
     pa.add_argument("--format", default="json", choices=("json", "text"))
     pa.add_argument("--degree", type=int, default=8, help="family degree / recursion depth")
-    pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--p", type=_floats, default=(1.0, 2.0), help="comma-separated p exponents")
-    pa.add_argument("--theta", type=_floats, default=(0.5, 1.0))
-    pa.add_argument("--rho", type=_floats, default=(0.5, 0.9))
-    pa.add_argument("--centers", type=int, default=720, help="sampled disk centers")
-    pa.add_argument("--root-tol", type=float, default=1e-9)
+    pa.add_argument("--seed", type=int, default=sweep_cfg.seed)
+    pa.add_argument("--p", type=_floats, default=sweep_cfg.p_list, help="comma-separated p exponents")
+    pa.add_argument("--theta", type=_floats, default=sweep_cfg.theta_list)
+    pa.add_argument("--rho", type=_floats, default=sweep_cfg.rho_list)
+    pa.add_argument("--centers", type=int, default=sweep_cfg.disk_centers, help="sampled disk centers")
+    pa.add_argument("--root-tol", type=float, default=tols.root_tol)
     pa.add_argument(
-        "--quad-tol", type=float, default=1e-2,
+        "--quad-tol", type=float, default=tols.quad_tol,
         help="relative half-width of the enclosures of integral |P|^p behind the p-norms, in (0, 1)",
     )
-    pa.add_argument("--sup-tol", type=float, default=1e-6)
+    pa.add_argument("--sup-tol", type=float, default=tols.sup_tol)
     pa.add_argument("--out", help="write the report JSON here (default stdout)")
 
     ps = sub.add_parser("sweep", help="family sweep with aggregate statistics")
-    ps.add_argument("--family", default="littlewood", choices=FAMILY_KINDS)
-    ps.add_argument("--degrees", type=_ints, default=(16, 32, 64, 128, 256))
-    ps.add_argument("--trials", type=int, default=50)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--p", type=_floats, default=(1.0, 2.0))
-    ps.add_argument("--theta", type=_floats, default=(0.5, 1.0))
-    ps.add_argument("--rho", type=_floats, default=(0.5, 0.9))
-    ps.add_argument("--centers", type=int, default=720)
+    ps.add_argument("--family", default=sweep_cfg.family, choices=FAMILY_KINDS)
+    ps.add_argument("--degrees", type=_ints, default=sweep_cfg.degrees)
+    ps.add_argument("--trials", type=int, default=sweep_cfg.trials)
+    ps.add_argument("--seed", type=int, default=sweep_cfg.seed)
+    ps.add_argument("--p", type=_floats, default=sweep_cfg.p_list)
+    ps.add_argument("--theta", type=_floats, default=sweep_cfg.theta_list)
+    ps.add_argument("--rho", type=_floats, default=sweep_cfg.rho_list)
+    ps.add_argument("--centers", type=int, default=sweep_cfg.disk_centers)
     ps.add_argument("--out-json", help="sweep report JSON path")
     ps.add_argument("--out-csv", help="per-entry CSV path")
 

@@ -36,7 +36,7 @@ from . import bounds as bounds_mod
 from . import geometry
 from .norms import NormProfile, ProfileTolerances, b_norm_interval, compute_profile
 from .poly import FamilySpec, Polynomial, is_g_class, is_unimodular, make_family
-from .roots import RootFindingError, RootSet, find_roots
+from .roots import ROOT_TOL, RootFindingError, RootSet, find_roots
 from .zerostats import (
     angular_discrepancy_report,
     annular_discrepancy,
@@ -61,29 +61,20 @@ _E_DEPENDENT_PREFIXES = ("PropThm0", "Lem2", "Thm4", "Thm2_disk_p", "GearUpper_e
 
 @dataclass
 class ToleranceConfig:
-    root_tol: float = 1e-9
-    max_iter: int = 400
+    """The limits a caller sets: the root residual, and the relative widths
+    of the p-norm and sup-norm enclosures.  Every other accuracy of the
+    profile is fixed in :mod:`polyzero.norms`."""
+
+    root_tol: float = ROOT_TOL
     quad_tol: float = 1e-2
     sup_tol: float = 1e-6
-    e_tol: float = 1e-8
-    mplus_tol: float = 1e-8
-    mahler_tol: float = 1e-8
-    max_points: int = 2**20
-    compute_mahler_plus: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.quad_tol < 1.0:  # also false for nan
             raise ValueError("quad_tol must be in (0, 1)")
 
     def profile_tolerances(self) -> ProfileTolerances:
-        return ProfileTolerances(
-            quad_tol=self.quad_tol,
-            sup_tol=self.sup_tol,
-            e_tol=self.e_tol,
-            mplus_tol=self.mplus_tol,
-            mahler_tol=self.mahler_tol,
-            max_points=self.max_points,
-        )
+        return ProfileTolerances(quad_tol=self.quad_tol, sup_tol=self.sup_tol)
 
 
 _DEFAULT_ARCS = (
@@ -340,7 +331,7 @@ def _profile_stage(p: Polynomial, cfg: SweepConfig, roots: RootSet | None):
     root_failure = ""
     if roots is None and p.degree >= 1:
         try:
-            roots = find_roots(p, tol=cfg.tolerances.root_tol, max_iter=cfg.tolerances.max_iter)
+            roots = find_roots(p, tol=cfg.tolerances.root_tol)
         except RootFindingError as exc:
             root_failure = str(exc)
     profile = compute_profile(
@@ -348,7 +339,6 @@ def _profile_stage(p: Polynomial, cfg: SweepConfig, roots: RootSet | None):
         roots=roots,
         p_list=cfg.p_list,
         tols=cfg.tolerances.profile_tolerances(),
-        with_mahler_plus=cfg.tolerances.compute_mahler_plus,
     )
     return roots, root_failure, profile
 
@@ -438,9 +428,7 @@ def _disk_stage(p, roots, supplied_roots, profile, cfg, gn_member, center_salt, 
             entry, obs = _disk_check(cfg, roots, center_angles, cons, fav, bound_id, profile.e_tangency)
             if entry.verdict == VIOLATION and supplied_roots and refined_roots is None:
                 try:
-                    refined_roots = find_roots(
-                        p, tol=cfg.tolerances.root_tol / 10.0, max_iter=cfg.tolerances.max_iter
-                    )
+                    refined_roots = find_roots(p, tol=cfg.tolerances.root_tol / 10.0)
                 except RootFindingError:
                     pass
                 if refined_roots is not None:

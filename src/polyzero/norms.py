@@ -34,6 +34,13 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # smallest normal float
 _HUGE = float(np.finfo(float).max)
 
+# Fixed accuracies of the profile: the width to which the level set
+# localizes each crossing of ``|P| = 1`` (so ``|E|``), and the relative
+# stabilization of the m+ panels and of the Mahler quadrature.
+_E_TOL = 1e-8
+_MPLUS_TOL = 1e-8
+_MAHLER_TOL = 1e-8
+
 
 class QuadratureError(RuntimeError):
     """Grid refinement cannot reach the requested tolerance: it hit its cap,
@@ -683,7 +690,7 @@ def classify_unit_level(
     )
 
 
-def e_measure_enclosure(p: Polynomial, tol: float = 1e-8) -> tuple[Interval, bool]:
+def e_measure_enclosure(p: Polynomial, tol: float = _E_TOL) -> tuple[Interval, bool]:
     """Enclosure of ``|E|`` plus a tangency flag.
 
     ``tol`` is the width to which each level crossing is localized; the
@@ -699,13 +706,14 @@ def e_measure_enclosure(p: Polynomial, tol: float = 1e-8) -> tuple[Interval, boo
 # ---------------------------------------------------------------------------
 
 _MAHLER_MAX_POINTS = 2**20
+_PAIRED_ELEMS = 2**16  # sample-zero pairs per chunk of the paired-factor correction
 
 
 def mahler(
     p: Polynomial,
     roots: RootSet | None = None,
     method: str = "from_roots",
-    tol: float = 1e-8,
+    tol: float = _MAHLER_TOL,
 ) -> tuple[float, float]:
     """``(M(P), m(P))``: geometric mean of ``|P|`` on the circle and its log.
 
@@ -814,6 +822,7 @@ def _mahler_quadrature(p: Polynomial, tol: float) -> tuple[float, float]:
         np.sum(mult * np.maximum(0.0, np.log(np.maximum(np.abs(paired), 1e-300))))
     )
     n_points = _initial_grid(p.degree, floor=2048)
+    rows = max(1, _PAIRED_ELEMS // max(len(paired), 1))
     prev_raw = None
     prev_rich = None
     while n_points <= _MAHLER_MAX_POINTS:
@@ -822,9 +831,10 @@ def _mahler_quadrature(p: Polynomial, tol: float) -> tuple[float, float]:
         with np.errstate(divide="ignore", invalid="ignore"):
             log_abs = log_abs_eval(p, z)
             if len(paired):
-                log_abs = log_abs - (
-                    mult[None, :] * np.log(np.abs(z[:, None] - paired[None, :]))
-                ).sum(axis=1)
+                # A chunk of samples at a time, so memory stays bounded; each
+                # sample sums over the paired zeros in one order.
+                for i in range(0, n_points, rows):
+                    log_abs[i : i + rows] -= (mult * np.log(np.abs(z[i : i + rows, None] - paired))).sum(axis=1)
         bad = ~np.isfinite(log_abs)
         if np.any(bad):
             # A sample landed on a zero (or exactly on a paired factor);
@@ -911,6 +921,7 @@ def _integrate_log_abs(p: Polynomial, intervals: np.ndarray, tol: float) -> floa
         nodes = lo[:, None] + x[None, :] * (hi - lo)[:, None]
         vals = log_abs_eval(p, np.exp(2j * np.pi * nodes))
         total = float((vals @ half_w) @ (hi - lo))
+        del nodes, vals  # not held through the whole-cell sums
         if len(cells):
             sums = np.zeros(len(x))
             for q, _, mags in _abs_at(p, m, cells, x):
@@ -925,7 +936,7 @@ def _integrate_log_abs(p: Polynomial, intervals: np.ndarray, tol: float) -> floa
 
 def mahler_plus(
     p: Polynomial,
-    tol: float = 1e-8,
+    tol: float = _MPLUS_TOL,
     level_info: LevelSetInfo | None = None,
 ) -> tuple[float, float]:
     """``(M+(P), m+(P))`` with ``m+ = integral log+ |P(e(t))| dt``.
@@ -952,16 +963,20 @@ class ProfileTolerances:
 
     ``quad_tol`` is the relative half-width to which ``p_norm`` encloses
     ``integral |P|^p``.
-    ``max_points`` caps the FFT grid of ``p_norm`` and the number of points
-    ``sup_norm_enclosure`` evaluates (first grid plus refinement points).
+    ``max_points`` is the least cap on the FFT grid of ``p_norm`` and on the
+    number of points ``sup_norm_enclosure`` evaluates (first grid plus
+    refinement points); :meth:`grid_cap` raises it with the degree.
     """
 
     quad_tol: float = 1e-2
     sup_tol: float = 1e-6
-    e_tol: float = 1e-8
-    mplus_tol: float = 1e-8
-    mahler_tol: float = 1e-8
     max_points: int = 2**20
+
+    def grid_cap(self, degree: int) -> int:
+        """``max_points``, or ``128 (degree + 1)`` where that is more: room
+        for the sup's first grid of ``32 n`` points and ``p_norm``'s ``64 n``
+        grid at every degree."""
+        return max(self.max_points, 128 * (degree + 1))
 
 
 @dataclass
@@ -1061,42 +1076,40 @@ def compute_profile(
     roots: RootSet | None = None,
     p_list: tuple[float, ...] = (1.0, 2.0),
     tols: ProfileTolerances | None = None,
-    with_mahler_plus: bool = True,
 ) -> NormProfile:
     """Assemble the full scalar profile of ``p``.
 
     The Mahler measure comes from the root product when a RootSet is given
     (the reference route), otherwise from singularity-paired quadrature.
+    The p-norms and the sup enclosure share the cap ``tols.grid_cap(n)``.
     """
     tols = tols or ProfileTolerances()
+    max_points = tols.grid_cap(p.degree)
     quad_points: dict[str, int] = {}
     p_norms = {}
     for exponent in p_list:
-        p_norms[float(exponent)] = p_norm(
-            p, float(exponent), tol=tols.quad_tol, max_points=tols.max_points
-        )
-    sup = sup_norm_enclosure(p, tol=tols.sup_tol, max_points=tols.max_points)
-    info = classify_unit_level(p, min_width=tols.e_tol, sup_hint=sup.hi)
+        p_norms[float(exponent)] = p_norm(p, float(exponent), tol=tols.quad_tol, max_points=max_points)
+    sup = sup_norm_enclosure(p, tol=tols.sup_tol, max_points=max_points)
+    info = classify_unit_level(p, min_width=_E_TOL, sup_hint=sup.hi)
     quad_points["level_set"] = info.evaluations
     if roots is not None:
         m_val, m_log = mahler(p, roots=roots, method="from_roots")
     else:
         try:
-            m_val, m_log = mahler(p, method="quadrature", tol=tols.mahler_tol)
+            m_val, m_log = mahler(p, method="quadrature")
         except QuadratureError:
             # Degenerate circle zeros can exhaust float64; the rest of the
             # profile stays usable.
             m_val = m_log = math.nan
     c0cn = abs(p.coeffs[0] * p.coeffs[-1])
-    mp_val = mp_log = mp_log_scaled = math.nan
-    if with_mahler_plus:
-        mp_val, mp_log = mahler_plus(p, tol=tols.mplus_tol, level_info=info)
-        if c0cn > 0.0:  # with P(0) = 0 there is no normalized polynomial
-            factor = 1.0 / math.sqrt(c0cn)
-            if abs(math.log(factor)) <= tols.mplus_tol:
-                mp_log_scaled = mp_log
-            else:
-                _, mp_log_scaled = mahler_plus(p.scaled(factor), tol=tols.mplus_tol)
+    mp_val, mp_log = mahler_plus(p, level_info=info)
+    mp_log_scaled = math.nan  # with P(0) = 0 there is no normalized polynomial
+    if c0cn > 0.0:
+        factor = 1.0 / math.sqrt(c0cn)
+        if abs(math.log(factor)) <= _MPLUS_TOL:
+            mp_log_scaled = mp_log
+        else:
+            _, mp_log_scaled = mahler_plus(p.scaled(factor))
     return NormProfile(
         degree=p.degree,
         c0_abs=abs(p.coeffs[0]),

@@ -239,10 +239,6 @@ def _rng_for(spec: FamilySpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def is_littlewood(p: Polynomial) -> bool:
-    return all(c in (1 + 0j, -1 + 0j) for c in p.coeffs)
-
-
 def is_unimodular(p: Polynomial, tol: float = 1e-12) -> bool:
     return all(abs(abs(c) - 1.0) <= tol for c in p.coeffs)
 

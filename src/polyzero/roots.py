@@ -76,6 +76,7 @@ _ROW_FILL = 1 << 10  # blocks at least this wide are filled row by row
 _LOG_FOLD = 8  # blocks of log sums gathered apart before adding to the totals
 _STALL = 1e-14  # relative step below which a root is frozen
 _FREEZE = 1e-9  # the same, in the sweeps before the first confirming one
+ROOT_TOL = 1e-9  # default bound on the certified residuals
 
 
 class RootFindingError(RuntimeError):
@@ -405,7 +406,7 @@ def _aberth_sweep(c: np.ndarray, z: np.ndarray, active: np.ndarray, confirming: 
     return za, moving, log_abs, log_pairs
 
 
-def find_roots(p: Polynomial, tol: float = 1e-10, max_iter: int = 200) -> RootSet:
+def find_roots(p: Polynomial, tol: float = ROOT_TOL, max_iter: int = 400) -> RootSet:
     """All roots of ``p`` with residuals certified below ``tol``.
 
     Roots freeze at a relative step below ``_FREEZE`` until the first
@@ -485,22 +486,6 @@ def rootset_from_known(p: Polynomial, roots, tol: float = 1e-8) -> RootSet:
             worst_residual=worst,
         )
     return _build(z, residuals, tol)
-
-
-def rootset_from_angles(p: Polynomial, angles_turns, moduli=None, tol: float = 1e-8) -> RootSet:
-    """RootSet from exact polar data (angles in turns, default modulus 1)."""
-    t = np.asarray(angles_turns, dtype=float)
-    rho = np.ones_like(t) if moduli is None else np.asarray(moduli, dtype=float)
-    z = rho * np.exp(2j * np.pi * t)
-    rs = rootset_from_known(p, z, tol=tol)
-    # Keep the caller's exact angles instead of round-tripped ones.
-    return RootSet(
-        roots=rs.roots,
-        residuals=rs.residuals,
-        moduli=rho,
-        args_turns=np.mod(t, 1.0),
-        tolerance=tol,
-    )
 
 
 def unit_roots_rootset(n: int, tol: float = 1e-8) -> RootSet:

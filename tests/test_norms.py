@@ -376,6 +376,21 @@ class TestMahler:
         with pytest.raises(ValueError):
             mahler(ONE_PLUS_Z, method="from_roots")
 
+    def test_quadrature_memory_stays_bounded(self, monkeypatch):
+        import tracemalloc
+
+        # 64 paired circle zeros: one (N, 64) complex array on the last
+        # 2^16-point grid alone is 64 MiB.
+        monkeypatch.setattr(norms, "_MAHLER_MAX_POINTS", 2**16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(norms.QuadratureError):
+                mahler(power_minus_one(64), method="quadrature")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestMahlerPlus:
     def test_constant_above_one(self):
@@ -627,6 +642,19 @@ class TestSupRefinement:
         assert abs(enc.lo - 1.0) < 1e-12
         assert 1.0 in enc
         assert counts["shifted_fft"] > 0
+
+    def test_profile_cap_follows_the_degree(self):
+        # At n = 32768 the sup's first grid of 32n points is already 2^20,
+        # so only a cap that grows with n leaves room to refine.
+        tols = norms.ProfileTolerances()
+        assert tols.grid_cap(512) == 2**20
+        n = 32768
+        cap = tols.grid_cap(n)
+        p = make_family(FamilySpec("littlewood", n, seed=1))
+        sup = sup_norm_enclosure(p, tol=tols.sup_tol, max_points=cap)
+        assert sup.width <= tols.sup_tol * sup.hi
+        one = p_norm(p, 1.0, tol=tols.quad_tol, max_points=cap)
+        assert one.width <= 2.0 * tols.quad_tol * one.mid  # mean +- tol mean
 
     @pytest.mark.parametrize("kind", ["littlewood", "unimodular", "g_class"])
     @pytest.mark.parametrize("n", [768, 1024, 2048, 4096])

@@ -15,7 +15,6 @@ from polyzero.roots import (
     _newton_steps,
     find_roots,
     initial_points,
-    rootset_from_angles,
     rootset_from_known,
     unit_roots_rootset,
 )
@@ -142,11 +141,6 @@ class TestKnownRootConstruction:
         p = Polynomial(tuple(coeffs))
         rs = rootset_from_known(p, [0.1, 1, -1, 1j, -1j], tol=1e-10)
         assert len(rs) == 5
-
-    def test_from_angles_keeps_exact_angles(self):
-        p = power_minus_one(8)
-        rs = rootset_from_angles(p, np.arange(8) / 8)
-        assert np.array_equal(rs.args_turns, np.arange(8) / 8)
 
 
 def test_scale_invariance_of_iteration():
