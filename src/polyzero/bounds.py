@@ -21,12 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 from .geometry import GearWheel
-from .norms import NormProfile, b_norm_interval
+from .norms import NormProfile, b_norm
 
 DISCREPANCY_IDS = (
     "ET16",
@@ -45,20 +42,9 @@ SOUNDARARAJAN_C = 8.0 / math.pi
 CARNEIRO_C = 4.0 / math.sqrt(math.pi)
 
 
-@lru_cache(maxsize=1)
 def catalan_constant() -> float:
-    """``1 - 1/9 + 1/25 - ...`` summed in sign pairs with an integral tail.
-
-    Pair terms decay like ``1/(16 j^3)``; the Euler-Maclaurin tail after
-    2e5 pairs leaves an error well below 1e-15.
-    """
-    terms = 200_000
-    j = np.arange(terms, dtype=float)
-    paired = 1.0 / (4 * j + 1) ** 2 - 1.0 / (4 * j + 3) ** 2
-    total = float(paired[::-1].sum())
-    f_end = 1.0 / (4 * terms + 1) ** 2 - 1.0 / (4 * terms + 3) ** 2
-    tail = 1.0 / (2.0 * (4 * terms + 1) * (4 * terms + 3)) + f_end / 2.0
-    return total + tail
+    """Catalan's constant ``1 - 1/9 + 1/25 - ...``, the float nearest it."""
+    return 0.915965594177219
 
 
 def ganelius_constant() -> float:
@@ -103,7 +89,7 @@ def discrepancy_bounds(
     """
     entries: list[BoundEntry] = []
     c0_ok = profile.c0_abs > 0.0
-    binf = b_norm_interval(profile, math.inf)
+    binf = b_norm(profile, math.inf)
     binf_ok = c0_ok and binf.lo > 0.0
     note_b = "" if binf_ok else "conservative B_inf <= 0 or P(0) = 0"
     for bound_id, coeff in (
@@ -146,7 +132,7 @@ def discrepancy_bounds(
             )
         )
     for p in p_list:
-        bp = b_norm_interval(profile, p)
+        bp = b_norm(profile, p)
         ok = c0_ok and profile.pnorm_at_least_one(p)
         entries.append(
             BoundEntry(
@@ -299,8 +285,8 @@ def annular_bounds(
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0, 1)")
     entries: list[BoundEntry] = []
-    bp = b_norm_interval(profile, p)
-    binf = b_norm_interval(profile, math.inf)
+    bp = b_norm(profile, p)
+    binf = b_norm(profile, math.inf)
     hyp_ok = profile.c0cn_at_least_one and profile.pnorm_at_least_one(p)
     notes = "" if hyp_ok else "needs |c0 cn| >= 1 and ||P||_p >= 1"
     outside = lambda b: 2.0 * b / (n * (1.0 - rho))

@@ -24,7 +24,7 @@ from .poly import (
     FamilySpec,
     read_polynomial,
 )
-from .roots import RootFindingError
+from .roots import RootFindingError, find_roots
 
 USAGE_ERROR = 64
 
@@ -95,9 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_polynomial(path: str, format: str) -> Polynomial:
+def _load_polynomial(path: str, format: str) -> tuple[Polynomial, bytes]:
+    """The polynomial in ``path`` and the file's bytes."""
     with open(path, "rb") as fh:
-        return read_polynomial(fh, format=format)
+        raw = fh.read()
+    return read_polynomial(raw, format=format), raw
 
 
 def _usage_error(exc: ValueError) -> int:
@@ -136,9 +138,7 @@ def _run_analyze(args) -> int:
         return _usage_error(exc)
     if args.poly:
         try:
-            with open(args.poly, "rb") as fh:
-                raw = fh.read()
-            poly = read_polynomial(raw, format=args.format)
+            poly, raw = _load_polynomial(args.poly, args.format)
         except OSError as exc:
             print(f"error: cannot read {args.poly}: {exc}", file=sys.stderr)
             return 1
@@ -249,9 +249,7 @@ def _run_gear(args) -> int:
     roots = membership = None
     if args.poly:
         try:
-            poly = _load_polynomial(args.poly, args.format)
-            from .roots import find_roots
-
+            poly, _ = _load_polynomial(args.poly, args.format)
             rootset = find_roots(poly)
         except OSError as exc:
             print(f"error: cannot read {args.poly}: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import geometry
-from .norms import NormProfile, ProfileTolerances, b_norm_interval, compute_profile
+from .norms import NormProfile, ProfileTolerances, b_norm, compute_profile
 from .poly import FamilySpec, Polynomial, is_g_class, is_unimodular, make_family
 from .roots import ROOT_TOL, RootFindingError, RootSet, find_roots
 from .zerostats import (
@@ -233,7 +233,7 @@ def _profile_summary(profile: NormProfile, p_list) -> dict:
         "b_values": {},
     }
     for p in tuple(p_list) + (math.inf,):
-        b = b_norm_interval(profile, p)
+        b = b_norm(profile, p)
         out["b_values"]["inf" if math.isinf(p) else f"{p:g}"] = [b.lo, b.hi]
     return out
 
@@ -415,7 +415,7 @@ def _disk_stage(p, roots, supplied_roots, profile, cfg, gn_member, center_salt, 
             if variant == "Gn_9":
                 cons = fav = bounds_mod.disk_lower_bound(n, 0.0, theta, variant, **kwargs)
             else:
-                b = b_norm_interval(profile, p_exp or math.inf)
+                b = b_norm(profile, p_exp or math.inf)
                 # Conservative: smallest disk must hold the largest requirement.
                 cons = bounds_mod.disk_lower_bound(n, b.lo, theta, variant, **kwargs)
                 fav = bounds_mod.disk_lower_bound(n, b.hi, theta, variant, **kwargs)

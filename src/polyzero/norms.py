@@ -11,7 +11,8 @@ Provided functionals:
 * ``mahler_plus``       -- ``exp(integral log+ |P|)`` and its logarithm
 * ``e_measure_enclosure``-- certified interval around ``|E|``, the measure of
   ``{t : |P(e(t))| < 1}``
-* ``b_norm``            -- logarithmic p-norm built from the above
+* ``b_norm``            -- interval around the logarithmic p-norm ``B_p`` (or
+  ``B_inf``), built from the enclosures above
 
 Enclosures are Lipschitz/Bernstein-certified from grid samples.  The
 p-norms take a trapezoid sum with a proven remainder, plus an a-priori
@@ -233,27 +234,25 @@ def _trapezoid_error(exponent: float, n: int, n_points: int, sup: float, eval_er
     ``sup >= max |P|`` on the circle and each sample is off by at most
     ``eval_err``; the rounding of the mean is :func:`_sum_rounding`.
 
-    For ``exponent = p >= 1`` the rule's error is the smaller of two proven
-    remainders for ``f(t) = |P(e(t))|**p`` on ``N = n_points`` nodes, with
-    ``S = sup``:
-
-    * first order, ``pi p n S**p / (2N)``.  ``|P(e(t))|`` is
-      ``2 pi n S``-Lipschitz in ``t`` (Bernstein), so ``f`` is
-      ``L = 2 pi p n S**p``-Lipschitz, and the periodic trapezoid rule is off
-      by at most ``L / (4N)`` on an ``L``-Lipschitz integrand;
-    * second order, ``2 pi p n**2 S**p / N**2``, smaller once ``N > 4n``.
-      The rule's error is ``sum_{j != 0} fhat(jN)`` (aliasing), and two
-      integrations by parts give ``|fhat(k)| <= V / (2 pi k)**2`` with ``V``
-      the total variation of ``f'`` over a period, so the error is at most
-      ``2 zeta(2) V / (2 pi N)**2 = V / (12 N**2)``.  ``|f'| <= L``.  Where
-      ``P != 0``, ``g = |P|**2`` is a real trig polynomial of degree ``n``
-      and ``f'' = (p/2) g**(p/2 - 2) h`` with ``h = (p/2 - 1) g'**2 + g g''``
-      of degree at most ``2n``: unless ``h = 0``, it has at most ``4n``
-      zeros per period, and ``P`` has at most ``n`` zeros on the circle.
-      Between consecutive points of these at most ``5n``, ``f'`` is
-      monotone, so each arc adds at most ``2L`` to ``V``; ``f'`` jumps only
-      at a zero of ``P`` on the circle, and only when ``p = 1``, each jump
-      at most ``2L``.  So ``V <= 12 n L = 24 pi p n**2 S**p``.
+    For ``exponent = p >= 1`` the rule's error on ``f(t) = |P(e(t))|**p`` and
+    ``N = n_points`` nodes, with ``S = sup``, is at most the second-order
+    remainder ``2 pi p n**2 S**p / N**2``.  ``|P(e(t))|`` is
+    ``2 pi n S``-Lipschitz in ``t`` (Bernstein), so ``f`` is
+    ``L = 2 pi p n S**p``-Lipschitz.  The rule's error is
+    ``sum_{j != 0} fhat(jN)`` (aliasing), and two integrations by parts give
+    ``|fhat(k)| <= V / (2 pi k)**2`` with ``V`` the total variation of
+    ``f'`` over a period, so the error is at most
+    ``2 zeta(2) V / (2 pi N)**2 = V / (12 N**2)``.  ``|f'| <= L``.  Where
+    ``P != 0``, ``g = |P|**2`` is a real trig polynomial of degree ``n`` and
+    ``f'' = (p/2) g**(p/2 - 2) h`` with ``h = (p/2 - 1) g'**2 + g g''`` of
+    degree at most ``2n``: unless ``h = 0``, it has at most ``4n`` zeros per
+    period, and ``P`` has at most ``n`` zeros on the circle.  Between
+    consecutive points of these at most ``5n``, ``f'`` is monotone, so each
+    arc adds at most ``2L`` to ``V``; ``f'`` jumps only at a zero of ``P`` on
+    the circle, and only when ``p = 1``, each jump at most ``2L``.  So
+    ``V <= 12 n L = 24 pi p n**2 S**p``.  The first-order remainder
+    ``L / (4N)`` is not needed: :func:`p_norm` starts at ``N >= 16 (n + 1)``,
+    where the second-order one is ``4n / N < 1/4`` of it.
 
     For ``0 < exponent < 1`` the integrand is Hoelder, ``|f(s) - f(t)| <=
     (2 pi n S |s - t|)**exponent``, which bounds the rule by ``(2 pi n S /
@@ -268,9 +267,8 @@ def _trapezoid_error(exponent: float, n: int, n_points: int, sup: float, eval_er
         if exponent >= 1.0:
             slope = exponent * sup ** (exponent - 1.0)  # of x -> x**exponent on [0, sup]
             exact = exponent % 2.0 == 0.0 and n_points > exponent * n / 2.0
-            first = math.pi * n / (2.0 * n_points)
             second = _TWO_PI * n * n / (n_points * float(n_points))
-            rule = 0.0 if exact else slope * sup * min(first, second)
+            rule = 0.0 if exact else slope * sup * second
             samples = slope * eval_err
         else:
             rule = (_TWO_PI * n * sup / n_points) ** exponent / (exponent + 1.0)
@@ -299,9 +297,8 @@ def p_norm(
     :func:`_sample_rows`), so memory does not grow with the grid.  A grid of
     more than ``max_points`` points is not sampled: the enclosure of the last
     grid is returned, wider than ``tol`` asks.  The first grid is always
-    sampled.  With the second-order remainder, ``exponent = 1`` on the
-    random families stops at ``N = 64 n`` at the default ``tol``, the second
-    grid (it took ``512 n`` with the first-order remainder alone).
+    sampled.  ``exponent = 1`` on the random families stops at ``N = 64 n``
+    at the default ``tol``, the second grid.
 
     Coefficients outside the range of :func:`_scale_exponent` are first
     scaled by the exact power of two ``2**-k`` that brings ``max |c_j|`` into
@@ -707,6 +704,7 @@ def e_measure_enclosure(p: Polynomial, tol: float = _E_TOL) -> tuple[Interval, b
 
 _MAHLER_MAX_POINTS = 2**20
 _PAIRED_ELEMS = 2**16  # sample-zero pairs per chunk of the paired-factor correction
+_NEAR_PAIRED = 1e-9  # a sample this close to a paired zero is deflated
 
 
 def mahler(
@@ -828,17 +826,21 @@ def _mahler_quadrature(p: Polynomial, tol: float) -> tuple[float, float]:
     while n_points <= _MAHLER_MAX_POINTS:
         t = np.arange(n_points) / n_points
         z = np.exp(2j * np.pi * t)
+        near = np.zeros(n_points, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_abs = log_abs_eval(p, z)
             if len(paired):
                 # A chunk of samples at a time, so memory stays bounded; each
                 # sample sums over the paired zeros in one order.
                 for i in range(0, n_points, rows):
-                    log_abs[i : i + rows] -= (mult * np.log(np.abs(z[i : i + rows, None] - paired))).sum(axis=1)
-        bad = ~np.isfinite(log_abs)
+                    dist = np.abs(z[i : i + rows, None] - paired)
+                    near[i : i + rows] = (dist < _NEAR_PAIRED).any(axis=1)
+                    log_abs[i : i + rows] -= (mult * np.log(dist)).sum(axis=1)
+        bad = near | ~np.isfinite(log_abs)
         if np.any(bad):
-            # A sample landed on a zero (or exactly on a paired factor);
-            # rebuild those values from the deflated polynomial.
+            # A sample landed on a zero, or within rounding of a paired one,
+            # where the difference of logs cancels; rebuild those values
+            # from the deflated polynomial.
             log_abs[bad] = _deflated_log_abs(p, z[bad], paired, mult)
         raw = float(np.mean(log_abs))
         rich = raw if prev_raw is None else raw + (raw - prev_raw) / 3.0
@@ -861,7 +863,7 @@ def _deflated_log_abs(p: Polynomial, z: np.ndarray, paired: np.ndarray, mult: np
         coeffs = list(p.coeffs)
         skipped = 0.0
         for w, m in zip(paired, mult):
-            if abs(zi - w) < 1e-9:
+            if abs(zi - w) < _NEAR_PAIRED:
                 for _ in range(int(m)):
                     # Divide by (z - w): Horner synthetic division.
                     new = [0j] * (len(coeffs) - 1)
@@ -992,7 +994,6 @@ class NormProfile:
 
     degree: int
     c0_abs: float
-    cn_abs: float
     c0cn_abs: float
     p_norms: dict[float, Interval]
     sup_norm: Interval
@@ -1025,50 +1026,31 @@ class NormProfile:
         return self.c0cn_abs >= 1.0 - 1e-12
 
 
-def _end(interval: Interval, direction: str) -> float:
-    return {"point": interval.mid, "certify_upper": interval.hi, "certify_lower": interval.lo}[direction]
-
-
-def b_norm(
-    profile: NormProfile,
-    exponent: float,
-    direction: str = "point",
-) -> float:
-    """Logarithmic p-norm ``B_p``.
+def b_norm(profile: NormProfile, exponent: float) -> Interval:
+    """Interval around the logarithmic p-norm ``B_p``.
 
     ``B_inf = log(sup / sqrt|c0 cn|)``; for finite p,
     ``B_p = (1 - |E|) log(pnorm / sqrt|c0 cn|) + 1/(e p)``.  When
     ``P(0) = 0`` both take their limit ``+inf``, except that ``B_p`` stays
     at ``1/(e p)`` where ``|E| = 1`` (the log term then carries no mass).
-    ``direction`` selects which enclosure endpoints enter: ``certify_upper``
-    maximizes the value, ``certify_lower`` minimizes it, ``point`` uses
-    midpoints.  ``B_p`` grows with the p-norm, so the p-norm end follows the
-    direction, and the ``|E|`` end follows the sign of the log term.
+    ``B_p`` grows with the p-norm, so each end takes the same end of the
+    p-norm (or sup) enclosure, and the ``|E|`` end that follows the sign of
+    the log term.
     """
-    if direction not in ("point", "certify_upper", "certify_lower"):
-        raise ValueError(f"bad direction {direction!r}")
     half_log = 0.5 * math.log(profile.c0cn_abs) if profile.c0cn_abs > 0 else -math.inf
     if math.isinf(exponent):
-        return math.log(max(_end(profile.sup_norm, direction), 1e-300)) - half_log
+        sup = profile.sup_norm
+        return Interval(math.log(max(sup.lo, 1e-300)) - half_log, math.log(max(sup.hi, 1e-300)) - half_log)
     if exponent not in profile.p_norms:
         raise KeyError(f"profile lacks p-norm for p={exponent}")
-    log_term = math.log(max(_end(profile.p_norms[exponent], direction), 1e-300)) - half_log
-    e_int = profile.e_measure
-    if direction == "point":
-        e_val = e_int.mid
-    elif direction == "certify_upper":
-        e_val = e_int.lo if log_term >= 0 else e_int.hi
-    else:
-        e_val = e_int.hi if log_term >= 0 else e_int.lo
-    weight = 1.0 - e_val
-    return (weight * log_term if weight else 0.0) + 1.0 / (math.e * exponent)
+    norm, e_int = profile.p_norms[exponent], profile.e_measure
 
+    def end(norm_end: float, e_if_positive: float, e_if_negative: float) -> float:
+        log_term = math.log(max(norm_end, 1e-300)) - half_log
+        weight = 1.0 - (e_if_positive if log_term >= 0 else e_if_negative)
+        return (weight * log_term if weight else 0.0) + 1.0 / (math.e * exponent)
 
-def b_norm_interval(profile: NormProfile, exponent: float) -> Interval:
-    return Interval(
-        b_norm(profile, exponent, "certify_lower"),
-        b_norm(profile, exponent, "certify_upper"),
-    )
+    return Interval(end(norm.lo, e_int.hi, e_int.lo), end(norm.hi, e_int.lo, e_int.hi))
 
 
 def compute_profile(
@@ -1113,7 +1095,6 @@ def compute_profile(
     return NormProfile(
         degree=p.degree,
         c0_abs=abs(p.coeffs[0]),
-        cn_abs=abs(p.coeffs[-1]),
         c0cn_abs=c0cn,
         p_norms=p_norms,
         sup_norm=sup,

@@ -187,12 +187,6 @@ def evaluate(p: Polynomial, z):
     return complex(val) if np.isscalar(z) else val
 
 
-def evaluate_with_derivative(p: Polynomial, z):
-    """``(P(z), P'(z))`` from one pass of the blocked kernel."""
-    val, der = _evaluate(p.coeffs, np.asarray(z, dtype=complex), order=1)
-    return (complex(val), complex(der)) if np.isscalar(z) else (val, der)
-
-
 def circle_samples(p: Polynomial, n_points: int, shift: float = 0.0) -> np.ndarray:
     """Values ``P(e((k + shift) / n_points))`` for ``k = 0 .. n_points-1``.
 

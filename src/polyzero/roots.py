@@ -101,7 +101,6 @@ class RootSet:
     residuals: np.ndarray
     moduli: np.ndarray
     args_turns: np.ndarray
-    tolerance: float
     _arc_index: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -450,16 +449,15 @@ def find_roots(p: Polynomial, tol: float = ROOT_TOL, max_iter: int = 400) -> Roo
             f"worst {worst:.3e} > tol {tol:.3e}",
             worst_residual=worst,
         )
-    return _build(z, residuals, tol)
+    return _build(z, residuals)
 
 
-def _build(z: np.ndarray, residuals: np.ndarray, tol: float) -> RootSet:
+def _build(z: np.ndarray, residuals: np.ndarray) -> RootSet:
     return RootSet(
         roots=z,
         residuals=residuals,
         moduli=np.abs(z),
         args_turns=args_turns(z),
-        tolerance=tol,
     )
 
 
@@ -485,7 +483,7 @@ def rootset_from_known(p: Polynomial, roots, tol: float = 1e-8) -> RootSet:
             f"supplied roots failed certification: worst {worst:.3e} > tol {tol:.3e}",
             worst_residual=worst,
         )
-    return _build(z, residuals, tol)
+    return _build(z, residuals)
 
 
 def unit_roots_rootset(n: int, tol: float = 1e-8) -> RootSet:
@@ -507,5 +505,4 @@ def unit_roots_rootset(n: int, tol: float = 1e-8) -> RootSet:
         residuals=residuals,
         moduli=np.ones(n),
         args_turns=t,
-        tolerance=tol,
     )

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,6 +36,7 @@ def erf_series(x: float, terms: int = 60) -> float:
 
 class TestConstants:
     def test_catalan_series_value(self):
+        assert catalan_constant() == float(mpmath.catalan)
         assert abs(catalan_constant() - CATALAN_REF) < 1e-14
         assert 0.91596559 <= catalan_constant() <= 0.91596560
 
@@ -214,10 +216,10 @@ class TestAnnularBounds:
         assert entry.applicable
         from polyzero.norms import b_norm
 
-        b_lo = b_norm(prof, 2.0, "certify_lower")
+        b_lo = b_norm(prof, 2.0).lo
         assert entry.value == pytest.approx(2 * b_lo / (n * (1 - rho)))
         ann = table[f"Lem2_annular[p=2,rho=0.5]"]
-        b_inf_lo = b_norm(prof, math.inf, "certify_lower")
+        b_inf_lo = b_norm(prof, math.inf).lo
         want = math.sqrt((2 / n) * min((8 / math.pi) * b_lo, b_inf_lo)) + 2 * b_lo / (n * (1 - rho))
         assert ann.value == pytest.approx(want)
 

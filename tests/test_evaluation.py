@@ -19,7 +19,6 @@ from polyzero.poly import (
     Polynomial,
     _evaluate,
     evaluate,
-    evaluate_with_derivative,
     make_family,
     power_minus_one,
     rudin_shapiro_pair,
@@ -80,13 +79,13 @@ class TestAgainstOracle:
 
     def test_evaluate_with_derivative(self, poly, radius):
         z = _points(radius, 12, seed=3)
-        vals, derivs = evaluate_with_derivative(poly, z)
+        vals, derivs = _evaluate(poly.coeffs, z, order=1)
         for zi, v, d in zip(z, vals, derivs):
             exact, exact_d, mag, dmag = _oracle(poly, complex(zi))
             assert abs(mpmath.mpc(complex(v)) - exact) <= 8 * poly.degree * EPS * mag
             assert abs(mpmath.mpc(complex(d)) - exact_d) <= 16 * poly.degree * EPS * dmag
-        scalar_v, scalar_d = evaluate_with_derivative(poly, complex(z[0]))
-        assert (scalar_v, scalar_d) == (complex(vals[0]), complex(derivs[0]))
+        scalar_v, scalar_d = _evaluate(poly.coeffs, np.asarray(z[0]), order=1)
+        assert (scalar_v, scalar_d) == (vals[0], derivs[0])
 
     def test_log_abs_eval(self, poly, radius):
         z = _points(radius, 12, seed=4)
@@ -143,12 +142,12 @@ class TestLargeModulus:
     @pytest.mark.parametrize("radius", [0.6, 1.0, 1.3])
     def test_scalar_matches_array(self, poly, radius):
         z = _points(radius, 6, seed=14)
-        vals, derivs = evaluate_with_derivative(poly, z)
+        vals, derivs = _evaluate(poly.coeffs, z, order=1)
         assert np.array_equal(evaluate(poly, z), vals)
         for i, zi in enumerate(z):
             assert evaluate(poly, complex(zi)) == vals[i]
             assert evaluate(poly, z[i : i + 1])[0] == vals[i]
-            assert evaluate_with_derivative(poly, complex(zi)) == (vals[i], derivs[i])
+            assert tuple(_evaluate(poly.coeffs, np.asarray(zi), order=1)) == (vals[i], derivs[i])
 
     def test_mixed_moduli_in_one_call(self, poly):
         z = np.concatenate([_points(0.5, 3, seed=8), _points(1.0, 3, seed=9), _points(1.5, 3, seed=10)])
@@ -173,7 +172,7 @@ def _points_per_block(n: int) -> int:
 def _check_against_oracle(p: Polynomial, z: np.ndarray, derivative: bool):
     """Each value (and derivative) within twice the kernel's a-priori bound of mpmath."""
     if derivative:
-        vals, derivs = evaluate_with_derivative(p, z)
+        vals, derivs = _evaluate(p.coeffs, np.asarray(z, dtype=complex), order=1)
     else:
         vals, derivs = evaluate(p, z), None
     assert np.shape(vals) == np.shape(z)
@@ -241,7 +240,7 @@ class TestBlockBoundaries:
         _check_against_oracle(p, z, derivative)
         pair = np.array([z, 0.5])
         if derivative:
-            assert evaluate_with_derivative(p, z)[1] == evaluate_with_derivative(p, pair)[1][0]
+            assert _evaluate(p.coeffs, z, order=1)[1] == _evaluate(p.coeffs, pair, order=1)[1][0]
         else:
             assert evaluate(p, z) == evaluate(p, pair)[0]
 

@@ -15,6 +15,7 @@ from polyzero.roots import (
     _newton_steps,
     find_roots,
     initial_points,
+    log_abs_eval,
     rootset_from_known,
     unit_roots_rootset,
 )
@@ -141,6 +142,17 @@ class TestKnownRootConstruction:
         p = Polynomial(tuple(coeffs))
         rs = rootset_from_known(p, [0.1, 1, -1, 1j, -1j], tol=1e-10)
         assert len(rs) == 5
+
+    def test_from_known_above_degree_4096_scales_by_the_leading_coefficient(self):
+        # Beyond degree 4096 each residual is |P(z_j)| / |c_n|, with no pair pass.
+        n = 4097
+        p = power_minus_one(n)
+        z = np.exp(2j * np.pi * np.arange(n) / n)
+        rs = rootset_from_known(p, z, tol=1e-8)
+        assert rs.residuals.max() <= 1e-8
+        assert np.array_equal(rs.residuals, np.exp(log_abs_eval(p, z)))
+        with pytest.raises(RootFindingError):
+            rootset_from_known(p, np.exp(2j * np.pi * (np.arange(n) + 0.5) / n), tol=1e-8)
 
 
 def test_scale_invariance_of_iteration():

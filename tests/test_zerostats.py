@@ -264,7 +264,6 @@ def _rootset(z):
         residuals=np.zeros(len(z)),
         moduli=np.abs(z),
         args_turns=np.mod(np.angle(z) / (2 * math.pi), 1.0),
-        tolerance=1e-8,
     )
 
 
