@@ -48,18 +48,21 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cfg, tols = SweepConfig(), ToleranceConfig()
     parser = _Parser(prog="polyzero", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # the flags of analyze and sweep
+    shared.add_argument("--seed", type=int, default=sweep_cfg.seed)
+    shared.add_argument("--p", type=_floats, default=sweep_cfg.p_list, help="comma-separated p exponents")
+    shared.add_argument("--theta", type=_floats, default=sweep_cfg.theta_list)
+    shared.add_argument("--rho", type=_floats, default=sweep_cfg.rho_list)
+    shared.add_argument("--centers", type=int, default=sweep_cfg.disk_centers, help="sampled disk centers")
 
-    pa = sub.add_parser("analyze", help="certify one polynomial against every applicable bound")
+    pa = sub.add_parser(
+        "analyze", parents=[shared], help="certify one polynomial against every applicable bound"
+    )
     src = pa.add_mutually_exclusive_group(required=True)
     src.add_argument("--poly", help="polynomial file (JSON, or text with --format text)")
     src.add_argument("--family", choices=FAMILY_KINDS, help="generate from a family")
     pa.add_argument("--format", default="json", choices=("json", "text"))
     pa.add_argument("--degree", type=int, default=8, help="family degree / recursion depth")
-    pa.add_argument("--seed", type=int, default=sweep_cfg.seed)
-    pa.add_argument("--p", type=_floats, default=sweep_cfg.p_list, help="comma-separated p exponents")
-    pa.add_argument("--theta", type=_floats, default=sweep_cfg.theta_list)
-    pa.add_argument("--rho", type=_floats, default=sweep_cfg.rho_list)
-    pa.add_argument("--centers", type=int, default=sweep_cfg.disk_centers, help="sampled disk centers")
     pa.add_argument("--root-tol", type=float, default=tols.root_tol)
     pa.add_argument(
         "--quad-tol", type=float, default=tols.quad_tol,
@@ -68,15 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--sup-tol", type=float, default=tols.sup_tol)
     pa.add_argument("--out", help="write the report JSON here (default stdout)")
 
-    ps = sub.add_parser("sweep", help="family sweep with aggregate statistics")
+    ps = sub.add_parser("sweep", parents=[shared], help="family sweep with aggregate statistics")
     ps.add_argument("--family", default=sweep_cfg.family, choices=FAMILY_KINDS)
     ps.add_argument("--degrees", type=_ints, default=sweep_cfg.degrees)
     ps.add_argument("--trials", type=int, default=sweep_cfg.trials)
-    ps.add_argument("--seed", type=int, default=sweep_cfg.seed)
-    ps.add_argument("--p", type=_floats, default=sweep_cfg.p_list)
-    ps.add_argument("--theta", type=_floats, default=sweep_cfg.theta_list)
-    ps.add_argument("--rho", type=_floats, default=sweep_cfg.rho_list)
-    ps.add_argument("--centers", type=int, default=sweep_cfg.disk_centers)
     ps.add_argument("--out-json", help="sweep report JSON path")
     ps.add_argument("--out-csv", help="per-entry CSV path")
 
@@ -97,8 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_polynomial(path: str, format: str) -> tuple[Polynomial, bytes]:
     """The polynomial in ``path`` and the file's bytes."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
     return read_polynomial(raw, format=format), raw
 
 
@@ -107,26 +108,31 @@ def _usage_error(exc: ValueError) -> int:
     return USAGE_ERROR
 
 
-def _write(path: str, text: str) -> bool:
-    """Write ``text`` to ``path``; on failure print an error line and return False."""
+def _write(path: str, text: str) -> None:
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def _config(args, **fields) -> SweepConfig:
+    """The ``SweepConfig`` of the flags ``analyze`` and ``sweep`` share, plus ``fields``."""
+    return SweepConfig(
+        seed=args.seed,
+        p_list=args.p,
+        theta_list=args.theta,
+        rho_list=args.rho,
+        disk_centers=args.centers,
+        **fields,
+    )
 
 
 def _run_analyze(args) -> int:
     try:
-        cfg = SweepConfig(
+        cfg = _config(
+            args,
             family=args.family or "explicit",
-            p_list=args.p,
-            theta_list=args.theta,
-            rho_list=args.rho,
-            disk_centers=args.centers,
-            seed=args.seed,
             record_disk_counts=True,
             tolerances=ToleranceConfig(
                 root_tol=args.root_tol, quad_tol=args.quad_tol, sup_tol=args.sup_tol
@@ -137,29 +143,14 @@ def _run_analyze(args) -> int:
     except ValueError as exc:
         return _usage_error(exc)
     if args.poly:
-        try:
-            poly, raw = _load_polynomial(args.poly, args.format)
-        except OSError as exc:
-            print(f"error: cannot read {args.poly}: {exc}", file=sys.stderr)
-            return 1
-        except PolynomialFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        descriptor = {
-            "source": args.poly,
-            "sha256": hashlib.sha256(raw).hexdigest(),
-        }
+        poly, raw = _load_polynomial(args.poly, args.format)
+        descriptor = {"source": args.poly, "sha256": hashlib.sha256(raw).hexdigest()}
     else:
         descriptor = {"family": args.family, "degree": poly.degree, "seed": args.seed}
-    try:
-        report = certify(poly, cfg, descriptor=descriptor)
-    except QuadratureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = certify(poly, cfg, descriptor=descriptor)
     text = report_json(report)
     if args.out:
-        if not _write(args.out, text + "\n"):
-            return 1
+        _write(args.out, text + "\n")
     else:
         print(text)
     if report.root_failure:
@@ -174,27 +165,14 @@ def _run_analyze(args) -> int:
 
 def _run_sweep(args) -> int:
     try:
-        cfg = SweepConfig(
-            family=args.family,
-            degrees=args.degrees,
-            trials=args.trials,
-            seed=args.seed,
-            p_list=args.p,
-            theta_list=args.theta,
-            rho_list=args.rho,
-            disk_centers=args.centers,
-        )
+        cfg = _config(args, family=args.family, degrees=args.degrees, trials=args.trials)
     except ValueError as exc:
         return _usage_error(exc)
-    try:
-        result = sweep(cfg)
-    except QuadratureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.out_json and not _write(args.out_json, result.to_json() + "\n"):
-        return 1
-    if args.out_csv and not _write(args.out_csv, result.to_csv()):
-        return 1
+    result = sweep(cfg)
+    if args.out_json:
+        _write(args.out_json, result.to_json() + "\n")
+    if args.out_csv:
+        _write(args.out_csv, result.to_csv())
     summary = {
         "instances": len(result.reports),
         "hard_violation_count": result.hard_violation_count,
@@ -248,25 +226,16 @@ def _run_gear(args) -> int:
     }
     roots = membership = None
     if args.poly:
-        try:
-            poly, _ = _load_polynomial(args.poly, args.format)
-            rootset = find_roots(poly)
-        except OSError as exc:
-            print(f"error: cannot read {args.poly}: {exc}", file=sys.stderr)
-            return 1
-        except (PolynomialFormatError, RootFindingError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        roots = rootset.roots
+        poly, _ = _load_polynomial(args.poly, args.format)
+        roots = find_roots(poly).roots
         membership = geometry.contains(gear, roots)
         payload["roots_total"] = int(len(roots))
         payload["roots_inside_gear"] = int(membership.sum())
-    if args.svg and not _write(args.svg, _gear_svg(gear, roots, membership)):
-        return 1
+    if args.svg:
+        _write(args.svg, _gear_svg(gear, roots, membership))
     text = json_text(payload)
     if args.json_out:
-        if not _write(args.json_out, text + "\n"):
-            return 1
+        _write(args.json_out, text + "\n")
     else:
         print(text)
     return 0
@@ -301,7 +270,11 @@ def main(argv=None) -> int:
         "gear": _run_gear,
         "thresholds": _run_thresholds,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (OSError, PolynomialFormatError, QuadratureError, RootFindingError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

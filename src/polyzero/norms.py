@@ -319,8 +319,7 @@ def p_norm(
     c = p.coefficient_array()
     k = _scale_exponent(c, exponent)
     if k:
-        c = np.trim_zeros(np.ldexp(c.real, -k) + 1j * np.ldexp(c.imag, -k), "b")
-        return _ldexp_interval(p_norm(Polynomial(tuple(c)), exponent, tol, max_points), k)
+        return _ldexp_interval(p_norm(_scaled_down(c, k), exponent, tol, max_points), k)
     n = p.degree
     if exponent == 2.0:
         # Two dot products of n + 1 squares and their sum round by at most
@@ -363,6 +362,11 @@ def _scale_exponent(c: np.ndarray, exponent: float) -> int:
     q = max(exponent, 1.0)
     bits = len(c).bit_length()
     return 0 if q * (k - 1) >= -900 and q * (k + bits + 1) + 2 * bits + 40 <= 1000 else k
+
+
+def _scaled_down(c: np.ndarray, k: int) -> Polynomial:
+    """The polynomial of the coefficients ``c`` times ``2**-k``, trailing zeros dropped."""
+    return Polynomial(tuple(np.trim_zeros(np.ldexp(c.real, -k) + 1j * np.ldexp(c.imag, -k), "b")))
 
 
 def _ldexp_interval(iv: Interval, k: int) -> Interval:
@@ -408,13 +412,22 @@ def sup_norm_enclosure(
     whole grid (:func:`_abs_at`, in batches of rows) when that is cheaper
     (many near-equal peaks).  ``eval_err`` is :func:`_eval_err` at the current
     grid, which covers both routes.
-    ``max_points`` caps the number of points evaluated, the first grid
-    included.
+    ``max_points`` caps the points counted: the first grid, plus at each
+    refinement one midpoint per kept cell, on either route (the FFT route is
+    taken only where it costs less than the kernel on those cells).
+
+    Coefficients outside the range of :func:`_scale_exponent` (at exponent
+    2, for ``|P|**2``) are scaled as in :func:`p_norm`, by the exact power of
+    two ``2**-k`` that brings ``max |c_j|`` into ``[1/2, 1)``, and the ends
+    scaled back by ``2**k``, so ``|P|**2`` neither overflows nor underflows.
     """
     if p.degree == 0:
         v = abs(p.coeffs[0])
         return Interval(v, v)
     c = p.coefficient_array()
+    k = _scale_exponent(c, 2.0)
+    if k:
+        return _ldexp_interval(sup_norm_enclosure(_scaled_down(c, k), tol, max_points), k)
     blocks = _blocks(c)  # for the refinement's midpoints
     lip = _TWO_PI * float(np.sum(np.arange(len(c)) * np.abs(c)))
     abs_sum = float(np.sum(np.abs(c)))
@@ -457,7 +470,7 @@ def sup_norm_enclosure(
             keep = np.maximum(f_left, f_right) >= floor
             cells, f_left, f_right = cells[keep], f_left[keep], f_right[keep]
         use_fft = len(cells) * (n + 1) > n_cells * math.log2(n_cells)
-        evaluated += n_cells if use_fft else len(cells)
+        evaluated += len(cells)
         if evaluated > max_points:
             break
         if use_fft:

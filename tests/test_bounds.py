@@ -276,6 +276,13 @@ class TestGearUpperBound:
         gb = gear_zero_upper_bound(16, 1.0, 1.0, 0.0, "sup_7", gear)
         assert not gb.applicable  # gamma for n=16 is far above 1/2
 
+    def test_wide_gear_is_inapplicable(self):
+        # n = 49, B = 0.4: the sup_7 radius is 7 * 0.8 / 7 = 0.8, the gear's.
+        gear = build_gear(0.8, 0.0, allow_wide=True)
+        gb = gear_zero_upper_bound(49, 0.4, 1.0, 0.0, "sup_7", gear)
+        assert not gb.applicable
+        assert "construction-only gear" in gb.hypothesis_notes
+
     def test_gn_gear_applicability_threshold(self):
         n_star = min_degree_for_radius(9.0, 0.5)
         gamma_at = 9 * math.log(n_star) / math.sqrt(n_star)

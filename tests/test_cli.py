@@ -109,6 +109,19 @@ class TestAnalyze:
             assert main(["analyze", "--poly", str(poly_file), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["root_failure"] == ""
 
+    @pytest.mark.parametrize(
+        "coeffs, sup", [([1.0, 1e300], 1e300), ([1e-200] + [0.0] * 30 + [1e200], 1e200)], ids=["1e300", "1e200"]
+    )
+    def test_extreme_coefficients_full_report(self, coeffs, sup, tmp_path):
+        # |P|^2 overflows past about 1e154 unless the sup scales P by a power of two.
+        poly_file, out = tmp_path / "p.json", tmp_path / "report.json"
+        poly_file.write_text(json.dumps({"coeffs": [[c, 0] for c in coeffs]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--poly", str(poly_file), "--out", str(out)]) == 0
+        lo, hi = json.loads(out.read_text())["profile"]["sup_norm"]
+        assert lo <= sup <= hi
+
     def test_convergence_failure_exit_1(self):
         # A sup-norm tolerance of 0 cannot be met: the enclosure reaches its evaluation cap.
         proc = run_cli("analyze", "--family", "littlewood", "--degree", "64", "--sup-tol", "0")
@@ -205,6 +218,15 @@ class TestGear:
 
     def test_wide_gamma_exit_1(self):
         assert run_cli("gear", "--gamma", "0.8", "--delta", "0").returncode == 1
+
+    def test_uncertified_roots_exit_1(self, tmp_path, capsys):
+        poly_file = tmp_path / "p.json"
+        poly_file.write_text(json.dumps({"coeffs": [[1e-160, 0], [1, 0], [1e-160, 0]]}))
+        assert main(["gear", "--gamma", "0.3", "--poly", str(poly_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: root residuals not certified")
 
     def test_wide_gamma_beyond_one(self, tmp_path):
         js = tmp_path / "gear.json"

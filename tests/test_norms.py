@@ -215,6 +215,25 @@ class TestPNormEnclosure:
         top, bottom = (iv.hi / scale) ** exponent, (iv.lo / scale) ** exponent
         assert top - bottom <= 1e-2 * (top + bottom)
 
+    @pytest.mark.parametrize("e", [-1000, -900, 900, 1000])
+    @pytest.mark.parametrize(
+        "q",
+        [
+            Polynomial((1.0, 0.0, 1.0)),
+            Polynomial((1.0, 1.0, 1.0)),
+            make_family(FamilySpec("littlewood", 16, seed=1)),
+            make_family(FamilySpec("unimodular", 16, seed=2)),
+        ],
+        ids=["1+z^2", "1+z+z^2", "littlewood16", "unimodular16"],
+    )
+    def test_sup_scales_exactly(self, q, e):
+        # |P|^2 over- or underflows unless sup_norm_enclosure scales P by a power of two.
+        base = sup_norm_enclosure(q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            iv = sup_norm_enclosure(q.scaled(2.0**e))
+        assert (iv.lo, iv.hi) == (base.lo * 2.0**e, base.hi * 2.0**e)
+
     @pytest.mark.parametrize("exponent", [1.0, 2.0, 3.0])
     def test_subnormal_norms_hold_the_oracle(self, exponent):
         # The ends land below the normal range, where scaling them back rounds.
@@ -662,6 +681,13 @@ class TestSupRefinement:
         p = make_family(FamilySpec("littlewood", 256, seed=2))
         with pytest.raises(norms.QuadratureError):
             sup_norm_enclosure(p, max_points=norms._initial_grid(256, floor=512))
+
+    def test_many_equal_peaks_count_the_kept_cells(self):
+        # z^4096 - 1 takes the FFT route; charging it the whole grid per level
+        # used up the cap with two cells kept per peak.
+        tols = norms.ProfileTolerances()
+        enc = sup_norm_enclosure(power_minus_one(4096), tol=tols.sup_tol, max_points=tols.grid_cap(4096))
+        assert 2.0 in enc and enc.width <= tols.sup_tol * enc.hi
 
     def test_large_monomial_constant_modulus(self, monkeypatch):
         counts = _count_evaluations(monkeypatch)

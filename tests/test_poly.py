@@ -126,6 +126,23 @@ class TestFamilies:
             with pytest.raises(ValueError):
                 make_family(FamilySpec(kind, 0, seed=1))
 
+    @pytest.mark.parametrize(
+        "spec, direct",
+        [
+            (FamilySpec("power_minus_one", 7), power_minus_one(7)),
+            (FamilySpec("rudin_shapiro_P", 4), rudin_shapiro_pair(4)[0]),
+            (FamilySpec("rudin_shapiro_Q", 4), rudin_shapiro_pair(4)[1]),
+            (FamilySpec("explicit", 0, coeffs=(1.0, 2.0, 3.0)), Polynomial((1.0, 2.0, 3.0))),
+        ],
+        ids=["power_minus_one", "rudin_shapiro_P", "rudin_shapiro_Q", "explicit"],
+    )
+    def test_make_family_matches_the_constructor(self, spec, direct):
+        assert make_family(spec) == direct
+
+    def test_explicit_needs_coefficients(self):
+        with pytest.raises(ValueError, match="needs coefficients"):
+            make_family(FamilySpec("explicit", 0))
+
     def test_cyclotomic_table(self):
         assert cyclotomic(1) == (-1, 1)
         assert cyclotomic(2) == (1, 1)
@@ -188,6 +205,11 @@ class TestSerialization:
     def test_round_trip_lehmer(self):
         p = lehmer_polynomial()
         again = read_polynomial(write_polynomial(p))
+        assert again.coeffs == p.coeffs
+
+    def test_round_trip_text(self):
+        p = make_family(FamilySpec("littlewood", 12, seed=4))
+        again = read_polynomial(write_polynomial(p, "text"), format="text")
         assert again.coeffs == p.coeffs
 
     def test_round_trip_bit_exact_random(self, rng):
