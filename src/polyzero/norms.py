@@ -281,6 +281,7 @@ def p_norm(
     exponent: float,
     tol: float = 1e-2,
     max_points: int = 2**20,
+    sup: Interval | None = None,
 ) -> Interval:
     """Enclosure of ``||P||_p = (integral_0^1 |P(e(t))|**exponent dt)**(1/exponent)``.
 
@@ -300,26 +301,56 @@ def p_norm(
     sampled.  ``exponent = 1`` on the random families stops at ``N = 64 n``
     at the default ``tol``, the second grid.
 
-    Coefficients outside the range of :func:`_scale_exponent` are first
-    scaled by the exact power of two ``2**-k`` that brings ``max |c_j|`` into
-    ``[1/2, 1)``, and the ends scaled back by ``2**k`` (widened by an ulp where
-    that rounds), so neither ``|P|**exponent`` nor the remainder overflows or
-    underflows.  A scaled-down coefficient that leaves the normal range
-    rounds by at most ``2**-1075``, so every sample moves by at most
-    ``(n + 1) 2**-1075``, far inside the sample allowance; trailing
-    coefficients that round to 0 are dropped.
+    Coefficients outside the range of :func:`_scale_exponent` take an
+    enclosure ``[S_lo, S_hi]`` of the sup ``S = max |P|``: ``sup`` when it is
+    given and finite, else :func:`sup_norm_enclosure` at its default
+    ``tol``.  They are scaled by the exact power of two ``2**-k`` that brings
+    ``S_hi`` into ``[1/2, 1)``, and the ends scaled back by ``2**k``
+    (widened by an ulp where that rounds).  A scaled-down coefficient that
+    leaves the normal range rounds by at most ``2**-1075``, so every sample
+    moves by at most ``(n + 1) 2**-1075``, far inside the sample allowance;
+    trailing coefficients that round to 0 are dropped.  ``|P(e(t))|`` is
+    ``2 pi n S``-Lipschitz in ``t`` (Bernstein), so it stays above
+    ``S (1 - 2 pi n |t - t*|)`` within ``1 / (2 pi n)`` of a maximizer
+    ``t*``, and the mean of ``|P|**exponent`` is at least ``S**exponent /
+    (pi n (exponent + 1))``.  The grid runs on the scaled polynomial while
+    ``exponent <= 2**15`` and ``(S_lo 2**-k)**exponent >= 2**-800``: the
+    mean then stays above ``2**-900``, so the samples that underflow move it
+    by a relative ``2**-170`` at most, and (for degrees below ``2**20``,
+    where the grid's sup is below 1.02) every sum and remainder stays below
+    ``2**1000``.  Otherwise ``|P|**exponent`` would underflow on the grid,
+    and the same bound gives, with no grid, the enclosure ``[S_lo (pi n
+    (exponent + 1))**(-1/exponent), S_hi]``: its relative width is about
+    ``log(pi n exponent) / exponent`` plus the sup's, ``2e-4`` at degree 512
+    and exponent ``1e5``.
 
-    Raises :class:`QuadratureError` only when ``tol`` is below the relative
+    Raises :class:`QuadratureError` when ``tol`` is below the relative
     rounding allowance of the sum itself (:func:`_sum_rounding`, about
     ``2e-12`` up to degree 4095; for Parseval, ``(n + 5) / 4`` ulps), which
-    no grid can meet.
+    no grid can meet, and, on coefficients that need the sup and without
+    ``sup``, where :func:`sup_norm_enclosure` raises.
     """
     if exponent <= 0 or not math.isfinite(exponent):
         raise ValueError("exponent must be a positive finite real")
     c = p.coefficient_array()
     k = _scale_exponent(c, exponent)
-    if k:
-        return _ldexp_interval(p_norm(_scaled_down(c, k), exponent, tol, max_points), k)
+    if k is None:
+        return _p_norm_at_scale(p, exponent, tol, max_points)
+    if sup is not None and sup.hi < math.inf:
+        sup = Interval(math.ldexp(sup.lo, -k), math.ldexp(sup.hi, -k))  # S 2**-k is in [1/2, n + 1)
+    else:
+        sup = sup_norm_enclosure(_scaled_down(c, k), max_points=max_points)
+    k_sup = math.frexp(sup.hi)[1]
+    if exponent <= 2.0**15 and exponent * math.log2(max(math.ldexp(sup.lo, -k_sup), _TINY)) >= -800.0:
+        return _ldexp_interval(_p_norm_at_scale(_scaled_down(c, k + k_sup), exponent, tol, max_points), k + k_sup)
+    # ``shrink`` rounds in its few operations by far less than the 1e-12 taken off.
+    shrink = math.exp(-(math.log(math.pi * max(p.degree, 1)) + math.log1p(exponent)) / exponent)
+    return _ldexp_interval(Interval(sup.lo * shrink * (1.0 - 1e-12), sup.hi), k)
+
+
+def _p_norm_at_scale(p: Polynomial, exponent: float, tol: float, max_points: int) -> Interval:
+    """:func:`p_norm` of ``p`` as it stands, unscaled."""
+    c = p.coefficient_array()
     n = p.degree
     if exponent == 2.0:
         # Two dot products of n + 1 squares and their sum round by at most
@@ -347,10 +378,10 @@ def p_norm(
     return Interval(float(lo), float(hi))
 
 
-def _scale_exponent(c: np.ndarray, exponent: float) -> int:
-    """Binary exponent ``k`` of the scaling ``2**-k`` that :func:`p_norm` applies
-    to the coefficients ``c``: 0 while they are safe as they are, else the
-    ``k`` with ``max |c_j|`` in ``[2**(k - 1), 2**k)``.
+def _scale_exponent(c: np.ndarray, exponent: float) -> int | None:
+    """Binary exponent ``k`` of the scaling ``2**-k`` that brings ``max |c_j|``
+    into ``[1/2, 1)``, or ``None`` while the coefficients ``c`` are safe as
+    they are.  ``k`` may be 0 on unsafe coefficients (a high ``exponent``).
 
     Safe means, with ``q = max(exponent, 1)`` and ``S < 2 (n + 1) max |c_j|``
     the sup that ``p_norm`` bounds: the mean of ``|P|**exponent``, at least
@@ -361,7 +392,7 @@ def _scale_exponent(c: np.ndarray, exponent: float) -> int:
     k = math.frexp(float(np.max(np.abs(c))))[1]
     q = max(exponent, 1.0)
     bits = len(c).bit_length()
-    return 0 if q * (k - 1) >= -900 and q * (k + bits + 1) + 2 * bits + 40 <= 1000 else k
+    return None if q * (k - 1) >= -900 and q * (k + bits + 1) + 2 * bits + 40 <= 1000 else k
 
 
 def _scaled_down(c: np.ndarray, k: int) -> Polynomial:
@@ -417,7 +448,7 @@ def sup_norm_enclosure(
     taken only where it costs less than the kernel on those cells).
 
     Coefficients outside the range of :func:`_scale_exponent` (at exponent
-    2, for ``|P|**2``) are scaled as in :func:`p_norm`, by the exact power of
+    2, for ``|P|**2``) are scaled by the exact power of
     two ``2**-k`` that brings ``max |c_j|`` into ``[1/2, 1)``, and the ends
     scaled back by ``2**k``, so ``|P|**2`` neither overflows nor underflows.
     """
@@ -1082,9 +1113,9 @@ def compute_profile(
     max_points = tols.grid_cap(p.degree)
     quad_points: dict[str, int] = {}
     p_norms = {}
-    for exponent in p_list:
-        p_norms[float(exponent)] = p_norm(p, float(exponent), tol=tols.quad_tol, max_points=max_points)
     sup = sup_norm_enclosure(p, tol=tols.sup_tol, max_points=max_points)
+    for exponent in p_list:
+        p_norms[float(exponent)] = p_norm(p, float(exponent), tol=tols.quad_tol, max_points=max_points, sup=sup)
     info = classify_unit_level(p, min_width=_E_TOL, sup_hint=sup.hi)
     quad_points["level_set"] = info.evaluations
     if roots is not None:

@@ -35,6 +35,24 @@ computed at, each within one untaken step (below ``_STALL``) of the last
 iterate.  Only supplied roots and the ``max_iter`` fallback take a separate
 pass, the same kernel with the reciprocals off.
 
+A confirming sweep whose rows span several blocks runs in float32 first
+(:func:`_single_pair_sums` with ``bounds``), and each row's sums come with
+proven bounds: ``E_j`` on the coupling sum's distance from the exact sum
+(and from the complex128 kernel's), ``A_j`` on the log sum's
+(:func:`_single_bounds`).  A root is decided still when every coupling sum
+within ``E_j`` gives a step below ``_STALL`` (:func:`_single_confirms`).
+When every root is decided so, the sweep confirms exactly where the
+complex128 sweep would; otherwise, or when a sum is not finite or a
+coordinate is at or above ``2**62``, the sweep is redone in complex128
+before any step is taken.  The certificate is then decided on the upper
+bounds ``|P(a_j)| / (|c_n| exp(L_j - A_j))`` of the residuals, and only when
+they exceed ``tol`` on the double log sums of :func:`_log_scales`, so it
+passes no root set that the double sums would reject.  The residuals
+themselves (:attr:`RootSet.residuals`) are computed on first read, by that
+double pass, with the bits it always gave.  The iterates, the roots
+returned and the residuals are therefore exactly those of a sweep in
+complex128.
+
 The pair kernel uses each pair of rows once, since the pair's two coupling
 terms differ only in sign and its two log terms are equal.  It runs in row
 blocks of ``_PAIR_ELEMS // n`` rows (at least ``_PAIR_MIN_ROWS``), so the
@@ -54,15 +72,20 @@ step ``N`` shrinks; far from the roots it only bends an iterate's path, and
 an iterate may then settle on another root than in double precision (the
 same roots, in another order).  If a float32 sum is not finite (a pair
 closer than float32 resolves, or coordinates too large for it), the call is
-redone in complex128.  The confirming sweep and every sweep after it, the
-Newton steps and the ``max_iter`` fallback pass stay in double precision, so
-the certificate and the stop rule are computed as with double precision
-throughout.  Degrees up to 128 fit every sweep in one block and never take
-the float32 path.
+redone in complex128.  The sweeps after the first confirming one that do
+not confirm, the Newton steps and the ``max_iter`` fallback pass stay in
+double precision, and the confirming sweeps decide in float32 only what the
+bounds above prove the double sums would decide.  Degrees up to 104 fit
+every sweep in one block and never take the float32 path; from 105 to 128
+only the confirming sweep spans blocks (its blocks hold logs too, so they
+are two thirds as long).
 """
 from __future__ import annotations
 
+import functools
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +100,8 @@ _LOG_FOLD = 8  # blocks of log sums gathered apart before adding to the totals
 _STALL = 1e-14  # relative step below which a root is frozen
 _FREEZE = 1e-9  # the same, in the sweeps before the first confirming one
 ROOT_TOL = 1e-9  # default bound on the certified residuals
+_LOG_HUGE = math.log(sys.float_info.max)  # exp of it is still finite
+_LOG_TINY = math.log(sys.float_info.min)  # the least normal float
 
 
 class RootFindingError(RuntimeError):
@@ -93,20 +118,28 @@ class RootSet:
 
     ``args_turns`` holds the normalized arguments ``theta_j`` in [0, 1).
     Length equals the polynomial degree, multiplicity counted.
-    ``_arc_index`` caches :mod:`zerostats`' disk-count index for the last
-    radius counted, and nothing else.
+    ``compute_residuals`` returns the residuals; :attr:`residuals` calls it
+    on first read and keeps the array.  :func:`find_roots` defers the double
+    pass there when upper bounds proved the certificate.  ``_arc_index``
+    caches :mod:`zerostats`' disk-count index for the last radius counted,
+    and nothing else.
     """
 
     roots: np.ndarray
-    residuals: np.ndarray
     moduli: np.ndarray
     args_turns: np.ndarray
+    compute_residuals: Callable[[], np.ndarray] = field(repr=False, compare=False)
     _arc_index: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "roots", np.asarray(self.roots, dtype=complex))
-        for name in ("residuals", "moduli", "args_turns"):
+        for name in ("moduli", "args_turns"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+
+    @functools.cached_property
+    def residuals(self) -> np.ndarray:
+        """``|P(a_j)| / scale_j`` for each root (see the module docstring)."""
+        return np.asarray(self.compute_residuals(), dtype=float)
 
     def __len__(self):
         return len(self.roots)
@@ -142,8 +175,7 @@ def _pair_sums(z: np.ndarray, rows: np.ndarray, reciprocals: bool = True, logs: 
     the complex128 kernel runs only when those sums are not all finite.
     """
     n, m = len(z), len(rows)
-    # A log block holds a float beside each complex entry: 24 bytes, not 16.
-    step = max(_PAIR_MIN_ROWS, (_PAIR_ELEMS * 2 // 3 if logs else _PAIR_ELEMS) // max(n, 1))
+    step = _block_rows(n, logs)
     with np.errstate(divide="ignore", invalid="ignore"):
         if m <= step:
             lg = np.empty((m, n)) if logs else None
@@ -180,24 +212,37 @@ def _pair_sums(z: np.ndarray, rows: np.ndarray, reciprocals: bool = True, logs: 
     return out, log_out
 
 
-def _single_pair_sums(z: np.ndarray, m: int, step: int):
+def _block_rows(n: int, logs: bool) -> int:
+    """Rows per pair block at ``n`` columns: ``_PAIR_ELEMS // n``, two thirds
+    as many with logs (a log block holds a float beside each complex entry,
+    24 bytes, not 16), and at least ``_PAIR_MIN_ROWS``."""
+    return max(_PAIR_MIN_ROWS, (_PAIR_ELEMS * 2 // 3 if logs else _PAIR_ELEMS) // max(n, 1))
+
+
+def _single_pair_sums(z: np.ndarray, m: int, step: int, bounds: bool = False):
     """Coupling sums of the first ``m`` points of ``z`` against all of
     ``z``, in float32 and in ``_pair_sums``' blocks and order, as complex128;
-    ``None`` when a coordinate is too large or a sum is not finite.
+    ``None`` when a coordinate is too large or a sum is not finite.  With
+    ``bounds`` (``m`` must then be ``len(z)``) the result is ``(S, L, E,
+    A)``: the coupling sums ``S``, the log sums ``L_j = sum_{k != j} log max(1,
+    |z_j - z_k|)`` and their error bounds from :func:`_single_bounds`.
 
     The points are two contiguous planes ``x``, ``y``.  Each term is
     ``1 / (z_i - z_k) = (dx - i dy) / q`` with ``q = dx**2 + dy**2``, so the
     sums are row and column sums of ``dx / q`` and ``dy / q``, taken as
-    products with a vector of ones (faster than ``sum`` here).  Coordinates
-    below ``2**62`` keep ``q`` below the float32 maximum, ``2**128``; a
-    coincident pair, or one close enough for ``q`` to underflow, makes a sum
-    infinite or nan.
+    products with a vector of ones (faster than ``sum`` here).  With
+    ``bounds``, ``1 / q`` and ``log max(1, q)`` (twice the log term) are
+    summed the same way, from the ``q`` already formed.  Coordinates below
+    ``2**62`` keep ``q`` below the float32 maximum, ``2**128``; a coincident
+    pair, or one close enough for ``q`` to underflow, makes a sum infinite or
+    nan.
     """
     n = len(z)
     planes = np.empty((2, n), dtype=np.float32)
     buf = np.empty((2, 2 * step * n), dtype=np.float32)
     ones = np.ones(n, dtype=np.float32)
     sums = np.zeros((2, m), dtype=np.float32)
+    extra = np.zeros((2, m), dtype=np.float32) if bounds else None  # sums of 1 / q and log max(1, q)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         planes[0], planes[1] = z.real, z.imag
         if not np.abs(planes).max() < 2.0**62:
@@ -210,16 +255,158 @@ def _single_pair_sums(z: np.ndarray, m: int, step: int):
             np.subtract(planes[:, start:stop, None], planes[:, None, start:], out=d)
             np.multiply(d, d, out=sq)
             q = np.add(sq[0], sq[1], out=sq[0])
+            if bounds:  # the self-term's q = 0 gives log 1 = 0
+                np.log(np.maximum(q, 1.0, out=sq[1]), out=sq[1])
             np.fill_diagonal(q, np.inf)  # self-term contributes zero
             np.reciprocal(q, out=q)
             np.multiply(d, q, out=d)
             sums[:, start:stop] += np.matmul(d, ones[:w])
             sums[:, stop:] -= np.matmul(ones[:k], d[:, :, k : m - start])
-    if not np.isfinite(sums).all():
+            if bounds:
+                extra[:, start:stop] += np.matmul(sq, ones[:w])
+                extra[:, stop:] += np.matmul(ones[:k], sq[:, :, k:])
+    if not (np.isfinite(sums).all() and (extra is None or np.isfinite(extra).all())):
         return None
     out = np.empty(m, dtype=complex)
     out.real, out.imag = sums[0], -sums[1]
-    return out
+    if not bounds:
+        return out
+    logs = 0.5 * extra[1].astype(float)
+    return (out, logs, *_single_bounds(np.abs(z), extra[0].astype(float), logs, -(-m // step)))
+
+
+_U32 = 2.0**-24  # float32 unit roundoff
+_LOG32 = 2.0**-20  # numpy's float32 log is within this times |log v| (it documents 4 ulps, 2**-21)
+_SLACK = 1.0 + 2.0**-20  # covers the complex128 kernel's error and the rounding of the bounds
+
+
+def _gamma32(k: float) -> float:
+    return k * _U32 / (1.0 - k * _U32)
+
+
+def _single_bounds(moduli: np.ndarray, inv_q: np.ndarray, logs: np.ndarray, blocks: int):
+    """Bounds ``(E, A)`` for the float32 sums of :func:`_single_pair_sums`:
+    ``|S~_j - S_j| <= E_j`` and ``|L~_j - L_j| <= A_j``, where ``S_j`` and
+    ``L_j`` are the exact sums at the double points ``z`` (``moduli`` is
+    ``|z|``), ``inv_q`` the float32 sums ``Q~_j`` of ``1 / q`` and ``logs``
+    the log sums ``L~_j``.  A row whose bounds the derivation does not cover
+    gets ``inf`` for both.  ``E_j`` and ``A_j`` also bound the distance to
+    the complex128 kernel's sums (:func:`_pair_sums`).
+
+    Notation: ``u = 2**-24``; ``gamma_k = k u / (1 - k u)``; ``D = z_j -
+    z_k``; ``D^`` the difference of the coordinates rounded to float32 (each
+    within ``u |x| + 2**-150``, so ``|D^ - D| <= u (|z_j| + |z_k|) + 3 *
+    2**-150``); ``q^ = |D^|**2``; ``N = n + blocks``, the most additions a
+    term takes on its way into a row total (within its block's product with
+    ones, at most ``n - 1`` in any order, then one per block).  Float32
+    summation in any order of terms ``t`` errs by at most ``gamma_N sum |t|``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    2002, §4.2).
+
+    * ``1 / q``: ``q~`` is ``q^`` within ``gamma_4`` relative (two squares,
+      a sum; the subtraction ``dx`` is one more rounding on each coordinate
+      difference, squared), ``1 / q~`` one more rounding.  A row is covered
+      only if ``Q~_j <= 2**100``: float32 sums of positive terms are at least
+      their largest term, so then every ``q~ >= 2**-100`` and every ``q^ >=
+      2**-101``, far above the subnormals, where a subnormal square (absolute
+      error ``2**-150``) moves ``q`` by less than ``u``.  So ``Q^_j = sum
+      1 / q^ <= Q_j = (Q~_j + n 2**-149) (1 + gamma_7) / (1 - gamma_N)``,
+      the ``n 2**-149`` for reciprocals of ``q > 2**126``, which are
+      subnormal.
+    * Rounding of the coordinates: ``|z_k| <= |z_j| + |D|`` gives ``|D^ -
+      D| <= a_j + b |D^|`` with ``a_j = (2 u |z_j| + 3 * 2**-150) / (1 - u)``
+      and ``b = u / (1 - u)``.  A row is covered only if ``16 a_j**2 Q_j <=
+      1``, so ``a_j <= |D^| / 4`` for every ``k``; then ``|D| >= |D^| / 2``
+      and ``|1/D^ - 1/D| = |D^ - D| / (|D| |D^|) <= 2 a_j / q^ + 2 b / |D^|``.
+    * Each float32 term ``dx / q~``, ``dy / q~`` is within ``gamma_10`` of
+      ``1 / D^``'s parts, relatively, plus ``2**-86`` absolute (a subnormal
+      product, or a subnormal ``1 / q~`` times ``|dx| < 2**63``), so the
+      complex term is within ``gamma_10 / |D^| + 2**-85``.  The sums of the
+      two parts err by ``gamma_N`` times the sums of the parts' moduli, so the
+      complex sum by ``gamma_N (1 + gamma_10) sum 1 / |D^|``.
+    * ``sum_k 1 / |D^| <= sqrt((n - 1) Q^_j)`` (Cauchy–Schwarz).
+
+    Together::
+
+        E_j = (1 + 2**-20) (2 a_j Q_j + (2 b + gamma_10 + gamma_N (1 + gamma_10))
+              sqrt((n - 1) Q_j) + n 2**-84)
+
+    For the log sums, a pair contributes only where ``|D|``, ``|D^|`` or
+    ``q~`` reaches 1, and ``log max(1, .)`` is 1-Lipschitz in ``log``:
+
+    * ``q~`` against ``q^``: ``|log(1 + gamma_4)| / 2 <= gamma_4``;
+    * ``|D^|`` against ``|D|``: at most ``|D^ - D| / min(|D|, |D^|)``, and
+      under the row's condition the smaller is at least ``|D^| / 2``, with
+      ``|D^| >= 0.79`` wherever one of them reaches 1, so at most ``2 a_j /
+      0.79 + 2 b <= 4 a_j + 2 b``;
+    * numpy's float32 ``log``: within ``2**-20 |log v|`` (``_LOG32``; numpy
+      documents 4 ulps for its vector ``log``, ``2**-21``), so the halved
+      terms' sum errs by ``2**-20 L^_j``;
+    * the summation: ``gamma_N`` times the sum of the (nonnegative) terms.
+
+    The halving of ``log max(1, q~)`` is exact.  Together::
+
+        A_j = (1 + 2**-20) ((n - 1) (gamma_4 + 4 a_j + 2 b)
+              + (2**-20 + gamma_N) L~_j / ((1 - 2**-20) (1 - gamma_N)))
+              + 2**-40 (1 + n + L~_j)
+
+    The complex128 kernel's own errors are those above with ``2**-53`` in
+    place of ``2**-24`` and no coordinate rounding, so the factor ``1 +
+    2**-20`` covers them and the rounding in forming these bounds in double;
+    the ``2**-40 (1 + n + L~_j)`` covers the double roundings of the
+    certificate's ``log |P| - log |c_n| - (L~_j - A_j)`` (its terms are at
+    most ``745 + 44 n + L_j`` in modulus below ``2**62``).
+    """
+    n = len(moduli)
+    big = n + blocks
+    if big * _U32 >= 0.25:  # gamma_N out of its range
+        inf = np.full(n, np.inf)
+        return inf, inf
+    g_n = _gamma32(big)
+    a = (2.0 * _U32 * moduli + 3.0 * 2.0**-150) / (1.0 - _U32)
+    b = _U32 / (1.0 - _U32)
+    q = (inv_q + n * 2.0**-149) * (1.0 + _gamma32(7)) / (1.0 - g_n)
+    root = np.sqrt((n - 1) * q)
+    err = _SLACK * (2.0 * a * q + (2.0 * b + _gamma32(10) + g_n * (1.0 + _gamma32(10))) * root + n * 2.0**-84)
+    log_err = _SLACK * (
+        (n - 1) * (_gamma32(4) + 4.0 * a + 2.0 * b) + (_LOG32 + g_n) * logs / ((1.0 - _LOG32) * (1.0 - g_n))
+    ) + 2.0**-40 * (1.0 + n + logs)
+    covered = (inv_q <= 2.0**100) & (16.0 * a * a * q <= 1.0)
+    err[~covered] = np.inf
+    log_err[~covered] = np.inf
+    return err, log_err
+
+
+def _single_confirms(z: np.ndarray, newton: np.ndarray):
+    """``(L~, A)`` from :func:`_single_pair_sums` when its float32 sums prove
+    a confirming sweep over every root, else ``None``.  Needs ``len(z)``
+    rows to span several blocks (a single block stays complex128) and
+    finite Newton steps ``newton``.
+
+    With ``|S - S~| <= E`` the Aberth step ``N / (1 - N S)`` is at most
+    ``|N| / (|1 - N S~| - |N| E)`` in modulus, and the relative step
+    ``|w| / (1 + |z - w|)`` at most ``|w| / (1 + |z| - |w|)``.  A root is
+    decided still when that bound, times ``1 + 2**-40`` for the double
+    roundings of the complex128 sweep's own step, is below ``_STALL``, with
+    ``|1 - N S~| - |N| E >= 1/2`` so that no guard of that sweep applies.
+    Since ``E`` also bounds the complex128 sums' distance, every root decided
+    still is one the complex128 sweep would have frozen.  A row the bounds
+    do not cover has ``E = inf`` and is never decided still.
+    """
+    n = len(z)
+    step = _block_rows(n, logs=True)
+    if n <= step:
+        return None
+    out = _single_pair_sums(z, n, step, True)  # with bounds
+    if out is None:
+        return None
+    coupling, logs, err, log_err = out
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(newton)
+        denom = np.abs(1.0 - newton * coupling) - size * err
+        w = size / denom
+        still = (denom >= 0.5) & (w * (1.0 + 2.0**-40) < _STALL * (1.0 + np.abs(z) - w))
+    return (logs, log_err) if still.all() else None
 
 
 def _coupling_block(d, zr, zc, diag, lg=None, reciprocals=True, guard=False):
@@ -337,12 +524,22 @@ def initial_points(p: Polynomial) -> np.ndarray:
     O(1/n) per sweep), so the circle is used as a cap rather than the start.
     A deterministic angular jitter of ``1e-3 * (j/n)`` turns breaks the
     symmetry that would otherwise stall the iteration on ``z**n - c``.
+
+    Both radii are decided in log space and clamped to the float range, so
+    no coefficients overflow them: the Cauchy radius is the largest float
+    when ``max_j log |c_j / c_n|`` reaches ``log`` of it, and a polygon
+    radius's log is clamped to the logs of the least normal and the largest
+    float.  Within those limits the radii are computed as plain ratios and
+    powers, bit for bit.
     """
     n = p.degree
     c = p.coefficient_array()
-    cauchy = 1.0 + float(np.max(np.abs(c[:-1] / c[-1])))
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(c)).tolist()  # the scan is faster on Python floats
+    if max(logs[:-1]) - logs[-1] < _LOG_HUGE:
+        cauchy = 1.0 + float(np.max(np.abs(c[:-1] / c[-1])))
+    else:
+        cauchy = sys.float_info.max
     # Upper convex hull of (j, log|c_j|), skipping zero coefficients.
     hull: list[int] = []
     for j in range(n + 1):
@@ -364,7 +561,7 @@ def initial_points(p: Polynomial) -> np.ndarray:
         pos = k
     for a, b in zip(hull[:-1], hull[1:]):
         g = b - a
-        radius = min(float(np.exp((logs[a] - logs[b]) / g)), cauchy)
+        radius = min(float(np.exp(min(max((logs[a] - logs[b]) / g, _LOG_TINY), _LOG_HUGE))), cauchy)
         # Global angle slots keep the whole cloud spread around the circle
         # even when the polygon splits into many one-root groups.
         j = np.arange(pos, pos + g)
@@ -378,17 +575,25 @@ def _aberth_sweep(c: np.ndarray, z: np.ndarray, active: np.ndarray, confirming: 
     """One sweep over the roots ``active``: their updated points, which of them
     still move (relative step not below ``stall``), and, in a confirming
     sweep, ``log |P|`` and the log pair sums at the current points (``None``
-    otherwise; no other sweep takes the logs).  Its temporaries end with it,
-    so none is held through the next sweep's evaluation.  The sweeps that
-    freeze at ``_FREEZE``, all before the first confirming one, take their
-    coupling sums in float32 where ``_pair_sums`` splits them into blocks.
-    ``blocks`` are the evaluation blocks of ``c`` (:func:`poly._split_blocks`).
+    otherwise; no other sweep takes the logs), and the bound ``A`` on the
+    log sums' error when they are float32 sums (``None`` when they are the
+    complex128 kernel's).  Its temporaries end with it, so none is held
+    through the next sweep's evaluation.  The sweeps that freeze at
+    ``_FREEZE``, all before the first confirming one, take their coupling
+    sums in float32 where ``_pair_sums`` splits them into blocks; a
+    confirming sweep is decided in float32 when :func:`_single_confirms`
+    proves it, and its steps are then not computed.  ``blocks`` are the
+    evaluation blocks of ``c`` (:func:`poly._split_blocks`).
     """
     n = len(z)
     za = z[active]
     newton, split = _newton_steps(c, za, blocks)
     log_abs = _log_abs_split(n, za, *split) if confirming else None
     bad = ~np.isfinite(newton)
+    if confirming and not bad.any():
+        confirmed = _single_confirms(z, newton)
+        if confirmed is not None:
+            return za, np.zeros(n, dtype=bool), log_abs, *confirmed
     if np.any(bad):
         newton[bad] = za[bad] / n  # crude far-field Newton step
     coupling, log_pairs = _pair_sums(z, active, logs=confirming, single=stall == _FREEZE)
@@ -402,7 +607,7 @@ def _aberth_sweep(c: np.ndarray, z: np.ndarray, active: np.ndarray, confirming: 
     factor = np.divide(limit, step, out=np.ones_like(step), where=step > limit)  # only where used
     za = za - w * factor
     moving = ~(step / (1.0 + np.abs(za)) < stall)  # a nan step stays active
-    return za, moving, log_abs, log_pairs
+    return za, moving, log_abs, log_pairs, None
 
 
 def find_roots(p: Polynomial, tol: float = ROOT_TOL, max_iter: int = 400) -> RootSet:
@@ -417,6 +622,13 @@ def find_roots(p: Polynomial, tol: float = ROOT_TOL, max_iter: int = 400) -> Roo
     first, the certificate is computed at the last iterates by a separate
     pass.  Raises :class:`RootFindingError` if the certificate cannot be met
     within ``max_iter`` sweeps, reporting the worst residual reached.
+
+    When the confirming sweep was decided in float32, the certificate is
+    decided on upper bounds of the residuals, from the float32 log sums less
+    their error bound ``A_j``; only when a bound exceeds ``tol`` are the
+    residuals computed at once, by the double pass of :func:`_log_scales`.
+    Otherwise :attr:`RootSet.residuals` is computed by that pass on first
+    read, with the same bits.
     """
     n = p.degree
     if n < 1:
@@ -426,20 +638,25 @@ def find_roots(p: Polynomial, tol: float = ROOT_TOL, max_iter: int = 400) -> Roo
     blocks = _split_blocks(c, order=1)
     active = np.arange(n)
     confirming = converged = False
-    sweeps, stall = 0, _FREEZE
+    sweeps, stall, log_err = 0, _FREEZE, None
     while sweeps < max_iter and not converged:
         if active.size == 0:
             active, confirming, stall = np.arange(n), True, _STALL
         sweeps += 1
-        za, moving, log_abs, log_pairs = _aberth_sweep(c, z, active, confirming, stall, blocks)
+        za, moving, log_abs, log_pairs, log_err = _aberth_sweep(c, z, active, confirming, stall, blocks)
         converged = confirming and not moving.any()
         if not converged:  # a confirmed sweep's steps are left untaken
             z[active] = za
         active, confirming = active[moving], False
+    abs_cn = abs(c[-1])
     if converged:
-        log_scale = math.log(abs(c[-1])) + log_pairs
+        log_scale = math.log(abs_cn) + log_pairs
     else:
-        log_scale, log_abs = _log_scales(z, abs(c[-1])), None
+        log_scale, log_abs = _log_scales(z, abs_cn), None
+    if log_err is not None:
+        if _residuals_from_scales(p, z, log_scale - log_err, log_abs).max() <= tol:
+            return _build(z, functools.partial(_double_residuals, p, z, abs_cn, log_abs))
+        log_scale = _log_scales(z, abs_cn)
     residuals = _residuals_from_scales(p, z, log_scale, log_abs)
     worst = float(residuals.max())
     if not worst <= tol:
@@ -449,16 +666,26 @@ def find_roots(p: Polynomial, tol: float = ROOT_TOL, max_iter: int = 400) -> Roo
             f"worst {worst:.3e} > tol {tol:.3e}",
             worst_residual=worst,
         )
-    return _build(z, residuals)
+    return _build(z, _known(residuals))
 
 
-def _build(z: np.ndarray, residuals: np.ndarray) -> RootSet:
+def _double_residuals(p: Polynomial, z: np.ndarray, abs_cn: float, log_abs: np.ndarray) -> np.ndarray:
+    """The residuals on the double log sums of :func:`_log_scales`."""
+    return _residuals_from_scales(p, z, _log_scales(z, abs_cn), log_abs)
+
+
+def _build(z: np.ndarray, compute_residuals: Callable[[], np.ndarray]) -> RootSet:
     return RootSet(
         roots=z,
-        residuals=residuals,
         moduli=np.abs(z),
         args_turns=args_turns(z),
+        compute_residuals=compute_residuals,
     )
+
+
+def _known(residuals: np.ndarray) -> Callable[[], np.ndarray]:
+    """A function returning the residuals already computed (picklable, unlike a lambda)."""
+    return functools.partial(np.asarray, residuals)
 
 
 def rootset_from_known(p: Polynomial, roots, tol: float = 1e-8) -> RootSet:
@@ -483,7 +710,7 @@ def rootset_from_known(p: Polynomial, roots, tol: float = 1e-8) -> RootSet:
             f"supplied roots failed certification: worst {worst:.3e} > tol {tol:.3e}",
             worst_residual=worst,
         )
-    return _build(z, residuals)
+    return _build(z, _known(residuals))
 
 
 def unit_roots_rootset(n: int, tol: float = 1e-8) -> RootSet:
@@ -502,7 +729,7 @@ def unit_roots_rootset(n: int, tol: float = 1e-8) -> RootSet:
         raise RootFindingError(f"unit roots failed certification: {worst:.3e}")
     return RootSet(
         roots=z,
-        residuals=residuals,
         moduli=np.ones(n),
         args_turns=t,
+        compute_residuals=_known(residuals),
     )

@@ -122,6 +122,16 @@ class TestAnalyze:
         lo, hi = json.loads(out.read_text())["profile"]["sup_norm"]
         assert lo <= sup <= hi
 
+    @pytest.mark.parametrize("text", ["1e300 1e-300", "1e200 0 0 1e-200"])
+    def test_extreme_roots_partial_report(self, text, tmp_path):
+        # The start points' Cauchy ratio overflowed here, a traceback under warnings as errors.
+        poly_file, out = tmp_path / "p.txt", tmp_path / "report.json"
+        poly_file.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--format", "text", "--poly", str(poly_file), "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["root_failure"].startswith("root residuals not certified")
+
     def test_convergence_failure_exit_1(self):
         # A sup-norm tolerance of 0 cannot be met: the enclosure reaches its evaluation cap.
         proc = run_cli("analyze", "--family", "littlewood", "--degree", "64", "--sup-tol", "0")

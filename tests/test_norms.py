@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -135,8 +136,33 @@ def _p_norm_oracle(p: Polynomial, exponent: float) -> tuple:
         return tuple(x ** (1 / mpmath.mpf(exponent)) for x in (mean - err, mean + err))
 
 
+@functools.cache
+def _littlewood_512_log_abs() -> np.ndarray:
+    """``log |P|`` of littlewood(512, seed 1) on 2**20 points of the circle."""
+    return np.log(np.abs(np.fft.fft(make_family(FamilySpec("littlewood", 512, seed=1)).coefficient_array(), 2**20)))
+
+
 class TestPNormEnclosure:
     """``p_norm`` is an enclosure: it holds an independent oracle at any width."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.7, 2.0**-1000, 2.0**1000])
+    @pytest.mark.parametrize("exponent", [300.0, 3000.0, 1e5])
+    def test_high_exponent_scales_by_the_sup(self, exponent, scale):
+        # |P|**300 overflowed when the scale followed max |c_j| rather than the
+        # sup; at 1e5 every scaled sample underflows, and at 3000 the scale 0.7
+        # puts the scaled sup where they would, so those take the sup bound.
+        p = make_family(FamilySpec("littlewood", 512, seed=1)).scaled(scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            iv = p_norm(p, exponent)
+        assert 0.0 < iv.lo <= iv.hi < math.inf
+        assert iv.hi - iv.lo <= 1e-2 * iv.hi
+        assert p_norm(p, exponent, sup=sup_norm_enclosure(p)) == iv
+        # Oracle: the mean of |P|**exponent on 2**20 points, in log space, well inside the width.
+        logs = exponent * _littlewood_512_log_abs()
+        top = logs.max()
+        want = scale * math.exp((top + math.log(np.mean(np.exp(logs - top)))) / exponent)
+        assert iv.lo <= want * (1.0 + 1e-9) and want * (1.0 - 1e-9) <= iv.hi
 
     @pytest.mark.parametrize("exponent", [0.5, 1.0, 3.0, 4.0])
     @pytest.mark.parametrize("name", list(ORACLE_INPUTS))

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -62,6 +63,10 @@ class TestBasicRoots:
         # while every root was still moving.
         assert "after 1 Aberth sweeps" in str(err.value)
         assert "max_iter reached with 8 of 8 roots still active" in str(err.value)
+
+    def test_no_sweeps_certifies_the_start_points(self):
+        with pytest.raises(RootFindingError, match=r"after 0 Aberth sweeps \(max_iter reached with 24 of 24"):
+            find_roots(make_family(FamilySpec("littlewood", 24, seed=8)), max_iter=0)
 
     def test_stalled_iteration_named_in_failure(self):
         p = make_family(FamilySpec("littlewood", 24, seed=8))
@@ -570,6 +575,149 @@ class TestCertificatePass:
         assert rs.residuals.max() <= 1e-6
 
 
+def _mpmath_pair_sums(z):
+    """Coupling and log sums over ``k != j`` at 40 digits."""
+    n = len(z)
+    with mpmath.workdps(40):
+        pts = [mpmath.mpc(complex(v)) for v in z]
+        coupling = [mpmath.mpc(0) for _ in range(n)]
+        logs = [mpmath.mpf(0) for _ in range(n)]
+        for j in range(n):
+            for k in range(j + 1, n):
+                d = pts[j] - pts[k]
+                coupling[j] += 1 / d
+                coupling[k] -= 1 / d
+                term = mpmath.log(max(mpmath.mpf(1), abs(d)))
+                logs[j] += term
+                logs[k] += term
+        return np.array([complex(v) for v in coupling]), np.array([float(v) for v in logs])
+
+
+def _oracle_points(case, rng):
+    z = _near_circle_points(rng, 64)
+    if case.endswith("apart"):
+        z[40] = z[3] + float(case.split()[0])
+    elif case == "double root":
+        z = find_roots(_times([1, -2, 1], FamilySpec("littlewood", 64, seed=3)), tol=1e-8).roots
+    elif case == "coordinates just below 2**62":
+        z = z * (0.999 * 2.0**62 / np.abs(np.concatenate((z.real, z.imag))).max())
+    elif case.startswith("moduli"):
+        z = z * 2.0 ** float(case.split()[1])
+    return z
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+class TestConfirmingSweepBounds:
+    """The float32 confirming kernel's coupling sums lie within ``E_j`` and its
+    log sums within ``A_j`` of the exact sums (mpmath at 40 digits) and of
+    the complex128 kernel's; a row the bounds do not cover has both ``inf``."""
+
+    @staticmethod
+    def _assert_within(z, step, want_coupling, want_logs):
+        out = roots_mod._single_pair_sums(z, len(z), step, True)
+        if out is None:  # a pair float32 does not resolve: the sweep runs in complex128
+            return None
+        coupling, logs, err, log_err = out
+        assert np.array_equal(np.isinf(err), np.isinf(log_err))
+        assert np.all(np.abs(coupling - want_coupling) <= err)
+        assert np.all(np.abs(logs - want_logs) <= log_err)
+        return np.isfinite(err)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["1e-6 apart", "1e-9 apart", "moduli -20", "moduli 20", "coordinates just below 2**62", "double root"],
+    )
+    def test_against_mpmath(self, case, rng):
+        z = _oracle_points(case, rng)  # 64 points, 66 for the double root
+        covered = self._assert_within(z, 16, *_mpmath_pair_sums(z))
+        if case == "1e-9 apart":
+            assert covered is None or not covered[[3, 40]].any()
+        elif case != "double root":
+            assert covered.all()
+
+    @pytest.mark.parametrize(
+        "family,n", [(f, n) for f in ("g_class", "littlewood", "unimodular") for n in (256, 2048)] + [("unit_roots", 2048)]
+    )
+    def test_against_complex128(self, family, n):
+        # At these sizes mpmath is too slow; E_j and A_j also bound the distance
+        # to the complex128 kernel's sums.
+        if family == "unit_roots":
+            z = unit_roots_rootset(n).roots
+        else:
+            z = find_roots(make_family(FamilySpec(family, n, seed=3)), tol=1e-8).roots
+        coupling, logs = roots_mod._pair_sums(z, np.arange(n), logs=True)
+        assert self._assert_within(z, roots_mod._block_rows(n, logs=True), coupling, logs).all()
+
+    def test_float32_log_within_its_allowance(self, rng):
+        # _LOG32 assumes numpy's float32 log within 2**-20 |log v|: every float32
+        # in [1, 2), and a sample of the rest up to 2**127.
+        bits = np.concatenate(
+            (np.arange(0x3F800000, 0x40000000, dtype=np.uint32), rng.integers(0x40000000, 0x7F000000, 2**20, dtype=np.uint32))
+        )
+        v = bits.view(np.float32)
+        exact = np.log(v.astype(float))
+        assert np.all(np.abs(np.log(v).astype(float) - exact) <= roots_mod._LOG32 * exact)
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+class TestFloat32Confirmation:
+    """The converged path decides its confirming sweep and its certificate in
+    float32, and computes the residuals only when they are read."""
+
+    @pytest.mark.parametrize("family", ["g_class", "littlewood", "unimodular"])
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_no_complex128_row_and_no_double_log_pass(self, family, n, monkeypatch):
+        p = make_family(FamilySpec(family, n, seed=3))
+        sweep, block = roots_mod._aberth_sweep, roots_mod._coupling_block
+        confirming, complex_rows = [], []
+
+        def counted_sweep(c, z, active, confirm, *args):
+            confirming.append(confirm)
+            try:
+                return sweep(c, z, active, confirm, *args)
+            finally:
+                confirming[-1] = False
+
+        def counted_block(d, zr, *args, **kwargs):
+            if confirming[-1]:
+                complex_rows.append(len(zr))
+            return block(d, zr, *args, **kwargs)
+
+        def fail(*args):
+            raise AssertionError("double log pass before the residuals are read")
+
+        monkeypatch.setattr(roots_mod, "_aberth_sweep", counted_sweep)
+        monkeypatch.setattr(roots_mod, "_coupling_block", counted_block)
+        monkeypatch.setattr(roots_mod, "_log_scales", fail)
+        monkeypatch.setattr(roots_mod, "log_abs_eval", fail)
+        rs = find_roots(p, tol=1e-8)
+        assert not complex_rows
+        monkeypatch.undo()
+        copy = pickle.loads(pickle.dumps(rs))  # the deferred residuals travel too
+        want = roots_mod._residuals_from_scales(p, rs.roots, _log_scales(rs.roots, abs(p.coeffs[-1])))
+        assert np.array_equal(rs.residuals, want)
+        assert np.array_equal(copy.residuals, want)
+        assert rs.residuals is rs.residuals  # computed once
+
+    def test_certificate_at_the_worst_residual(self, monkeypatch):
+        # A tol at the worst residual lies below the float32 bound, so it is
+        # decided on the double pass, as when the sweep ran in complex128.
+        p = make_family(FamilySpec("g_class", 512, seed=2))
+        worst = find_roots(p, tol=1e-8).residuals.max()
+        passes = []
+
+        def counted(z, abs_cn):
+            passes.append(len(z))
+            return _log_scales(z, abs_cn)
+
+        monkeypatch.setattr(roots_mod, "_log_scales", counted)
+        assert find_roots(p, tol=worst).residuals.max() == worst
+        assert passes == [512]
+        with pytest.raises(RootFindingError, match=r"\(steps stalled\)") as err:
+            find_roots(p, tol=math.nextafter(worst, 0.0))
+        assert err.value.worst_residual == worst
+
+
 def _numpy_scalar_initial_points(p):
     # initial_points with the hull scan on numpy scalars, as it was written first.
     n = p.degree
@@ -616,3 +764,16 @@ def test_initial_points_bit_identical_to_numpy_scalar_scan(family, n):
     got = initial_points(p)
     assert np.array_equal(got, _numpy_scalar_initial_points(p))
     assert np.all(np.isfinite(got))
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+@pytest.mark.parametrize(
+    "coeffs, radius",
+    [((1e300, 1e-300), 1.7976931348623157e308), ((1e200, 0, 0, 1e-200), 10 ** (400 / 3)), ((1e-300, 1e300), 2.2250738585072014e-308)],
+    ids=["cauchy ratio overflows", "3 roots at 1e133", "radius underflows"],
+)
+def test_initial_points_clamp_to_the_float_range(coeffs, radius):
+    # The Cauchy ratio c_j / c_n and the polygon radius overflowed here.
+    got = initial_points(Polynomial(coeffs))
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(np.abs(got), radius, rtol=1e-12)

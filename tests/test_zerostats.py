@@ -261,9 +261,9 @@ def _rootset(z):
     z = np.asarray(z, dtype=complex)
     return RootSet(
         roots=z,
-        residuals=np.zeros(len(z)),
         moduli=np.abs(z),
         args_turns=np.mod(np.angle(z) / (2 * math.pi), 1.0),
+        compute_residuals=lambda: np.zeros(len(z)),
     )
 
 
