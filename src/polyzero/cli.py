@@ -213,8 +213,7 @@ def _run_gear(args) -> int:
     try:
         gear = geometry.build_gear(args.gamma, args.delta, allow_wide=args.allow_wide)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _usage_error(exc)
     payload = {
         "gamma": gear.gamma,
         "delta": gear.delta,

@@ -1,15 +1,17 @@
-"""Simultaneous root finding with per-root residual certificates.
+"""Simultaneous root finding, certified by per-root residuals.
 
 All ``n`` roots of a polynomial are computed by Aberth-Ehrlich iteration
 (simultaneous Newton corrections coupled through pairwise repulsion terms).
-Each returned root carries a scale-normalized residual
+A root set is returned only when every root's scale-normalized residual
 
     residual_j = |P(a_j)| / scale_j,
     scale_j   = |c_n| * prod_{k != j} max(1, |a_j - a_k|),
 
-computed in log space so the product cannot overflow.  ``scale_j`` dominates
-``|P'(a_j)|``, so a small residual certifies a small backward error without
-assuming simple roots.
+computed in log space so the product cannot overflow, is at most the
+caller's ``tol``; otherwise :class:`RootFindingError` reports the worst one.
+The residuals are not kept: a :class:`RootSet` holds the roots only.
+``scale_j`` dominates ``|P'(a_j)|``, so a small residual certifies a small
+backward error without assuming simple roots.
 
 A sweep updates only the active roots.  A root freezes after a sweep in
 which its relative step ``|w_j| / (1 + |z_j|)`` falls below ``_FREEZE``
@@ -46,12 +48,9 @@ complex128 sweep would; otherwise, or when a sum is not finite or a
 coordinate is at or above ``2**62``, the sweep is redone in complex128
 before any step is taken.  The certificate is then decided on the upper
 bounds ``|P(a_j)| / (|c_n| exp(L_j - A_j))`` of the residuals, and only when
-they exceed ``tol`` on the double log sums of :func:`_log_scales`, so it
-passes no root set that the double sums would reject.  The residuals
-themselves (:attr:`RootSet.residuals`) are computed on first read, by that
-double pass, with the bits it always gave.  The iterates, the roots
-returned and the residuals are therefore exactly those of a sweep in
-complex128.
+one exceeds ``tol`` on the double log sums of :func:`_log_scales`, so it
+passes no root set that the double sums would reject.  The iterates and the
+roots returned are therefore exactly those of a sweep in complex128.
 
 The pair kernel uses each pair of rows once, since the pair's two coupling
 terms differ only in sign and its two log terms are equal.  It runs in row
@@ -82,10 +81,8 @@ are two thirds as long).
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,7 +102,8 @@ _LOG_TINY = math.log(sys.float_info.min)  # the least normal float
 
 
 class RootFindingError(RuntimeError):
-    """Iteration failed to certify all residuals within the budget."""
+    """Roots failed their residual certificate; ``worst_residual`` is the
+    largest residual, when one was computed."""
 
     def __init__(self, message: str, worst_residual: float | None = None):
         super().__init__(message)
@@ -114,32 +112,26 @@ class RootFindingError(RuntimeError):
 
 @dataclass(frozen=True)
 class RootSet:
-    """Roots ``a_j = rho_j * e(theta_j)`` with residual certificates.
+    """Roots ``a_j = rho_j * e(theta_j)``, certified when the set was built.
 
-    ``args_turns`` holds the normalized arguments ``theta_j`` in [0, 1).
-    Length equals the polynomial degree, multiplicity counted.
-    ``compute_residuals`` returns the residuals; :attr:`residuals` calls it
-    on first read and keeps the array.  :func:`find_roots` defers the double
-    pass there when upper bounds proved the certificate.  ``_arc_index``
-    caches :mod:`zerostats`' disk-count index for the last radius counted,
-    and nothing else.
+    Every constructor (:func:`find_roots`, :func:`rootset_from_known`,
+    :func:`unit_roots_rootset`) checks each root's residual against its
+    ``tol`` and raises :class:`RootFindingError` otherwise; the residuals are
+    not kept.  ``args_turns`` holds the normalized arguments ``theta_j`` in
+    [0, 1).  Length equals the polynomial degree, multiplicity counted.
+    ``_arc_index`` caches :mod:`zerostats`' disk-count index for the last
+    radius counted, and nothing else.
     """
 
     roots: np.ndarray
     moduli: np.ndarray
     args_turns: np.ndarray
-    compute_residuals: Callable[[], np.ndarray] = field(repr=False, compare=False)
     _arc_index: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "roots", np.asarray(self.roots, dtype=complex))
         for name in ("moduli", "args_turns"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-
-    @functools.cached_property
-    def residuals(self) -> np.ndarray:
-        """``|P(a_j)| / scale_j`` for each root (see the module docstring)."""
-        return np.asarray(self.compute_residuals(), dtype=float)
 
     def __len__(self):
         return len(self.roots)
@@ -611,7 +603,7 @@ def _aberth_sweep(c: np.ndarray, z: np.ndarray, active: np.ndarray, confirming: 
 
 
 def find_roots(p: Polynomial, tol: float = ROOT_TOL, max_iter: int = 400) -> RootSet:
-    """All roots of ``p`` with residuals certified below ``tol``.
+    """All roots of ``p``, each with its residual certified below ``tol``.
 
     Roots freeze at a relative step below ``_FREEZE`` until the first
     confirming sweep and below ``_STALL`` from then on: simple roots end in
@@ -625,10 +617,8 @@ def find_roots(p: Polynomial, tol: float = ROOT_TOL, max_iter: int = 400) -> Roo
 
     When the confirming sweep was decided in float32, the certificate is
     decided on upper bounds of the residuals, from the float32 log sums less
-    their error bound ``A_j``; only when a bound exceeds ``tol`` are the
-    residuals computed at once, by the double pass of :func:`_log_scales`.
-    Otherwise :attr:`RootSet.residuals` is computed by that pass on first
-    read, with the same bits.
+    their error bound ``A_j``; only when a bound exceeds ``tol`` is it
+    decided on the double log sums of :func:`_log_scales`.
     """
     n = p.degree
     if n < 1:
@@ -651,45 +641,33 @@ def find_roots(p: Polynomial, tol: float = ROOT_TOL, max_iter: int = 400) -> Roo
     abs_cn = abs(c[-1])
     if converged:
         log_scale = math.log(abs_cn) + log_pairs
+        if log_err is not None:  # float32 log sums: their upper bounds decide first
+            if _residuals_from_scales(p, z, log_scale - log_err, log_abs).max() <= tol:
+                return _build(z)
+            log_scale = _log_scales(z, abs_cn)
     else:
         log_scale, log_abs = _log_scales(z, abs_cn), None
-    if log_err is not None:
-        if _residuals_from_scales(p, z, log_scale - log_err, log_abs).max() <= tol:
-            return _build(z, functools.partial(_double_residuals, p, z, abs_cn, log_abs))
-        log_scale = _log_scales(z, abs_cn)
-    residuals = _residuals_from_scales(p, z, log_scale, log_abs)
+    ended = "steps stalled" if converged else f"max_iter reached with {active.size} of {n} roots still active"
+    failure = f"root residuals not certified after {sweeps} Aberth sweeps ({ended})"
+    _certify(_residuals_from_scales(p, z, log_scale, log_abs), tol, failure)
+    return _build(z)
+
+
+def _certify(residuals: np.ndarray, tol: float, failure: str) -> None:
+    """Raise :class:`RootFindingError`, its message ``failure`` and the
+    worst residual, unless every residual is at most ``tol``."""
     worst = float(residuals.max())
     if not worst <= tol:
-        ended = "steps stalled" if converged else f"max_iter reached with {active.size} of {n} roots still active"
-        raise RootFindingError(
-            f"root residuals not certified after {sweeps} Aberth sweeps ({ended}): "
-            f"worst {worst:.3e} > tol {tol:.3e}",
-            worst_residual=worst,
-        )
-    return _build(z, _known(residuals))
+        raise RootFindingError(f"{failure}: worst {worst:.3e} > tol {tol:.3e}", worst_residual=worst)
 
 
-def _double_residuals(p: Polynomial, z: np.ndarray, abs_cn: float, log_abs: np.ndarray) -> np.ndarray:
-    """The residuals on the double log sums of :func:`_log_scales`."""
-    return _residuals_from_scales(p, z, _log_scales(z, abs_cn), log_abs)
-
-
-def _build(z: np.ndarray, compute_residuals: Callable[[], np.ndarray]) -> RootSet:
-    return RootSet(
-        roots=z,
-        moduli=np.abs(z),
-        args_turns=args_turns(z),
-        compute_residuals=compute_residuals,
-    )
-
-
-def _known(residuals: np.ndarray) -> Callable[[], np.ndarray]:
-    """A function returning the residuals already computed (picklable, unlike a lambda)."""
-    return functools.partial(np.asarray, residuals)
+def _build(z: np.ndarray) -> RootSet:
+    return RootSet(roots=z, moduli=np.abs(z), args_turns=args_turns(z))
 
 
 def rootset_from_known(p: Polynomial, roots, tol: float = 1e-8) -> RootSet:
-    """Certify an externally supplied root list against ``p``.
+    """Certify an externally supplied root list against ``p``: each residual
+    must be at most ``tol``, or :class:`RootFindingError` is raised.
 
     Useful when the roots are known analytically.  Beyond degree 4096 the
     pairwise residual scale is replaced by its lower cap ``|c_n|`` (which only
@@ -703,33 +681,20 @@ def rootset_from_known(p: Polynomial, roots, tol: float = 1e-8) -> RootSet:
         log_scale = _log_scales(z, abs_cn)
     else:
         log_scale = np.full(len(z), math.log(abs_cn))
-    residuals = _residuals_from_scales(p, z, log_scale)
-    worst = float(residuals.max())
-    if not worst <= tol:
-        raise RootFindingError(
-            f"supplied roots failed certification: worst {worst:.3e} > tol {tol:.3e}",
-            worst_residual=worst,
-        )
-    return _build(z, _known(residuals))
+    _certify(_residuals_from_scales(p, z, log_scale), tol, "supplied roots failed certification")
+    return _build(z)
 
 
 def unit_roots_rootset(n: int, tol: float = 1e-8) -> RootSet:
-    """Roots of ``z**n - 1`` from exact angles ``j/n`` (no iterative solver).
+    """Roots of ``z**n - 1`` from exact angles ``j/n`` (no iterative solver),
+    certified like :func:`rootset_from_known`.
 
-    Residuals come from the closed form ``|z**n - 1|`` over the leading
+    The residuals come from the closed form ``|z**n - 1|`` over the leading
     coefficient (the generic dense evaluation would cost O(n^2) here).
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     t = np.arange(n) / n
     z = np.exp(2j * np.pi * t)
-    residuals = np.abs(z**n - 1.0)
-    worst = float(residuals.max())
-    if not worst <= tol:
-        raise RootFindingError(f"unit roots failed certification: {worst:.3e}")
-    return RootSet(
-        roots=z,
-        moduli=np.ones(n),
-        args_turns=t,
-        compute_residuals=_known(residuals),
-    )
+    _certify(np.abs(z**n - 1.0), tol, "unit roots failed certification")
+    return RootSet(roots=z, moduli=np.ones(n), args_turns=t)

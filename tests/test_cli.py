@@ -226,8 +226,15 @@ class TestGear:
         )
         assert payload["roots_inside_gear"] == expect
 
-    def test_wide_gamma_exit_1(self):
-        assert run_cli("gear", "--gamma", "0.8", "--delta", "0").returncode == 1
+    def test_invalid_gear_parameters_exit_64(self):
+        # A wide gamma without --allow-wide, and a delta out of [0, 1).
+        cases = ((("--gamma", "0.8", "--delta", "0"), "allow_wide"), (("--gamma", "0.3", "--delta", "1"), "delta"))
+        for args, message in cases:
+            proc = run_cli("gear", *args)
+            assert proc.returncode == 64
+            assert proc.stdout == ""
+            lines = proc.stderr.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
 
     def test_uncertified_roots_exit_1(self, tmp_path, capsys):
         poly_file = tmp_path / "p.json"

@@ -263,7 +263,6 @@ def _rootset(z):
         roots=z,
         moduli=np.abs(z),
         args_turns=np.mod(np.angle(z) / (2 * math.pi), 1.0),
-        compute_residuals=lambda: np.zeros(len(z)),
     )
 
 
