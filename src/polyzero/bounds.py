@@ -115,18 +115,17 @@ def discrepancy_bounds(
         )
     )
     mplus_scaled = profile.log_mahler_plus_scaled
-    mp_ok = c0_ok and math.isfinite(mplus_scaled)
+    mp_ok = c0_ok and mplus_scaled.hi < math.inf
     for bound_id, coeff in (
         ("Mignotte", ganelius_constant()),
         ("Soundararajan", SOUNDARARAJAN_C),
         ("CarneiroBp∞", CARNEIRO_C),
     ):
-        val = coeff * _sqrt_term(mplus_scaled, n) if mp_ok else math.nan
         entries.append(
             BoundEntry(
                 bound_id=bound_id,
-                value=val,
-                value_favorable=val,
+                value=coeff * _sqrt_term(mplus_scaled.lo, n) if mp_ok else math.nan,
+                value_favorable=coeff * _sqrt_term(mplus_scaled.hi, n) if mp_ok else math.nan,
                 applicable=mp_ok,
                 hypothesis_notes="" if mp_ok else "needs m+ of the normalized polynomial",
             )

@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--root-tol", type=float, default=tols.root_tol)
     pa.add_argument(
         "--quad-tol", type=float, default=tols.quad_tol,
-        help="relative half-width of the enclosures of integral |P|^p behind the p-norms, in (0, 1)",
+        help="relative half-width of the enclosures of integral |P|^p behind the p-norms and of m+, in (0, 1)",
     )
     pa.add_argument("--sup-tol", type=float, default=tols.sup_tol)
     pa.add_argument("--out", help="write the report JSON here (default stdout)")

@@ -62,7 +62,7 @@ _E_DEPENDENT_PREFIXES = ("PropThm0", "Lem2", "Thm4", "Thm2_disk_p", "GearUpper_e
 @dataclass
 class ToleranceConfig:
     """The limits a caller sets: the root residual, and the relative widths
-    of the p-norm and sup-norm enclosures.  Every other accuracy of the
+    of the p-norm (and m+) and sup-norm enclosures.  Every other accuracy of the
     profile is fixed in :mod:`polyzero.norms`."""
 
     root_tol: float = ROOT_TOL
@@ -224,9 +224,9 @@ def _profile_summary(profile: NormProfile, p_list) -> dict:
         "sup_norm": [profile.sup_norm.lo, profile.sup_norm.hi],
         "mahler": profile.mahler,
         "log_mahler": profile.log_mahler,
-        "mahler_plus": profile.mahler_plus,
-        "log_mahler_plus": profile.log_mahler_plus,
-        "log_mahler_plus_scaled": profile.log_mahler_plus_scaled,
+        "mahler_plus": [profile.mahler_plus.lo, profile.mahler_plus.hi],
+        "log_mahler_plus": [profile.log_mahler_plus.lo, profile.log_mahler_plus.hi],
+        "log_mahler_plus_scaled": [profile.log_mahler_plus_scaled.lo, profile.log_mahler_plus_scaled.hi],
         "e_measure": [profile.e_measure.lo, profile.e_measure.hi],
         "e_tangency": profile.e_tangency,
         "quad_points": dict(profile.quad_points),

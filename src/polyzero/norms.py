@@ -8,17 +8,18 @@ Provided functionals:
 * ``p_norm``            -- enclosure of ``(integral |P(e(t))|^p dt)**(1/p)``
 * ``sup_norm_enclosure``-- certified interval around ``max |P|``
 * ``mahler``            -- geometric mean ``M(P)`` and ``m(P) = log M(P)``
-* ``mahler_plus``       -- ``exp(integral log+ |P|)`` and its logarithm
+* ``mahler_plus``       -- enclosures of ``m+ = integral log+ |P|`` and of ``m+`` of
+  ``P / sqrt|c0 cn|``
 * ``e_measure_enclosure``-- certified interval around ``|E|``, the measure of
   ``{t : |P(e(t))| < 1}``
 * ``b_norm``            -- interval around the logarithmic p-norm ``B_p`` (or
   ``B_inf``), built from the enclosures above
 
 Enclosures are Lipschitz/Bernstein-certified from grid samples.  The
-p-norms take a trapezoid sum with a proven remainder, plus an a-priori
-allowance for the rounding of the samples and of the sum (an estimate for
-numpy's FFT, see :func:`_eval_err`).  The other enclosures are
-conservative but not formally validated interval arithmetic.
+p-norms and ``m+`` take a trapezoid sum with a proven remainder, plus an
+a-priori allowance for the rounding of the samples and of the sum (an
+estimate for numpy's FFT, see :func:`_eval_err`).  The other enclosures
+are conservative but not formally validated interval arithmetic.
 """
 from __future__ import annotations
 
@@ -37,9 +38,8 @@ _HUGE = float(np.finfo(float).max)
 
 # Fixed accuracies of the profile: the width to which the level set
 # localizes each crossing of ``|P| = 1`` (so ``|E|``), and the relative
-# stabilization of the m+ panels and of the Mahler quadrature.
+# stabilization of the Mahler quadrature.
 _E_TOL = 1e-8
-_MPLUS_TOL = 1e-8
 _MAHLER_TOL = 1e-8
 
 
@@ -525,16 +525,9 @@ def sup_norm_enclosure(
 
 @dataclass
 class LevelSetInfo:
-    """Certified classification of the circle against the level |P| = 1.
-
-    ``pieces`` (shape ``(m, 2)``, in order, split at ``t = 0``) are the
-    maximal intervals above the level, closed at the midpoints of the
-    crossing cells that bound them.  On the classifier's first grid, a cell
-    certified whole, or in certified sub-cells only, is above or below by
-    its certificate.  A cell holding crossings is split at their midpoints,
-    and one holding unresolved sub-cells is kept whole; these few (sub-)cells
-    are above when ``|P| > 1`` at their midpoint.
-    """
+    """Certified classification of the circle against the level |P| = 1:
+    the measures certified below and above it, the narrow cells that bracket
+    a crossing, and the unresolved rest (see :func:`classify_unit_level`)."""
 
     below: float            # measure certified |P| < 1
     above: float            # measure certified |P| > 1
@@ -542,7 +535,6 @@ class LevelSetInfo:
     tangent_measure: float  # unresolved cells without a sign change
     tangency: bool
     evaluations: int
-    pieces: np.ndarray      # above-level intervals, closed at crossing midpoints
 
     @property
     def enclosure(self) -> Interval:
@@ -555,26 +547,39 @@ def _abs_on_circle(blocks: np.ndarray, t: np.ndarray) -> np.ndarray:  # blocks o
 
 def _grid_cells(p: Polynomial, n_points: int):
     """Yield the cells ``[k, k + 1] / n_points`` of the uniform grid in batches
-    ``(r0, (ga, gb, da, db))``: ``g = |P| - 1`` and ``d = 2 pi |P'|`` at the
-    left and right ends, where entry ``[i, j]`` is cell ``k = j L + r0 + i``.
+    ``(r0, mags, ders)``: ``|P|`` and ``2 pi |P'|`` at the grid points, where
+    rows ``i`` and ``i + 1`` hold the left and right ends of the cells of row
+    ``i``, entry ``[i, j]`` of ``mags[:-1]`` the left end of cell
+    ``k = j L + r0 + i``.
 
     Values come from :func:`_sample_rows`, ``|P'|`` as ``|z P'(z)|`` in the
     rows of ``P``.  Each row meets the next; the last row of a batch is
     carried to the next batch, and the last row of the grid meets the first,
-    one column on.  No array of the grid's size outlives a batch.
+    one column on, written into the first two rows.  The two arrays are
+    reused from batch to batch: no array of the grid's size is formed unless
+    a batch is the whole grid.
     """
-    carry = first = None
-    for _, r0, (vals, ders) in _sample_rows(p, n_points, (0.0,), slope=True):
-        g, d = np.abs(vals) - 1.0, _TWO_PI * np.abs(ders)
-        if carry is None:
-            first = g[0].copy(), d[0].copy()
+    mags = ders = first = None
+    for _, r0, (vals, slopes) in _sample_rows(p, n_points, (0.0,), slope=True):
+        m = len(vals)
+        if mags is None:
+            mags, ders = np.empty((m + 1, vals.shape[1])), np.empty((m + 1, vals.shape[1]))
         else:
-            g, d, r0 = np.concatenate([carry[0], g]), np.concatenate([carry[1], d]), r0 - 1
-        carry = g[-1:].copy(), d[-1:].copy()
-        if len(g) > 1:
-            yield r0, (g[:-1], g[1:], d[:-1], d[1:])
+            mags[0], ders[0] = mags[m], ders[m]
+        np.abs(vals, out=mags[1:])
+        np.abs(slopes, out=ders[1:])
+        ders[1:] *= _TWO_PI
+        if first is None:
+            first = np.roll(mags[1], -1), np.roll(ders[1], -1)
+            if m > 1:
+                yield r0, mags[1:], ders[1:]
+        else:
+            yield r0 - 1, mags, ders
+    del vals, slopes  # the sampler's buffer, else held through the last batch
     stride = n_points // len(first[0])
-    yield stride - 1, (carry[0], np.roll(first[0], -1)[None], carry[1], np.roll(first[1], -1)[None])
+    mags[0], ders[0] = mags[-1], ders[-1]
+    mags[1], ders[1] = first
+    yield stride - 1, mags[:2], ders[:2]
 
 
 def _cover(ga, gb, da, db, w: float, m2: float):
@@ -588,30 +593,6 @@ def _cover(ga, gb, da, db, w: float, m2: float):
     with np.errstate(over="ignore"):  # an overflow is inf of its sign: the tests read the same
         certified = (np.abs(ga + gb) >= (np.maximum(da, db) + m2 * w) * w) & (ga * gb > 0)
     return certified, certified & (ga < 0)
-
-
-def _level_pieces(blocks: np.ndarray, n0: int, grid: np.ndarray, cuts: np.ndarray, unsure: np.ndarray) -> np.ndarray:
-    """The above-level pieces of :class:`LevelSetInfo` from the unresolved
-    first-grid cells ``grid = (k, g(k / n0), g((k + 1) / n0))``, sorted by
-    ``k``, the crossing midpoints ``cuts`` and the first-grid cells
-    ``unsure`` that hold unresolved sub-cells.  Between two unresolved cells
-    every cell is certified on the side of ``g`` at the first one's right end.
-    """
-    k, ga, gb = grid
-    points = np.unique(np.concatenate([[0.0, 1.0], k / n0, (k + 1) / n0, cuts]))
-    mids = 0.5 * (points[:-1] + points[1:])
-    cell = np.floor(mids * n0)
-    nxt = np.searchsorted(k, cell)
-    at = np.minimum(nxt, len(k) - 1)
-    inside = k[at] == cell
-    above = np.where(inside, ga[at] > 0, gb[nxt - 1] > 0)
-    split = np.zeros(len(k), dtype=bool)
-    split[np.searchsorted(k, np.floor(cuts * n0))] = True
-    split[np.searchsorted(k, unsure)] = True
-    check = inside & split[at]
-    above[check] = _abs_on_circle(blocks, mids[check]) > 1.0
-    edges = np.diff(np.concatenate([[0], above.astype(np.int8), [0]]))
-    return np.column_stack([points[edges == 1], points[edges == -1]])
 
 
 # The level-set classifier stops after this many evaluations, and calls its
@@ -638,10 +619,8 @@ def classify_unit_level(
     The first grid of ``n0`` cells is cover-tested batch by batch as it comes
     from the row sampler (:func:`_grid_cells`), and only its unresolved cells
     are kept.  Every cell of a bisection level has the same width, so the
-    level is one packed array ``(ga, gb, da, db, a, k)``, ``k`` the first-grid
-    cell it came from.  The certified measures are ``math.fsum`` totals.
-    The above-level pieces that ``m+`` integrates are assembled from the
-    unresolved cells at the end (see :class:`LevelSetInfo`).
+    level is one packed array ``(ga, gb, da, db, a)``, ``a`` the cells' left
+    ends.  The certified measures are ``math.fsum`` totals.
 
     Unresolved mass always widens the enclosure.  Point tangencies of
     ``|P|`` to the level (every real-coefficient polynomial with
@@ -665,19 +644,19 @@ def classify_unit_level(
     above: list[float] = []
     tangent: list[float] = []
     kept = []
-    for r0, ends in _grid_cells(p, n0):
+    for r0, mags, ders in _grid_cells(p, n0):
+        g = mags - 1.0
+        ends = g[:-1], g[1:], ders[:-1], ders[1:]
         certified, neg = _cover(*ends, w, m2)
         below.append(np.count_nonzero(neg) * w)
         above.append((np.count_nonzero(certified) - np.count_nonzero(neg)) * w)
         i, j = np.nonzero(~certified)
         k = j * (n0 // ends[0].shape[1]) + r0 + i
-        kept.append(np.stack([x[i, j] for x in ends] + [k / n0, k]))
+        kept.append(np.stack([x[i, j] for x in ends] + [k / n0]))
     cells = np.concatenate(kept, axis=1)
-    cells = cells[:, np.argsort(cells[5], kind="stable")]
-    grid = cells[[5, 0, 1]]
     blocks = _blocks(p.coeffs, order=1)
     evals = n0
-    lo = hi = unsure = np.empty(0)
+    lo = hi = np.empty(0)
     budget_hit = False
 
     while cells.shape[1]:
@@ -686,14 +665,12 @@ def classify_unit_level(
             lo = cells[4, flips]
             hi = lo + w
             tangent.append(np.count_nonzero(~flips) * w)
-            unsure = cells[5, ~flips]
             break
         unresolved = cells.shape[1] * w
         if evals > _LEVEL_BUDGET or (evals > 100_000 and unresolved > 0.5):
             # Exhausted, or clearly degenerate (|P| pinned to the level on
             # large mass, e.g. a monomial): stop refining.
             tangent.append(unresolved)
-            unsure = cells[5]
             budget_hit = True
             break
         m = cells.shape[1]
@@ -715,19 +692,13 @@ def classify_unit_level(
     tangency = budget_hit or tangent_measure > max(
         _TANGENCY_THRESHOLD, 100.0 * max(1, len(lo)) * min_width
     )
-    above_measure = math.fsum(above)
-    if grid.shape[1]:
-        pieces = _level_pieces(blocks[::2], n0, grid, 0.5 * (lo + hi), unsure)  # rows of P
-    else:
-        pieces = np.array([[0.0, 1.0]]) if above_measure else np.empty((0, 2))
     return LevelSetInfo(
         below=math.fsum(below),
-        above=above_measure,
+        above=math.fsum(above),
         crossings=list(zip(lo.tolist(), hi.tolist())),
         tangent_measure=tangent_measure,
         tangency=tangency,
         evaluations=evals,
-        pieces=pieces,
     )
 
 
@@ -927,76 +898,139 @@ def _deflated_log_abs(p: Polynomial, z: np.ndarray, paired: np.ndarray, mult: np
 # Positive-part Mahler measure
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+def _half_log(p: Polynomial) -> float:
+    """``log sqrt|c0 cn|``: half the log of ``|c0 cn|`` where that product is a
+    normal float, else half the sum of the logs of its factors, and ``-inf``
+    when ``c0 = 0``."""
+    c0cn = abs(p.coeffs[0] * p.coeffs[-1])
+    if _TINY <= c0cn < math.inf:
+        return 0.5 * math.log(c0cn)
+    c0 = abs(p.coeffs[0])
+    return 0.5 * (math.log(c0) + math.log(abs(p.coeffs[-1]))) if c0 else -math.inf
 
 
-def _integrate_log_abs(p: Polynomial, intervals: np.ndarray, tol: float) -> float:
-    """``sum_i integral_{a_i}^{b_i} log |P(e(t))| dt`` over smooth intervals.
+def _mplus_pass(p: Polynomial, n_points: int, levels, s_hi: float) -> list[tuple[float, float]]:
+    """``(value, half-width)`` of ``integral max(0, log |P| - l) dt`` for each
+    level ``(l, d)``, ``l`` known to within ``d``, from one pass over the
+    cells of the grid of ``n_points`` (:func:`_grid_cells`); ``s_hi >= max |P|``.
 
-    16-point Gauss-Legendre panels on a global grid of ``m`` cells, ``m``
-    starting at eight per unit of degree (the oscillation scale) and doubled
-    until the total stabilizes or reaches 512 per unit.  On the cells lying
-    wholly inside a piece, node ``x`` of every cell is ``P`` on the grid of
-    ``m`` points shifted by ``x``; all 16 shifted grids of a level go through
-    one :func:`_abs_at` call, whose FFT batches hold rows of several nodes
-    (grids up to ``_GRID_POINTS``) or several rows of one node.  Only the
-    partial cells at the ends of each piece, or a piece inside a single
-    cell, go through the blocked kernel.  Intervals must avoid zeros
-    of ``P`` on the circle (guaranteed when they sit strictly above the
-    level |P| = 1); ``log`` is taken on the kept cells only.
+    On a cell of width ``h`` with end values ``A``, ``B`` of ``|P|``,
+    ``D = max(2 pi |P'|) + M2 h`` (``M2 = (2 pi n)^2 s_hi``, Bernstein) bounds
+    the slope of ``|P|``, so ``|P|`` lies in ``[low, up] = (A + B -+ D h) / 2
+    -+ e``, ``e`` from :func:`_eval_err` (it also covers the roundings in
+    forming them).  With ``lambda = exp(l)``:
+
+    * a cell with ``low > lambda`` adds its trapezoid value of
+      ``log |P| - l`` within ``h^3 / 12 (M2 / low + (D / low)^2) + h e / low``,
+      since ``|(log |P|)''| <= |P''| / |P| + |P'|^2 / |P|^2``;
+    * a cell with ``up < lambda`` adds exactly 0;
+    * any other cell adds its trapezoid value, which lies in
+      ``[0, log+ (up / lambda)]`` with the integral, within
+      ``min(h log+ (up / lambda), (D h / 4 + e) h / lambda)``, the integrand
+      being ``D / lambda``-Lipschitz.
+
+    Every cell not below adds ``d h`` and the rounding of the logs and of
+    the sum (:func:`_sum_rounding`).  The arrays of a batch are reused.
     """
-    if len(intervals) == 0:
-        return 0.0
-    a = intervals[:, 0]
-    b = intervals[:, 1]
-    x = 0.5 * (_GL_NODES + 1.0)
-    half_w = 0.5 * _GL_WEIGHTS
-    m = max(8 * p.degree, 16)
-    prev = None
-    for _ in range(7):
-        first = np.ceil(a * m).astype(int)  # first grid node inside each piece
-        last = np.floor(b * m).astype(int)
-        whole = np.maximum(last - first, 0)
-        cells = np.repeat(first - np.cumsum(whole) + whole, whole) + np.arange(whole.sum())
-        # Partial panels: [a, first/m] and [last/m, b], or [a, b] within one cell.
-        inside = first > last
-        lo = np.concatenate([a[inside], a[~inside], last[~inside] / m])
-        hi = np.concatenate([b[inside], first[~inside] / m, b[~inside]])
-        part = hi > lo
-        lo, hi = lo[part], hi[part]
-        nodes = lo[:, None] + x[None, :] * (hi - lo)[:, None]
-        vals = log_abs_eval(p, np.exp(2j * np.pi * nodes))
-        total = float((vals @ half_w) @ (hi - lo))
-        del nodes, vals  # not held through the whole-cell sums
-        if len(cells):
-            sums = np.zeros(len(x))
-            for q, _, mags in _abs_at(p, m, cells, x):
-                sums[q] += float(np.log(mags).sum())
-            total += float(half_w @ sums) / m
-        if prev is not None and abs(total - prev) <= tol * (1.0 + abs(total)):
-            return total
-        prev = total
-        m *= 2
-    raise QuadratureError("log-integral panels failed to stabilize")
+    n, h = p.degree, 1.0 / n_points
+    abs_c = np.abs(p.coefficient_array())
+    e = _eval_err(float(abs_c.sum()), n, n_points)
+    m2 = (_TWO_PI * n) ** 2 * s_hi
+    widen = m2 * h + _TWO_PI * _eval_err(float(np.arange(n + 1) @ abs_c), n, n_points)
+    l, d = np.array(levels).T
+    # lambda rounded outwards: a cell is above past the upper one, below under the lower one.
+    lam_hi, lam_lo = np.exp(l + d) * (1.0 + 4.0 * _EPS) + _TINY, np.exp(l - d) * (1.0 - 4.0 * _EPS)
+    totals = []  # per batch and level: the sum, the remainder, the cells below
+    buf = None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _, mags, ders in _grid_cells(p, n_points):
+            rows = len(mags) - 1
+            if buf is None:  # cap rows for the logs, one fewer for low and for dh
+                cap = len(mags) + (_stride(n, n_points) > 1)  # the first batch has a row fewer than the next
+                buf = np.empty((3 * cap - 2, mags.shape[1]))
+            logs, up = buf[: rows + 1], buf[:rows]  # up until the logs replace it
+            low, dh = buf[cap : cap + rows], buf[2 * cap - 1 : 2 * cap - 1 + rows]
+            np.maximum(ders[:-1], ders[1:], out=dh)
+            dh += widen
+            dh *= 0.5 * h  # D h / 2
+            np.add(mags[:-1], mags[1:], out=low)
+            low *= 0.5
+            np.add(low, dh, out=up)
+            up += e
+            low -= dh
+            low -= e
+            above, under = low > lam_hi[:, None, None], up < lam_lo[:, None, None]  # per level
+            k, i, j = np.nonzero(~(above | under))  # the other cells
+            crude = h * np.maximum(np.log(up[i, j]) - (l - d)[k], 0.0)
+            rem = np.bincount(k, np.minimum(crude, (0.5 * dh[i, j] + e) * h / lam_lo[k]), len(l))
+            np.log(np.maximum(mags, _TINY, out=logs), out=logs)  # finite; above cells exceed _TINY
+            la, lb = logs[:-1], logs[1:]
+            trapezoid = np.maximum(la[i, j] - l[k], 0.0) + np.maximum(lb[i, j] - l[k], 0.0)
+            # Each cell's remainder were it above, (h^3 / 12 (M2 + D^2 / low) + h e) / low,
+            # into low, and 0 where no level is above.
+            widest = above[np.argmin(lam_hi)]  # every level's above cells
+            np.divide(1.0, low, out=low, where=widest)
+            dh *= 2.0 / h  # D
+            np.square(dh, out=dh)
+            dh *= low
+            dh *= h**3 / 12.0
+            dh += h**3 / 12.0 * m2 + h * e
+            low *= dh
+            np.copyto(low, 0.0, where=~widest)
+            per_level = []
+            for q in range(len(l)):
+                np.copyto(dh, above[q])  # the level's weights
+                w = dh.ravel()
+                count = np.count_nonzero(above[q])
+                per_level.append((np.dot(la.ravel(), w) + np.dot(lb.ravel(), w) - 2.0 * l[q] * count,
+                                  np.dot(low.ravel(), w), np.count_nonzero(under[q])))
+            s, r, b = np.array(per_level).T
+            totals.append((s + np.bincount(k, trapezoid, len(l)), r + rem, b))
+    sums, rems, below = (np.array(x) for x in zip(*totals))
+    allowance = d + _sum_rounding(n, n_points, 2.0) * (np.abs(l) + np.maximum(np.abs(l), abs(math.log(s_hi))))
+    return [
+        (0.5 * h * math.fsum(sums[:, q]), math.fsum(rems[:, q]) + float((n_points - below[:, q].sum()) * h * allowance[q]))
+        for q in range(len(l))
+    ]
 
 
 def mahler_plus(
     p: Polynomial,
-    tol: float = _MPLUS_TOL,
-    level_info: LevelSetInfo | None = None,
-) -> tuple[float, float]:
-    """``(M+(P), m+(P))`` with ``m+ = integral log+ |P(e(t))| dt``.
+    tol: float = 1e-2,
+    max_points: int = 2**20,
+    sup: Interval | None = None,
+) -> tuple[Interval, Interval]:
+    """Enclosures of ``m+(P) = integral log+ |P(e(t))| dt`` and of ``m+(f P)``,
+    ``f = 1 / sqrt|c0 cn|``.
 
-    The integrand's kinks sit exactly on the level crossings ``|P| = 1``, so
-    integration runs over the classifier's above-level pieces
-    (``LevelSetInfo.pieces``): full ``log |P|`` on them and zero elsewhere.
-    A piece ends at the midpoint of a crossing cell, a narrow bracketed
-    sliver whose contribution is bounded by its width.
+    ``log+ (f |P|) = max(0, log |P| - l)`` with ``l = log sqrt|c0 cn|``
+    (:func:`_half_log`), so one pass over the grid gives both, at the levels
+    0 and ``l`` (:func:`_mplus_pass`).  The pass starts on twice the level
+    classifier's first grid, ``2 _initial_grid(n)``, and the grid doubles
+    while a half-width exceeds ``tol`` times the larger of its value and
+    ``tol``; a grid of more than ``max_points`` points is not sampled, and
+    the enclosures of the last grid are returned, never an error.  ``sup``
+    encloses ``max |P|`` (``sum |c_j|`` without it).  Coefficients outside
+    the range of :func:`_scale_exponent` are sampled as the exact
+    ``2**-k P``, the levels lowered by ``k log 2``.  ``c0 = 0`` gives
+    ``m+(f P) = [inf, inf]``.
     """
-    if level_info is None:
-        level_info = classify_unit_level(p, min_width=min(tol * 1e-2, 1e-9))
-    m_plus = max(_integrate_log_abs(p, level_info.pieces, tol=tol), 0.0)
-    return math.exp(m_plus), m_plus
+    half = _half_log(p)
+    c = p.coefficient_array()
+    k = _scale_exponent(c, 2.0) or 0
+    q = _scaled_down(c, k) if k else p
+    s_hi = math.ldexp(sup.hi, -k) if sup else float(np.sum(np.abs(q.coefficient_array()))) * (1.0 + (q.degree + 2) * _EPS)
+    shift = k * math.log(2.0)
+    ends = [0.0] if half in (0.0, -math.inf) else [0.0, half]
+    levels = [(l - shift, 4.0 * _EPS * (1.0 + abs(l) + shift) if l or k else 0.0) for l in ends]
+    n_points = 2 * _initial_grid(q.degree)
+    while True:
+        found = _mplus_pass(q, n_points, levels, s_hi)
+        if all(width <= tol * max(value, tol) for value, width in found) or 2 * n_points > max_points:
+            break
+        n_points *= 2
+    mp = [Interval(max(value - width, 0.0), max(value + width, 0.0)) for value, width in found]
+    return mp[0], Interval(math.inf, math.inf) if half == -math.inf else mp[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -1008,10 +1042,11 @@ class ProfileTolerances:
     """Tolerances of :func:`compute_profile`.
 
     ``quad_tol`` is the relative half-width to which ``p_norm`` encloses
-    ``integral |P|^p``.
-    ``max_points`` is the least cap on the FFT grid of ``p_norm`` and on the
-    number of points ``sup_norm_enclosure`` evaluates (first grid plus
-    refinement points); :meth:`grid_cap` raises it with the degree.
+    ``integral |P|^p`` and ``mahler_plus`` encloses ``m+``.
+    ``max_points`` is the least cap on the FFT grids of ``p_norm`` and
+    ``mahler_plus`` and on the number of points ``sup_norm_enclosure``
+    evaluates (first grid plus refinement points); :meth:`grid_cap` raises
+    it with the degree.
     """
 
     quad_tol: float = 1e-2
@@ -1029,31 +1064,36 @@ class ProfileTolerances:
 class NormProfile:
     """Every scalar functional of one polynomial needed by the bound tables.
 
-    ``log_mahler_plus_scaled`` is ``m+(f P)`` with ``f = 1/sqrt|c0 cn|``.
-    ``log+`` is monotone and 1-Lipschitz, so ``m+(f P)`` lies between
-    ``m+(P)`` and ``m+(P) + log f``; when ``|log f|`` is within the m+
-    quadrature tolerance, ``log_mahler_plus`` is reused instead of a second
-    pass.  It is nan when ``P(0) = 0``, where ``f`` does not exist.
+    ``half_log`` is ``log sqrt|c0 cn|`` (:func:`_half_log`).
+    ``log_mahler_plus`` and ``log_mahler_plus_scaled`` enclose ``m+(P)`` and
+    ``m+(f P)`` with ``f = 1/sqrt|c0 cn|`` (:func:`mahler_plus`); the latter
+    is ``[inf, inf]`` when ``P(0) = 0``.
     """
 
     degree: int
     c0_abs: float
     c0cn_abs: float
+    half_log: float
     p_norms: dict[float, Interval]
     sup_norm: Interval
     mahler: float
     log_mahler: float
-    mahler_plus: float
-    log_mahler_plus: float
-    log_mahler_plus_scaled: float
+    log_mahler_plus: Interval
+    log_mahler_plus_scaled: Interval
     e_measure: Interval
     e_tangency: bool
     quad_points: dict[str, int] = field(default_factory=dict)
 
     @property
+    def mahler_plus(self) -> Interval:
+        """``M+(P) = exp(m+(P))``; an end that overflows is ``inf``."""
+        with np.errstate(over="ignore"):
+            return Interval(*(float(np.exp(x)) for x in (self.log_mahler_plus.lo, self.log_mahler_plus.hi)))
+
+    @property
     def log_mahler_scaled(self) -> float:
         """``m(P / sqrt|c_0 c_n|) = m(P) - log sqrt|c_0 c_n|``."""
-        return self.log_mahler - 0.5 * math.log(self.c0cn_abs)
+        return self.log_mahler - self.half_log
 
     def pnorm_at_least_one(self, exponent: float) -> bool:
         """``||P||_p >= 1`` on the whole enclosure, whose ends already carry
@@ -1081,7 +1121,7 @@ def b_norm(profile: NormProfile, exponent: float) -> Interval:
     p-norm (or sup) enclosure, and the ``|E|`` end that follows the sign of
     the log term.
     """
-    half_log = 0.5 * math.log(profile.c0cn_abs) if profile.c0cn_abs > 0 else -math.inf
+    half_log = profile.half_log
     if math.isinf(exponent):
         sup = profile.sup_norm
         return Interval(math.log(max(sup.lo, 1e-300)) - half_log, math.log(max(sup.hi, 1e-300)) - half_log)
@@ -1107,7 +1147,8 @@ def compute_profile(
 
     The Mahler measure comes from the root product when a RootSet is given
     (the reference route), otherwise from singularity-paired quadrature.
-    The p-norms and the sup enclosure share the cap ``tols.grid_cap(n)``.
+    The p-norms, ``m+`` and the sup enclosure share the cap
+    ``tols.grid_cap(n)``.
     """
     tols = tols or ProfileTolerances()
     max_points = tols.grid_cap(p.degree)
@@ -1127,26 +1168,18 @@ def compute_profile(
             # Degenerate circle zeros can exhaust float64; the rest of the
             # profile stays usable.
             m_val = m_log = math.nan
-    c0cn = abs(p.coeffs[0] * p.coeffs[-1])
-    mp_val, mp_log = mahler_plus(p, level_info=info)
-    mp_log_scaled = math.nan  # with P(0) = 0 there is no normalized polynomial
-    if c0cn > 0.0:
-        factor = 1.0 / math.sqrt(c0cn)
-        if abs(math.log(factor)) <= _MPLUS_TOL:
-            mp_log_scaled = mp_log
-        else:
-            _, mp_log_scaled = mahler_plus(p.scaled(factor))
+    mp, mp_scaled = mahler_plus(p, tol=tols.quad_tol, max_points=max_points, sup=sup)
     return NormProfile(
         degree=p.degree,
         c0_abs=abs(p.coeffs[0]),
-        c0cn_abs=c0cn,
+        c0cn_abs=abs(p.coeffs[0] * p.coeffs[-1]),
+        half_log=_half_log(p),
         p_norms=p_norms,
         sup_norm=sup,
         mahler=m_val,
         log_mahler=m_log,
-        mahler_plus=mp_val,
-        log_mahler_plus=mp_log,
-        log_mahler_plus_scaled=mp_log_scaled,
+        log_mahler_plus=mp,
+        log_mahler_plus_scaled=mp_scaled,
         e_measure=info.enclosure,
         e_tangency=info.tangency,
         quad_points=quad_points,

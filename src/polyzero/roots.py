@@ -99,6 +99,7 @@ _FREEZE = 1e-9  # the same, in the sweeps before the first confirming one
 ROOT_TOL = 1e-9  # default bound on the certified residuals
 _LOG_HUGE = math.log(sys.float_info.max)  # exp of it is still finite
 _LOG_TINY = math.log(sys.float_info.min)  # the least normal float
+_Z_MAX = 2.0**1020  # iterates stay below this in each coordinate, so their differences and reciprocals do not overflow
 
 
 class RootFindingError(RuntimeError):
@@ -613,7 +614,10 @@ def find_roots(p: Polynomial, tol: float = ROOT_TOL, max_iter: int = 400) -> Roo
     steps, all below ``_STALL``, are not taken.  When ``max_iter`` runs out
     first, the certificate is computed at the last iterates by a separate
     pass.  Raises :class:`RootFindingError` if the certificate cannot be met
-    within ``max_iter`` sweeps, reporting the worst residual reached.
+    within ``max_iter`` sweeps, reporting the worst residual reached, and
+    before any sweep from points with a coordinate at or above ``2**1020``
+    (or nan), such as the starting point of a root outside the float range:
+    their differences and reciprocals would overflow.
 
     When the confirming sweep was decided in float32, the certificate is
     decided on upper bounds of the residuals, from the float32 log sums less
@@ -630,6 +634,8 @@ def find_roots(p: Polynomial, tol: float = ROOT_TOL, max_iter: int = 400) -> Roo
     confirming = converged = False
     sweeps, stall, log_err = 0, _FREEZE, None
     while sweeps < max_iter and not converged:
+        if not ((np.abs(z.real) < _Z_MAX) & (np.abs(z.imag) < _Z_MAX)).all():
+            raise RootFindingError(f"an Aberth iterate left the float range (a coordinate reached 2**1020) after {sweeps} sweeps")
         if active.size == 0:
             active, confirming, stall = np.arange(n), True, _STALL
         sweeps += 1

@@ -122,15 +122,22 @@ class TestAnalyze:
         lo, hi = json.loads(out.read_text())["profile"]["sup_norm"]
         assert lo <= sup <= hi
 
-    @pytest.mark.parametrize("text", ["1e300 1e-300", "1e200 0 0 1e-200"])
-    def test_extreme_roots_partial_report(self, text, tmp_path):
+    @pytest.mark.parametrize(
+        "text, failure",
+        [
+            ("1e300 1e-300", "an Aberth iterate left the float range"),  # the root is -1e600
+            ("1e200 0 0 1e-200", "root residuals not certified"),
+        ],
+        ids=["1e300 1e-300", "1e200 0 0 1e-200"],
+    )
+    def test_extreme_roots_partial_report(self, text, failure, tmp_path):
         # The start points' Cauchy ratio overflowed here, a traceback under warnings as errors.
         poly_file, out = tmp_path / "p.txt", tmp_path / "report.json"
         poly_file.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["analyze", "--format", "text", "--poly", str(poly_file), "--out", str(out)]) == 1
-        assert json.loads(out.read_text())["root_failure"].startswith("root residuals not certified")
+        assert json.loads(out.read_text())["root_failure"].startswith(failure)
 
     def test_convergence_failure_exit_1(self):
         # A sup-norm tolerance of 0 cannot be met: the enclosure reaches its evaluation cap.
@@ -344,3 +351,37 @@ def test_main_callable_directly(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "min_degree" in out
+
+
+class TestExtremeInputsEndInReports:
+    """Inputs that ended in a traceback, or in exit 1 with no report when the
+    m+ panels failed to stabilize, run through ``main`` with warnings as
+    errors: each exits 0, 1 or 2 and writes a report with m+ intervals."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--poly", "1e160 1e160 3e160"),  # |c0 cn| overflows
+            ("--poly", "1e-150 1e200 1e-150"),  # a root near -1e350
+            ("--poly", "1e150 1 1e150"),  # |P(+-i)| = 1
+            ("--family", "cyclotomic_product", "--degree", "256", "--seed", "0"),
+            ("--family", "cyclotomic_product", "--degree", "256", "--seed", "1"),
+        ],
+        ids=["1e160", "1e-150", "1e150", "cyclotomic-seed0", "cyclotomic-seed1"],
+    )
+    def test_report_with_mplus_intervals(self, args, tmp_path):
+        out = tmp_path / "report.json"
+        if args[0] == "--poly":
+            poly_file = tmp_path / "p.txt"
+            poly_file.write_text(args[1])
+            args = ("--format", "text", "--poly", str(poly_file))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", *args, "--out", str(out)])
+        assert code in (0, 1, 2)
+        report = json.loads(out.read_text())
+        assert (code == 1) == bool(report["root_failure"])
+        for key in ("mahler_plus", "log_mahler_plus", "log_mahler_plus_scaled"):
+            lo, hi = report["profile"][key]
+            assert 0.0 <= lo <= hi < math.inf
+        assert all(e["margin_conservative"] != "-inf" for e in report["entries"])

@@ -511,3 +511,22 @@ class TestJsonText:
     @example({"a": [math.nan, {"b": np.float32(math.inf)}], 1: ()})
     def test_matches_oracle(self, obj):
         assert _written(obj) == _oracle(obj)
+
+
+class TestCertifyMemory:
+    """``certify``'s traced peak at the ``certify`` benchmark's degrees: the
+    profile streams its grids in bounded batches, so the peak stays near
+    that of one batch of the level classifier and of the m+ pass."""
+
+    @pytest.mark.parametrize("n, limit_mib", [(256, 0.55), (512, 0.90)])
+    @pytest.mark.parametrize("family", ["littlewood", "unimodular", "g_class"])
+    def test_traced_peak(self, family, n, limit_mib):
+        p = make_family(FamilySpec(family, n, seed=1))
+        certify(make_family(FamilySpec("littlewood", 32, seed=0)))  # caches built outside the trace
+        tracemalloc.start()
+        try:
+            certify(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20

@@ -820,3 +820,12 @@ def test_initial_points_clamp_to_the_float_range(coeffs, radius):
     got = initial_points(Polynomial(coeffs))
     assert np.all(np.isfinite(got))
     np.testing.assert_allclose(np.abs(got), radius, rtol=1e-12)
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+@pytest.mark.parametrize("coeffs", [(1e-150, 1e200, 1e-150), (1e300, 1e-300)], ids=["root near -1e350", "root at -1e600"])
+def test_root_outside_the_float_range_raises(coeffs):
+    # The start point of such a root lies at the largest float, where the
+    # coupling sums' differences and reciprocals overflowed.
+    with pytest.raises(RootFindingError, match="left the float range"):
+        find_roots(Polynomial(coeffs))
