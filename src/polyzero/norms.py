@@ -102,24 +102,23 @@ def _stride(degree: int, n_points: int) -> int:
     return stride
 
 
-def _sample_rows(p: Polynomial, n_points: int, shifts, slope: bool = False):
-    """Yield ``(q, r0, block)`` with
-    ``block[i, j] = P(e((j L + r0 + i + shifts[q]) / n_points))``, ``L`` from
-    :func:`_stride`, until every row of every shift has been yielded once.
-    With ``slope``, ``block`` has two planes: ``block[0]`` as above and
-    ``block[1]`` the same rows of ``z P'(z)`` (coefficients ``l c_l``), and a
-    batch holds half as many rows.
+def _sample_rows(p: Polynomial, n_points: int, shift: float, slope: bool = False):
+    """Yield ``(r0, block)`` with
+    ``block[i, j] = P(e((j L + r0 + i + shift) / n_points))``, ``L`` from
+    :func:`_stride`, until every row has been yielded once.  With ``slope``,
+    ``block`` has two planes: ``block[0]`` as above and ``block[1]`` the same
+    rows of ``z P'(z)`` (coefficients ``l c_l``), and a batch holds half as
+    many rows.
 
     Row ``r`` is the unscaled inverse DFT of ``c_l e((r + shift) l / n_points)``
     zero-padded to ``n_points / L``.  Rows go through one FFT per batch of at
-    most ``_BLOCK_POINTS`` samples (or one row): a power of two of the rows
-    of one shift, or, with ``L = 1``, whole grids of several shifts.  The
-    twiddles of a batch are a per-call table ``e(i l / n_points)`` times one
-    phase row ``c_l e((r0 + shift) l / n_points)``, built from
+    most ``_BLOCK_POINTS`` samples (or one row), a power of two of the rows.
+    The twiddles of a batch are a per-call table ``e(i l / n_points)`` times
+    one phase row ``c_l e((r0 + shift) l / n_points)``, built from
     ``c_l e(shift l / n_points)`` and the steps ``e(2^k l / n_points)`` of the
-    bits of ``r0``: a call takes ``n + 1`` complex exponentials per shift and
-    per bit of ``L``, and a twiddle at most ``log2 L`` roundings more than
-    the direct one.  A single grid of one shift is :func:`polyzero.poly.circle_samples`
+    bits of ``r0``: a call takes ``n + 1`` complex exponentials per bit of
+    ``L``, and a twiddle at most ``log2 L`` roundings more than the direct
+    one.  A single grid (``L = 1``) is :func:`polyzero.poly.circle_samples`
     bit for bit.  ``block`` is overwritten by the next batch.  A grid of at
     most ``degree`` points raises ``ValueError``, as ``circle_samples`` does:
     its rows would drop coefficients.
@@ -130,39 +129,33 @@ def _sample_rows(p: Polynomial, n_points: int, shifts, slope: bool = False):
     stride = _stride(n, n_points)
     size = n_points // stride
     planes = 2 if slope else 1
-    batch = 1 << (max(1, _BLOCK_POINTS // (planes * size)).bit_length() - 1)
-    rows = min(batch, stride)
-    grids = batch // rows  # shifts per FFT, > 1 only when L = 1
+    rows = min(1 << (max(1, _BLOCK_POINTS // (planes * size)).bit_length() - 1), stride)
     c = p.coefficient_array()
     l = np.arange(n + 1)
     steps = [np.exp((2j * np.pi * (1 << k) / n_points) * l) for k in range(stride.bit_length() - 1)]
     table = np.ones((rows, n + 1), dtype=complex)
     for k, step in enumerate(steps[: rows.bit_length() - 1]):
         np.multiply(table[: 1 << k], step, out=table[1 << k : 2 << k])
-    twisted = np.empty((min(grids, len(shifts)), planes, rows, n + 1), dtype=complex)
-    buf = np.empty((len(twisted), planes, rows, size), dtype=complex)
-    for q0 in range(0, len(shifts), grids):
-        offsets = np.asarray(shifts[q0 : q0 + grids], dtype=float)
-        first = c * np.exp((2j * np.pi * offsets / n_points)[:, None] * l)
-        x = twisted[: len(offsets)]
-        for r0 in range(0, stride, rows):
-            phase = first.copy()
-            for k in range(rows.bit_length() - 1, len(steps)):
-                if r0 >> k & 1:
-                    phase *= steps[k]
-            np.multiply(table, phase[:, None, :], out=x[:, 0])
-            if slope:
-                np.multiply(x[:, 0], l, out=x[:, 1])
-            out = np.fft.ifft(x, n=size, axis=-1, norm="forward", out=buf[: len(x)])
-            for i, block in enumerate(out):
-                yield q0 + i, r0, block if slope else block[0]
+    first = c * np.exp((2j * np.pi * shift / n_points) * l)
+    x = np.empty((planes, rows, n + 1), dtype=complex)
+    buf = np.empty((planes, rows, size), dtype=complex)
+    for r0 in range(0, stride, rows):
+        phase = first.copy()
+        for k in range(rows.bit_length() - 1, len(steps)):
+            if r0 >> k & 1:
+                phase *= steps[k]
+        np.multiply(table, phase, out=x[0])
+        if slope:
+            np.multiply(x[0], l, out=x[1])
+        out = np.fft.ifft(x, n=size, axis=-1, norm="forward", out=buf)
+        yield r0, out if slope else out[0]
 
 
 def _power_sum(p: Polynomial, n_points: int, shift: float, exponent: float) -> tuple[float, float]:
     """``(sum_k |P(t_k)|**exponent, max_k |P(t_k)|)`` over the grid
     ``t_k = e((k + shift) / n_points)``, one batch of rows at a time."""
     total, peak, mags = 0.0, 0.0, None
-    for _, _, block in _sample_rows(p, n_points, (shift,)):
+    for _, block in _sample_rows(p, n_points, shift):
         mags = np.abs(block, out=mags)
         peak = max(peak, float(mags.max()))
         if exponent != 1.0:
@@ -171,9 +164,9 @@ def _power_sum(p: Polynomial, n_points: int, shift: float, exponent: float) -> t
     return total, peak
 
 
-def _abs_at(p: Polynomial, n_points: int, index: np.ndarray, shifts):
-    """Yield ``(q, sel, |P(e((index[sel] + shifts[q]) / n_points))|)`` batch by
-    batch; for each ``q`` the ``sel`` cover every position of ``index`` once."""
+def _abs_at(p: Polynomial, n_points: int, index: np.ndarray, shift: float):
+    """Yield ``(sel, |P(e((index[sel] + shift) / n_points))|)`` batch by
+    batch; the ``sel`` cover every position of ``index`` once."""
     stride = _stride(p.degree, n_points)
     size = n_points // stride
     res = index % stride
@@ -181,10 +174,10 @@ def _abs_at(p: Polynomial, n_points: int, index: np.ndarray, shifts):
     res = res[order]
     flat = res * size + index[order] // stride  # position in the rows from r0 = 0
     edges = np.searchsorted(res, np.arange(stride + 1))
-    for q, r0, block in _sample_rows(p, n_points, shifts):
+    for r0, block in _sample_rows(p, n_points, shift):
         lo, hi = edges[r0], edges[r0 + len(block)]
         if hi > lo:
-            yield q, order[lo:hi], np.abs(block.ravel().take(flat[lo:hi] - r0 * size))
+            yield order[lo:hi], np.abs(block.ravel().take(flat[lo:hi] - r0 * size))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +459,7 @@ def sup_norm_enclosure(
     n_cells = _initial_grid(n, floor=512)
     f_left = np.empty(n_cells)
     grid = f_left.reshape(-1, _stride(n, n_cells))  # grid[j, r] is point j L + r
-    for _, r0, block in _sample_rows(p, n_cells, (0.0,)):
+    for r0, block in _sample_rows(p, n_cells, 0.0):
         np.abs(block.T, out=grid[:, r0 : r0 + len(block)])
     del block  # the sampler's buffer, else held through the refinement
     evaluated = n_cells
@@ -506,7 +499,7 @@ def sup_norm_enclosure(
             break
         if use_fft:
             f_mid = np.empty(len(cells))
-            for _, sel, vals in _abs_at(p, n_cells, cells, (0.5,)):
+            for sel, vals in _abs_at(p, n_cells, cells, 0.5):
                 f_mid[sel] = vals
         else:
             f_mid = _abs_on_circle(blocks, (cells + 0.5) / n_cells)
@@ -560,7 +553,7 @@ def _grid_cells(p: Polynomial, n_points: int):
     a batch is the whole grid.
     """
     mags = ders = first = None
-    for _, r0, (vals, slopes) in _sample_rows(p, n_points, (0.0,), slope=True):
+    for r0, (vals, slopes) in _sample_rows(p, n_points, 0.0, slope=True):
         m = len(vals)
         if mags is None:
             mags, ders = np.empty((m + 1, vals.shape[1])), np.empty((m + 1, vals.shape[1]))
@@ -633,7 +626,7 @@ def classify_unit_level(
     n = p.degree
     if sup_hint is None:
         n0 = _initial_grid(n, floor=512)
-        ms = max(float(np.abs(block).max()) for _, _, block in _sample_rows(p, n0, (0.0,)))
+        ms = max(float(np.abs(block).max()) for _, block in _sample_rows(p, n0, 0.0))
         kappa = 0.5 * (math.pi * max(n, 1) / n0) ** 2
         sup_hint = ms / math.sqrt(1.0 - kappa)
     m2 = (_TWO_PI * max(n, 1)) ** 2 * sup_hint
@@ -780,7 +773,7 @@ def _detect_near_circle_zeros(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
     n = p.degree
     n0 = _initial_grid(n, floor=2048)
     mags = np.empty(n0)
-    for _, r0, block in _sample_rows(p, n0, (0.0,)):
+    for r0, block in _sample_rows(p, n0, 0.0):
         # Row r0 + i holds the samples r0 + i, r0 + i + L, ...: column r0 + i of an (n0 / L, L) view.
         mags.reshape(block.shape[1], -1)[:, r0 : r0 + len(block)] = np.abs(block).T
     med = float(np.median(mags))

@@ -301,7 +301,7 @@ def test_eval_err_covers_the_row_sampler():
     c = [mpmath.mpc(x) for x in reversed(p.coeffs)]
     worst, checked = 0.0, 0
     with mpmath.workdps(30):
-        for _, r0, block in norms._sample_rows(p, n_points, (0.0,)):
+        for r0, block in norms._sample_rows(p, n_points, 0.0):
             for i, row in enumerate(block):
                 if bin(r0 + i).count("1") < 15:
                     continue
@@ -742,10 +742,9 @@ def _count_evaluations(monkeypatch) -> dict[str, int]:
     counts = {"fft": 0, "shifted_fft": 0, "horner": 0}
     rows, horner = norms._sample_rows, norms._abs_on_circle
 
-    def counted_rows(p, n_points, shifts):
-        for shift in shifts:
-            counts["shifted_fft" if shift else "fft"] += n_points
-        return rows(p, n_points, shifts)
+    def counted_rows(p, n_points, shift):
+        counts["shifted_fft" if shift else "fft"] += n_points
+        return rows(p, n_points, shift)
 
     def counted_horner(blocks, t):
         counts["horner"] += len(t)
@@ -895,12 +894,12 @@ def test_positive_pieces_match_flag_loop(kind, n):
         assert pieces[0][0] == 0.0 and pieces[-1][1] == 1.0
 
 
-def _gather_abs_at(p: Polynomial, n_points: int, index: np.ndarray, shifts) -> np.ndarray:
-    """``norms._abs_at`` gathered into one ``(len(shifts), len(index))`` array."""
-    out = np.full((len(shifts), len(index)), np.nan)
-    for q, sel, vals in norms._abs_at(p, n_points, index, shifts):
-        assert np.isnan(out[q, sel]).all()
-        out[q, sel] = vals
+def _gather_abs_at(p: Polynomial, n_points: int, index: np.ndarray, shift: float) -> np.ndarray:
+    """``norms._abs_at`` gathered into one array over ``index``."""
+    out = np.full(len(index), np.nan)
+    for sel, vals in norms._abs_at(p, n_points, index, shift):
+        assert np.isnan(out[sel]).all()
+        out[sel] = vals
     return out
 
 
@@ -931,7 +930,7 @@ class TestBlockedSampling:
     def test_abs_at_matches_one_fft(self, n_points, shift):
         index = np.sort(np.random.default_rng(0).choice(n_points, 5000, replace=False))
         ref = np.abs(circle_samples(self.P, n_points, shift=shift))[index]
-        got = _gather_abs_at(self.P, n_points, index, (shift,))[0]
+        got = _gather_abs_at(self.P, n_points, index, shift)
         assert np.max(np.abs(got - ref)) <= 1e-12 * ref.max()
 
     @pytest.mark.parametrize(
@@ -949,8 +948,8 @@ class TestBlockedSampling:
         ref = circle_samples(p, n_points, shift=shift)
         seen = np.zeros(n_points, dtype=int)
         err = 0.0
-        for q, r0, block in norms._sample_rows(p, n_points, (shift,)):
-            assert q == 0 and block.size <= max(norms._BLOCK_POINTS, n_points // stride)
+        for r0, block in norms._sample_rows(p, n_points, shift):
+            assert block.size <= max(norms._BLOCK_POINTS, n_points // stride)
             k = (np.arange(block.shape[1])[None, :] * stride + r0 + np.arange(len(block))[:, None]).ravel()
             seen[k] += 1
             err = max(err, float(np.abs(block.ravel() - ref[k]).max()))
@@ -962,7 +961,7 @@ class TestBlockedSampling:
         assert abs(peak - mags.max()) <= 1e-13 * mags.max()
         # With slope, each batch also holds z P'(z) in the same rows.
         slope_ref = circle_samples(Polynomial(tuple(np.arange(n + 1) * p.coefficient_array())), n_points, shift=shift)
-        for _, r0, (vals, ders) in norms._sample_rows(p, n_points, (shift,), slope=True):
+        for r0, (vals, ders) in norms._sample_rows(p, n_points, shift, slope=True):
             assert 2 * vals.size <= max(norms._BLOCK_POINTS, 2 * n_points // stride)
             k = (np.arange(vals.shape[1])[None, :] * stride + r0 + np.arange(len(vals))[:, None]).ravel()
             assert np.abs(vals.ravel() - ref[k]).max() <= 1e-13 * float(np.abs(ref).max())
@@ -985,22 +984,11 @@ class TestBlockedSampling:
                 assert np.abs(got.ravel() - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
         assert (seen == 1).all()
 
-    @pytest.mark.parametrize("n_points", [2**11, 2**12, 2**14, 2**16, 8 * 100 * 2**6])
-    def test_batched_nodes_match_single_calls(self, n_points):
-        nodes = 0.5 * (_GL_NODES + 1.0)
-        index = np.sort(np.random.default_rng(1).choice(n_points, n_points // 3, replace=False))
-        batched = _gather_abs_at(self.P, n_points, index, nodes)
-        for q, x in enumerate(nodes):
-            single = _gather_abs_at(self.P, n_points, index, (x,))[0]
-            ref = np.abs(circle_samples(self.P, n_points, shift=x))[index]
-            assert np.array_equal(batched[q], single)
-            assert np.max(np.abs(single - ref)) <= 1e-13 * ref.max()
-
     def test_small_grid_is_one_fft(self):
         # Grids up to _GRID_POINTS keep the single FFT, bit for bit.
         n_points = norms._GRID_POINTS
         for shift in (0.0, 0.5, 0.3):
-            blocks = [b.copy() for _, _, b in norms._sample_rows(self.P, n_points, (shift,))]
+            blocks = [b.copy() for _, b in norms._sample_rows(self.P, n_points, shift)]
             assert len(blocks) == 1
             assert np.array_equal(blocks[0][0], circle_samples(self.P, n_points, shift=shift))
 

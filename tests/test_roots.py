@@ -499,6 +499,95 @@ class TestSinglePrecisionSteering:
         assert _match_nearest(single, double) <= 1e-14
 
 
+def _ring_points(rng, n):
+    """Points like late Aberth iterates: one per angular slot, moduli within
+    about 1% of 1, so every point lies in the far route's band."""
+    return np.exp(rng.normal(scale=0.01, size=n)) * np.exp(2j * np.pi * (np.arange(n) + rng.random(n)) / n)
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+class TestFarFieldSteering:
+    """From degree ``_FAR_DEGREE``, steering sweeps with many active rows take
+    far sectors' terms from Laurent moments, and fall back to the dense
+    float32 kernel, then to complex128, wherever the route does not apply."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        """Results of every call to the kernel ``name``, in call order."""
+        results = []
+        kernel = getattr(roots_mod, name)
+
+        def counted(*args, **kwargs):
+            results.append(kernel(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(roots_mod, name, counted)
+        return results
+
+    # Largest relative errors with the fixture's seed, all rows / every other
+    # row: 9.7e-5 / 6.7e-5 at 2048 and 2.0e-4 / 2.0e-4 at 4096, the dense
+    # float32 kernel's within 1%: the near terms' float32 rounding dominates.
+    @pytest.mark.parametrize("n", [2048, 4096])
+    def test_sums_match_dense_within_float32(self, n, rng, monkeypatch):
+        z = _ring_points(rng, n)
+        dense = _dense_pairwise(z)
+        far = self._count(monkeypatch, "_far_pair_sums")
+        single = self._count(monkeypatch, "_single_pair_sums")
+        for rows in (np.arange(n), np.arange(1, n, 2)):
+            got = roots_mod._pair_sums(z, rows, single=True)[0]
+            np.testing.assert_allclose(got, dense[rows], rtol=1e-3)
+        assert len(far) == 2 and all(out is not None for out in far) and not single
+
+    @pytest.mark.parametrize("case", ["1e-12 apart", "coincident", "q would overflow", "beyond float32"])
+    def test_non_finite_sums_fall_back_to_complex(self, case, rng, monkeypatch):
+        n = 2048
+        z = _ring_points(rng, n)
+        rows = np.arange(1, n, 2)
+        if case in ("1e-12 apart", "coincident"):
+            z[rows[-1]] = z[rows[0]] + (1e-12 if case == "1e-12 apart" else 0.0)
+        else:
+            z[rows[2]] = 1e30 if case == "q would overflow" else 1e40
+        far = self._count(monkeypatch, "_far_pair_sums")
+        blocks = self._count(monkeypatch, "_coupling_block")
+        got = roots_mod._pair_sums(z, rows, single=True)[0]
+        assert far == [None] and blocks  # the far route gave up, and complex128 gave the sums
+        np.testing.assert_allclose(got, _dense_pairwise(z)[rows], rtol=1e-13)
+
+    @pytest.mark.parametrize("layout", ["off the band", "inadmissible"])
+    def test_other_layouts_take_the_dense_kernel(self, layout, rng, monkeypatch):
+        n = 2048
+        if layout == "off the band":  # moduli spread by 5%: about a third lie off a band of 0.05
+            z = _near_circle_points(rng, n)
+        else:  # three quarters of the points on one half of the circle: sectors of two widths
+            k = 3 * n // 4
+            z = np.exp(1j * np.pi * np.concatenate(((np.arange(k) + rng.random(k)) / k, 1.0 + (np.arange(n - k) + rng.random(n - k)) / (n - k))))
+        far = self._count(monkeypatch, "_far_pair_sums")
+        single = self._count(monkeypatch, "_single_pair_sums")
+        got = roots_mod._pair_sums(z, np.arange(n), single=True)[0]
+        assert far == [None] and len(single) == 1 and single[0] is not None
+        np.testing.assert_allclose(got, _dense_pairwise(z), rtol=1e-3)
+
+    @pytest.mark.parametrize("family", ["g_class", "littlewood", "unimodular"])
+    def test_same_roots_as_dense_steering(self, family, monkeypatch):
+        p = make_family(FamilySpec(family, 2048, seed=5))
+        far = self._count(monkeypatch, "_far_pair_sums")
+        with_far = find_roots(p, tol=1e-9).roots
+        assert far and all(out is not None for out in far)
+        monkeypatch.setattr(roots_mod, "_FAR_DEGREE", 2049)
+        dense = find_roots(p, tol=1e-9).roots
+        assert len(far) == len([out for out in far if out is not None])  # no call with the route off
+        assert _match_nearest(with_far, dense) <= 1e-14
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+    def test_small_degrees_never_enter_the_route(self, n, monkeypatch):
+        # The degrees of the sweep and certify workloads keep the dense
+        # kernels, so their roots and reports keep their bytes.
+        far = self._count(monkeypatch, "_far_pair_sums")
+        for family in ("g_class", "littlewood", "unimodular"):
+            find_roots(make_family(FamilySpec(family, n, seed=1)), tol=1e-9)
+        assert not far
+
+
 def test_find_roots_memory_does_not_grow_with_the_degree():
     p = make_family(FamilySpec("g_class", 2048, seed=1))
     tracemalloc.start()
