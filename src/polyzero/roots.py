@@ -322,7 +322,9 @@ def _far_pair_sums(z: np.ndarray, m: int):
     out by position, so a coincident pair, or one closer than float32
     resolves, makes a sum infinite or nan and the call ``None``; no term is
     ever dropped.  Buffers: ``_FAR_BUF`` float32 entries per plane for the
-    direct sums, ``_FAR_CHUNK`` targets' weights for the moments.
+    direct sums (more where one target's sources need more, as a point off
+    the band does from about ``n = 26000``), ``_FAR_CHUNK`` targets'
+    weights for the moments.
     """
     n, sectors = len(z), _FAR_SECTORS
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -408,11 +410,15 @@ def _direct32(buf: np.ndarray, targets: np.ndarray, sources: np.ndarray, own=Non
     """Float32 sums ``(sum dx / q, sum dy / q)`` of each target (a column of
     the planes ``targets``) against every column of ``sources``, leaving out
     column ``own[i]`` of target ``i`` (none when ``own`` is ``None``), in
-    chunks of targets that fit the two planes of ``buf``."""
+    chunks of targets that fit the two planes of ``buf``, or one target at a
+    time in a buffer of its own when not even one target's ``2 w`` entries
+    fit (``w`` sources)."""
     k, w = targets.shape[1], sources.shape[1]
     out = np.empty((2, k), dtype=np.float32)
     ones = np.ones(w, dtype=np.float32)
-    step = max(1, buf.shape[1] // (2 * w))
+    if buf.shape[1] < 2 * w:
+        buf = np.empty((2, 2 * w), dtype=np.float32)
+    step = buf.shape[1] // max(2 * w, 1)
     for start in range(0, k, step):
         stop = min(start + step, k)
         d = buf[0, : 2 * (stop - start) * w].reshape(2, stop - start, w)  # dx and dy

@@ -567,6 +567,34 @@ class TestFarFieldSteering:
         assert far == [None] and len(single) == 1 and single[0] is not None
         np.testing.assert_allclose(got, _dense_pairwise(z), rtol=1e-3)
 
+    @pytest.mark.parametrize("width", [8, 200, 4096])
+    def test_direct_sums_in_any_buffer(self, width, rng):
+        # A buffer of 8 holds not even one target's 80 entries: the case of a
+        # point off the band, summed against the whole band, from about
+        # n = 26000 with _FAR_BUF.  200 holds two targets, 4096 all of them.
+        sources = _ring_points(rng, 40)
+        own = np.array([0, 3, 39, 7, 20])
+        targets = sources[own]
+        got = roots_mod._direct32(np.empty((2, width), dtype=np.float32), roots_mod._planes32(targets), roots_mod._planes32(sources), own)
+        d = targets[:, None] - sources
+        d[np.arange(len(own)), own] = np.inf
+        exact = (1.0 / d).sum(axis=1)
+        np.testing.assert_allclose(got[0] - 1j * got[1], exact, rtol=1e-4)
+
+    def test_off_band_rows_wider_than_the_buffer(self, rng, monkeypatch):
+        # With a buffer of 2048 entries per plane, the sector sums (about 260
+        # sources) still fit eight targets, but an off-band row's 2 x 1900
+        # band entries do not: the layout of n >= 26000 with _FAR_BUF.
+        n = 2048
+        z = _ring_points(rng, n)
+        rows = np.arange(1, n, 2)
+        z[rows[:6]] *= 1.5
+        monkeypatch.setattr(roots_mod, "_FAR_BUF", 2048)
+        far = self._count(monkeypatch, "_far_pair_sums")
+        got = roots_mod._pair_sums(z, rows, single=True)[0]
+        assert len(far) == 1 and far[0] is not None
+        np.testing.assert_allclose(got, _dense_pairwise(z)[rows], rtol=1e-3)
+
     @pytest.mark.parametrize("family", ["g_class", "littlewood", "unimodular"])
     def test_same_roots_as_dense_steering(self, family, monkeypatch):
         p = make_family(FamilySpec(family, 2048, seed=5))
