@@ -18,8 +18,10 @@ Provided functionals:
 Enclosures are Lipschitz/Bernstein-certified from grid samples.  The
 p-norms and ``m+`` take a trapezoid sum with a proven remainder, plus an
 a-priori allowance for the rounding of the samples and of the sum (an
-estimate for numpy's FFT, see :func:`_eval_err`).  The other enclosures
-are conservative but not formally validated interval arithmetic.
+estimate for numpy's FFT, see :func:`_eval_err`).  ``|E|`` and ``m+`` come
+from one pass over one grid (:func:`_level_stage`), whose cells are all
+judged by the same rounding-aware bounds (:func:`_cell_bounds`).  The other
+enclosures are conservative but not formally validated interval arithmetic.
 """
 from __future__ import annotations
 
@@ -520,7 +522,9 @@ def sup_norm_enclosure(
 class LevelSetInfo:
     """Certified classification of the circle against the level |P| = 1:
     the measures certified below and above it, the narrow cells that bracket
-    a crossing, and the unresolved rest (see :func:`classify_unit_level`)."""
+    a crossing, and the unresolved rest (see :func:`classify_unit_level`).
+    ``evaluations`` counts ``m+``'s first grid, which the classification
+    reads, plus the bisection's midpoints."""
 
     below: float            # measure certified |P| < 1
     above: float            # measure certified |P| > 1
@@ -575,21 +579,30 @@ def _grid_cells(p: Polynomial, n_points: int):
     yield stride - 1, mags[:2], ders[:2]
 
 
-def _cover(ga, gb, da, db, w: float, m2: float):
-    """Masks ``(certified, below)`` of the cells of width ``w``: certified on one
-    side of the level, and certified below it.
+def _cell_bounds(ends, h: float, widen: float, e: float, out):
+    """``(low, up, dh)``, ``low <= |P| <= up`` on the cells of width ``h``
+    with end values ``ends = (A, B, DA, DB)`` of ``|P|`` and ``2 pi |P'|``:
+    ``D = max(DA, DB) + widen`` bounds the slope of ``|P|`` (``widen`` is
+    ``M2 h``, Bernstein, plus the error of ``DA``), so ``|P|`` lies in
+    ``(A + B -+ D h) / 2 -+ e``, ``e`` the error of ``A``; ``dh = D h / 2``.
+    The three are written into ``out``.  Every cell of ``|E|`` and ``m+`` is
+    judged by these bounds."""
+    a, b, da, db = ends
+    low, up, dh = out
+    np.maximum(da, db, out=dh)
+    dh += widen
+    dh *= 0.5 * h
+    np.add(a, b, out=low)
+    low *= 0.5
+    np.add(low, dh, out=up)
+    up += e
+    low -= dh
+    low -= e
+    return low, up, dh
 
-    Both ends on one side make ``|ga| + |gb| = |ga + gb|`` exactly and
-    ``ga gb > 0`` (a product that underflows would need a margin far below
-    any ``L_cell w`` the cover asks for).
-    """
-    with np.errstate(over="ignore"):  # an overflow is inf of its sign: the tests read the same
-        certified = (np.abs(ga + gb) >= (np.maximum(da, db) + m2 * w) * w) & (ga * gb > 0)
-    return certified, certified & (ga < 0)
 
-
-# The level-set classifier stops after this many evaluations, and calls its
-# unresolved mass a tangency above this measure.
+# The level-set classifier stops after this many bisection evaluations, and
+# calls its unresolved mass a tangency above this measure.
 _LEVEL_BUDGET = 2_000_000
 _TANGENCY_THRESHOLD = 1e-3
 
@@ -601,97 +614,70 @@ def classify_unit_level(
 ) -> LevelSetInfo:
     """Split the circle into cells certified above / below ``|P| = 1``.
 
-    A cell [a, b] with both endpoint values of ``g = |P| - 1`` on one side
-    is certified once the endpoint margins cover it under a per-cell slope
-    bound: ``|g(a)| + |g(b)| >= L_cell (b - a)`` with
-    ``L_cell = max(2 pi |P'(a)|, 2 pi |P'(b)|) + M2 (b - a)`` and ``M2``
-    the Bernstein bound ``(2 pi n)^2 sup|P|`` on the second derivative.
-    Everything else is bisected down to ``min_width``, within a budget of
-    ``_LEVEL_BUDGET`` evaluations.
-
-    The first grid of ``n0`` cells is cover-tested batch by batch as it comes
-    from the row sampler (:func:`_grid_cells`), and only its unresolved cells
-    are kept.  Every cell of a bisection level has the same width, so the
-    level is one packed array ``(ga, gb, da, db, a)``, ``a`` the cells' left
-    ends.  The certified measures are ``math.fsum`` totals.
-
-    Unresolved mass always widens the enclosure.  Point tangencies of
-    ``|P|`` to the level (every real-coefficient polynomial with
-    ``|P(1)| = 1`` has one at angle 0) leave a small sqrt(min_width)-scale
-    residue and are absorbed by the widening; the ``tangency`` flag fires
-    only when the unresolved mass is material (above
-    ``_TANGENCY_THRESHOLD``), signalling level-set degeneracy that the
-    downstream certification should treat as indeterminate.
+    The cells are ``m+``'s first grid of ``2**-k P`` at the level ``2**-k``
+    (:func:`_level_stage`), ``sup_hint >= max |P|`` (``sum |c_j|`` without
+    it) in the Bernstein term.  A cell is certified once its lower bound
+    (:func:`_cell_bounds`) is above the level or its upper bound below it;
+    the rest is bisected down to ``min_width`` within ``_LEVEL_BUDGET``
+    evaluations.  Unresolved mass widens the enclosure; point tangencies
+    (every real polynomial with ``|P(1)| = 1`` has one at angle 0) leave a
+    sqrt(min_width)-scale residue, and ``tangency`` fires only above
+    ``_TANGENCY_THRESHOLD``, a degeneracy the verdicts treat as
+    indeterminate.
     """
-    n = p.degree
-    if sup_hint is None:
-        n0 = _initial_grid(n, floor=512)
-        ms = max(float(np.abs(block).max()) for _, block in _sample_rows(p, n0, 0.0))
-        kappa = 0.5 * (math.pi * max(n, 1) / n0) ** 2
-        sup_hint = ms / math.sqrt(1.0 - kappa)
-    m2 = (_TWO_PI * max(n, 1)) ** 2 * sup_hint
+    return _level_stage(p, sup_hint, tol=1.0, max_points=0, min_width=min_width)[0]  # the first grid only
 
-    n0 = _initial_grid(n)
-    w = 1.0 / n0
-    below: list[float] = []
-    above: list[float] = []
-    tangent: list[float] = []
-    kept = []
-    for r0, mags, ders in _grid_cells(p, n0):
-        g = mags - 1.0
-        ends = g[:-1], g[1:], ders[:-1], ders[1:]
-        certified, neg = _cover(*ends, w, m2)
-        below.append(np.count_nonzero(neg) * w)
-        above.append((np.count_nonzero(certified) - np.count_nonzero(neg)) * w)
-        i, j = np.nonzero(~certified)
-        k = j * (n0 // ends[0].shape[1]) + r0 + i
-        kept.append(np.stack([x[i, j] for x in ends] + [k / n0]))
-    cells = np.concatenate(kept, axis=1)
+
+def _bisect_level(p: Polynomial, first, min_width: float) -> LevelSetInfo:
+    """Bisect the undecided cells of :func:`_level_pass`'s ``first``, one
+    packed array ``(A, B, DA, DB, a)`` per level (``a`` the left ends), with
+    the kernel's midpoints judged under the first grid's allowances, which
+    cover the kernel too.  The measures are ``math.fsum`` totals."""
+    n_points, n_below, n_above, cells, e, de, m2, lam_hi, lam_lo = first
+    w = 1.0 / n_points
+    below, above, tangent = [n_below * w], [n_above * w], []
     blocks = _blocks(p.coeffs, order=1)
-    evals = n0
-    lo = hi = np.empty(0)
+    evals = 0
+    lo = np.empty(0)
     budget_hit = False
 
     while cells.shape[1]:
         if w <= min_width:
-            flips = (cells[0] < 0) != (cells[1] < 0)
+            flips = (cells[0] < lam_lo) != (cells[1] < lam_lo)
             lo = cells[4, flips]
-            hi = lo + w
             tangent.append(np.count_nonzero(~flips) * w)
             break
-        unresolved = cells.shape[1] * w
-        if evals > _LEVEL_BUDGET or (evals > 100_000 and unresolved > 0.5):
+        m = cells.shape[1]
+        if evals > _LEVEL_BUDGET or (evals > 100_000 and m * w > 0.5):
             # Exhausted, or clearly degenerate (|P| pinned to the level on
             # large mass, e.g. a monomial): stop refining.
-            tangent.append(unresolved)
+            tangent.append(m * w)
             budget_hit = True
             break
-        m = cells.shape[1]
         mid = cells[4] + 0.5 * w
         vals, derivs = _evaluate(blocks, np.exp(2j * np.pi * mid), order=1)
         evals += m
         # Left halves, then right halves; both share the midpoint values.
         cells = np.concatenate([cells, cells], axis=1)
-        cells[1, :m] = cells[0, m:] = np.abs(vals) - 1.0
+        cells[1, :m] = cells[0, m:] = np.abs(vals)
         cells[3, :m] = cells[2, m:] = _TWO_PI * np.abs(derivs)
         cells[4, m:] = mid
         w *= 0.5
-        certified, neg = _cover(*cells[:4], w, m2)
-        below.append(np.count_nonzero(neg) * w)
-        above.append((np.count_nonzero(certified) - np.count_nonzero(neg)) * w)
-        cells = cells[:, ~certified]
+        low, up, _ = _cell_bounds(cells[:4], w, m2 * w + de, e, np.empty((3, 2 * m)))
+        over, under = low > lam_hi, up < lam_lo
+        below.append(np.count_nonzero(under) * w)
+        above.append(np.count_nonzero(over) * w)
+        cells = cells[:, ~(over | under)]
 
     tangent_measure = math.fsum(tangent)
-    tangency = budget_hit or tangent_measure > max(
-        _TANGENCY_THRESHOLD, 100.0 * max(1, len(lo)) * min_width
-    )
+    tangency = budget_hit or tangent_measure > max(_TANGENCY_THRESHOLD, 100.0 * max(1, len(lo)) * min_width)
     return LevelSetInfo(
         below=math.fsum(below),
         above=math.fsum(above),
-        crossings=list(zip(lo.tolist(), hi.tolist())),
+        crossings=list(zip(lo.tolist(), (lo + w).tolist())),
         tangent_measure=tangent_measure,
         tangency=tangency,
-        evaluations=evals,
+        evaluations=n_points + evals,
     )
 
 
@@ -902,16 +888,21 @@ def _half_log(p: Polynomial) -> float:
     return 0.5 * (math.log(c0) + math.log(abs(p.coeffs[-1]))) if c0 else -math.inf
 
 
-def _mplus_pass(p: Polynomial, n_points: int, levels, s_hi: float) -> list[tuple[float, float]]:
-    """``(value, half-width)`` of ``integral max(0, log |P| - l) dt`` for each
-    level ``(l, d)``, ``l`` known to within ``d``, from one pass over the
-    cells of the grid of ``n_points`` (:func:`_grid_cells`); ``s_hi >= max |P|``.
+def _level_pass(p: Polynomial, n_points: int, levels, s_hi: float):
+    """``(found, first)`` from one pass over the cells of the grid of
+    ``n_points`` (:func:`_grid_cells`), ``s_hi >= max |P|``.
 
-    On a cell of width ``h`` with end values ``A``, ``B`` of ``|P|``,
-    ``D = max(2 pi |P'|) + M2 h`` (``M2 = (2 pi n)^2 s_hi``, Bernstein) bounds
-    the slope of ``|P|``, so ``|P|`` lies in ``[low, up] = (A + B -+ D h) / 2
-    -+ e``, ``e`` from :func:`_eval_err` (it also covers the roundings in
-    forming them).  With ``lambda = exp(l)``:
+    ``found`` holds the ``(value, half-width)`` of
+    ``integral max(0, log |P| - l) dt`` for each level ``(l, d)``, ``l``
+    known to within ``d``.  ``first`` is what :func:`_bisect_level` takes:
+    the grid, its numbers of cells below and above ``levels[0]``, its packed
+    undecided cells ``(A, B, DA, DB, a)`` there, and the allowances and
+    thresholds they were judged by.
+
+    On a cell of width ``h``, :func:`_cell_bounds` gives ``|P|`` in
+    ``[low, up]`` and the slope bound ``D``, with ``e`` from
+    :func:`_eval_err` (it also covers the roundings in forming them).  With
+    ``lambda = exp(l)``, rounded outwards to ``lam_lo`` and ``lam_hi``:
 
     * a cell with ``low > lambda`` adds its trapezoid value of
       ``log |P| - l`` within ``h^3 / 12 (M2 / low + (D / low)^2) + h e / low``,
@@ -929,31 +920,29 @@ def _mplus_pass(p: Polynomial, n_points: int, levels, s_hi: float) -> list[tuple
     abs_c = np.abs(p.coefficient_array())
     e = _eval_err(float(abs_c.sum()), n, n_points)
     m2 = (_TWO_PI * n) ** 2 * s_hi
-    widen = m2 * h + _TWO_PI * _eval_err(float(np.arange(n + 1) @ abs_c), n, n_points)
+    de = _TWO_PI * _eval_err(float(np.arange(n + 1) @ abs_c), n, n_points)
+    widen = m2 * h + de
     l, d = np.array(levels).T
     # lambda rounded outwards: a cell is above past the upper one, below under the lower one.
     lam_hi, lam_lo = np.exp(l + d) * (1.0 + 4.0 * _EPS) + _TINY, np.exp(l - d) * (1.0 - 4.0 * _EPS)
-    totals = []  # per batch and level: the sum, the remainder, the cells below
+    totals = []  # per batch and level: the sum, the remainder, the cells below, the cells above
+    kept = []  # the undecided cells of levels[0]
     buf = None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _, mags, ders in _grid_cells(p, n_points):
+        for r0, mags, ders in _grid_cells(p, n_points):
             rows = len(mags) - 1
             if buf is None:  # cap rows for the logs, one fewer for low and for dh
                 cap = len(mags) + (_stride(n, n_points) > 1)  # the first batch has a row fewer than the next
                 buf = np.empty((3 * cap - 2, mags.shape[1]))
             logs, up = buf[: rows + 1], buf[:rows]  # up until the logs replace it
             low, dh = buf[cap : cap + rows], buf[2 * cap - 1 : 2 * cap - 1 + rows]
-            np.maximum(ders[:-1], ders[1:], out=dh)
-            dh += widen
-            dh *= 0.5 * h  # D h / 2
-            np.add(mags[:-1], mags[1:], out=low)
-            low *= 0.5
-            np.add(low, dh, out=up)
-            up += e
-            low -= dh
-            low -= e
+            ends = mags[:-1], mags[1:], ders[:-1], ders[1:]
+            _cell_bounds(ends, h, widen, e, (low, up, dh))
             above, under = low > lam_hi[:, None, None], up < lam_lo[:, None, None]  # per level
             k, i, j = np.nonzero(~(above | under))  # the other cells
+            first = np.searchsorted(k, 1)
+            i0, j0 = i[:first], j[:first]
+            kept.append(np.stack([x[i0, j0] for x in ends] + [(j0 * (n_points // mags.shape[1]) + r0 + i0) * h]))
             crude = h * np.maximum(np.log(up[i, j]) - (l - d)[k], 0.0)
             rem = np.bincount(k, np.minimum(crude, (0.5 * dh[i, j] + e) * h / lam_lo[k]), len(l))
             np.log(np.maximum(mags, _TINY, out=logs), out=logs)  # finite; above cells exceed _TINY
@@ -976,15 +965,16 @@ def _mplus_pass(p: Polynomial, n_points: int, levels, s_hi: float) -> list[tuple
                 w = dh.ravel()
                 count = np.count_nonzero(above[q])
                 per_level.append((np.dot(la.ravel(), w) + np.dot(lb.ravel(), w) - 2.0 * l[q] * count,
-                                  np.dot(low.ravel(), w), np.count_nonzero(under[q])))
-            s, r, b = np.array(per_level).T
-            totals.append((s + np.bincount(k, trapezoid, len(l)), r + rem, b))
-    sums, rems, below = (np.array(x) for x in zip(*totals))
+                                  np.dot(low.ravel(), w), np.count_nonzero(under[q]), count))
+            s, r, b, a = np.array(per_level).T
+            totals.append((s + np.bincount(k, trapezoid, len(l)), r + rem, b, a))
+    sums, rems, below, above = (np.array(x) for x in zip(*totals))
     allowance = d + _sum_rounding(n, n_points, 2.0) * (np.abs(l) + np.maximum(np.abs(l), abs(math.log(s_hi))))
-    return [
+    found = [
         (0.5 * h * math.fsum(sums[:, q]), math.fsum(rems[:, q]) + float((n_points - below[:, q].sum()) * h * allowance[q]))
         for q in range(len(l))
     ]
+    return found, (n_points, int(below[:, 0].sum()), int(above[:, 0].sum()), np.concatenate(kept, axis=1), e, de, m2, lam_hi[0], lam_lo[0])
 
 
 def mahler_plus(
@@ -994,36 +984,42 @@ def mahler_plus(
     sup: Interval | None = None,
 ) -> tuple[Interval, Interval]:
     """Enclosures of ``m+(P) = integral log+ |P(e(t))| dt`` and of ``m+(f P)``,
-    ``f = 1 / sqrt|c0 cn|``.
+    ``f = 1 / sqrt|c0 cn|``: ``log+ (f |P|) = max(0, log |P| - l)`` with
+    ``l = log sqrt|c0 cn|`` (:func:`_half_log`), so one pass gives both
+    (:func:`_level_stage`).  The pass starts on ``2 _initial_grid(n)``
+    cells, and the grid doubles while a half-width exceeds ``tol`` times the
+    larger of its value and ``tol``; a grid of more than ``max_points``
+    points is not sampled, and the last grid's enclosures are returned.
+    ``sup`` encloses ``max |P|`` (``sum |c_j|`` without it).  ``c0 = 0``
+    gives ``m+(f P) = [inf, inf]``.
+    """
+    return _level_stage(p, sup.hi if sup else None, tol, max_points, None)[1:]
 
-    ``log+ (f |P|) = max(0, log |P| - l)`` with ``l = log sqrt|c0 cn|``
-    (:func:`_half_log`), so one pass over the grid gives both, at the levels
-    0 and ``l`` (:func:`_mplus_pass`).  The pass starts on twice the level
-    classifier's first grid, ``2 _initial_grid(n)``, and the grid doubles
-    while a half-width exceeds ``tol`` times the larger of its value and
-    ``tol``; a grid of more than ``max_points`` points is not sampled, and
-    the enclosures of the last grid are returned, never an error.  ``sup``
-    encloses ``max |P|`` (``sum |c_j|`` without it).  Coefficients outside
-    the range of :func:`_scale_exponent` are sampled as the exact
-    ``2**-k P``, the levels lowered by ``k log 2``.  ``c0 = 0`` gives
-    ``m+(f P) = [inf, inf]``.
+
+def _level_stage(p: Polynomial, sup_hi: float | None, tol: float, max_points: int, min_width: float | None):
+    """``(info, m+(P), m+(f P))`` from one sampling of the level grid:
+    coefficients outside the range of :func:`_scale_exponent` are sampled as
+    the exact ``2**-k P``, every level lowered by ``k log 2``.  The first
+    pass gives both ``m+`` and the unit level's undecided cells, which
+    :func:`_bisect_level` refines (``info`` is ``None`` without
+    ``min_width``); ``m+``'s grid then doubles as :func:`mahler_plus` says.
     """
     half = _half_log(p)
     c = p.coefficient_array()
     k = _scale_exponent(c, 2.0) or 0
     q = _scaled_down(c, k) if k else p
-    s_hi = math.ldexp(sup.hi, -k) if sup else float(np.sum(np.abs(q.coefficient_array()))) * (1.0 + (q.degree + 2) * _EPS)
+    s_hi = math.ldexp(sup_hi, -k) if sup_hi is not None else float(np.sum(np.abs(q.coefficient_array()))) * (1.0 + (q.degree + 2) * _EPS)
     shift = k * math.log(2.0)
     ends = [0.0] if half in (0.0, -math.inf) else [0.0, half]
     levels = [(l - shift, 4.0 * _EPS * (1.0 + abs(l) + shift) if l or k else 0.0) for l in ends]
     n_points = 2 * _initial_grid(q.degree)
-    while True:
-        found = _mplus_pass(q, n_points, levels, s_hi)
-        if all(width <= tol * max(value, tol) for value, width in found) or 2 * n_points > max_points:
-            break
+    found, first = _level_pass(q, n_points, levels, s_hi)
+    info = None if min_width is None else _bisect_level(q, first, min_width)
+    while not all(width <= tol * max(value, tol) for value, width in found) and 2 * n_points <= max_points:
         n_points *= 2
+        found, _ = _level_pass(q, n_points, levels, s_hi)
     mp = [Interval(max(value - width, 0.0), max(value + width, 0.0)) for value, width in found]
-    return mp[0], Interval(math.inf, math.inf) if half == -math.inf else mp[-1]
+    return info, mp[0], Interval(math.inf, math.inf) if half == -math.inf else mp[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -1150,7 +1146,7 @@ def compute_profile(
     sup = sup_norm_enclosure(p, tol=tols.sup_tol, max_points=max_points)
     for exponent in p_list:
         p_norms[float(exponent)] = p_norm(p, float(exponent), tol=tols.quad_tol, max_points=max_points, sup=sup)
-    info = classify_unit_level(p, min_width=_E_TOL, sup_hint=sup.hi)
+    info, mp, mp_scaled = _level_stage(p, sup.hi, tols.quad_tol, max_points, _E_TOL)
     quad_points["level_set"] = info.evaluations
     if roots is not None:
         m_val, m_log = mahler(p, roots=roots, method="from_roots")
@@ -1161,7 +1157,6 @@ def compute_profile(
             # Degenerate circle zeros can exhaust float64; the rest of the
             # profile stays usable.
             m_val = m_log = math.nan
-    mp, mp_scaled = mahler_plus(p, tol=tols.quad_tol, max_points=max_points, sup=sup)
     return NormProfile(
         degree=p.degree,
         c0_abs=abs(p.coeffs[0]),

@@ -7,7 +7,6 @@ convention ``e(t) = exp(2*pi*i*t)`` with ``t`` measured in turns.
 """
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -63,11 +62,6 @@ class Polynomial:
     def scaled(self, factor: complex) -> "Polynomial":
         """Polynomial with every coefficient multiplied by ``factor``."""
         return Polynomial(tuple(factor * c for c in self.coeffs), label=self.label)
-
-    def rotated(self, phi_turns: float) -> "Polynomial":
-        """The polynomial ``z -> P(e(phi) * z)``."""
-        w = [cmath.exp(2j * math.pi * phi_turns * j) for j in range(len(self.coeffs))]
-        return Polynomial(tuple(c * wj for c, wj in zip(self.coeffs, w)))
 
     def __repr__(self):
         return f"Polynomial(degree={self.degree}, label={self.label!r})"

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from polyzero.poly import Polynomial
+
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")
 
@@ -23,3 +25,8 @@ def match_multisets(a, b, tol):
         b.pop(j)
     assert worst <= tol, f"multiset mismatch: worst pair distance {worst:.3e} > {tol:.3e}"
     return worst
+
+
+def rotated(p, phi_turns):
+    """The polynomial ``z -> P(e(phi) z)``: coefficients ``c_j e(j phi)``."""
+    return Polynomial(tuple(c * np.exp(2j * np.pi * phi_turns * j) for j, c in enumerate(p.coeffs)))

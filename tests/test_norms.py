@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import rotated
 from polyzero import norms
 from polyzero.harness import SweepConfig, certify
 from polyzero.poly import (
@@ -376,6 +377,25 @@ class TestEMeasure:
         enc, _ = e_measure_enclosure(p, tol=1e-9)
         assert enc.lo - 1e-8 <= expected <= enc.hi + 1e-8
 
+    @pytest.mark.parametrize("kind", ["littlewood", "unimodular", "g_class"])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_holds_the_crossing_oracle(self, kind, n):
+        p = make_family(FamilySpec(kind, n, seed=5))
+        enc, tangency = e_measure_enclosure(p)
+        assert _e_measure_oracle(p) in enc
+        assert not tangency and enc.width < 1e-6
+
+    @pytest.mark.parametrize("scale, n", [(1e303, 256), (1e300, 1000)])
+    def test_huge_coefficients_classify(self, scale, n):
+        # The level is taken on 2**-k P at 2**-k, so its slope bound stays finite.
+        p = make_family(FamilySpec("littlewood", n, seed=1)).scaled(scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = certify(p, SweepConfig(disk_centers=32))
+        assert not report.profile["e_tangency"]
+        assert report.profile["e_measure"][1] < 1e-4
+        assert "VIOLATION" not in report.verdicts.values()
+
     def test_crossings_located(self):
         info = classify_unit_level(ONE_PLUS_Z, min_width=1e-10)
         mids = sorted(0.5 * (a + b) for a, b in info.crossings)
@@ -574,6 +594,36 @@ class TestProfile:
         assert not prof.c0cn_at_least_one
 
 
+def _unit_crossings(c: np.ndarray) -> list[float]:
+    """The crossings of ``|P| = 1`` in ``[0, 1)``, ``P`` of the coefficients
+    ``c``: bracketed on a grid of ``64 (n + 1)`` cells and bisected in
+    float64 on ``numpy.polyval``, a Horner loop."""
+    g = lambda t: np.abs(np.polyval(c[::-1], np.exp(2j * np.pi * t))) - 1.0
+    t = np.linspace(0.0, 1.0, 64 * len(c) + 1)
+    gt = g(t)
+    cuts = []
+    for k in np.nonzero(np.sign(gt[:-1]) != np.sign(gt[1:]))[0]:
+        lo, hi = t[k], t[k + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.sign(g(mid)) == np.sign(gt[k]) else (lo, mid)
+        cuts.append(0.5 * (lo + hi))
+    return cuts
+
+
+def _e_measure_oracle(p: Polynomial) -> float:
+    """``|E|``: the arcs between consecutive crossings of ``|P| = 1``
+    (:func:`_unit_crossings`) on which ``|P| < 1`` at the arc's middle."""
+    c = p.coefficient_array()
+    cuts = _unit_crossings(c)
+    if not cuts:
+        return float(abs(np.polyval(c[::-1], 1.0)) < 1.0)
+    ends = cuts + [cuts[0] + 1.0]
+    mids = np.array([0.5 * (a + b) for a, b in zip(ends[:-1], ends[1:])])
+    below = np.abs(np.polyval(c[::-1], np.exp(2j * np.pi * mids))) < 1.0
+    return math.fsum(b - a for a, b, low in zip(ends[:-1], ends[1:], below) if low)
+
+
 def _mahler_plus_oracle(p: Polynomial, scale: float = 1.0) -> float:
     """``integral_0^1 log+ |scale P(e(t))| dt`` by ``mpmath.quad``.
 
@@ -584,16 +634,7 @@ def _mahler_plus_oracle(p: Polynomial, scale: float = 1.0) -> float:
     the FFT samples, good to about ``1e-15 sum |c|``.
     """
     c = scale * p.coefficient_array()
-    g = lambda t: np.abs(np.polyval(c[::-1], np.exp(2j * np.pi * t))) - 1.0
-    t = np.linspace(0.0, 1.0, 64 * (p.degree + 1) + 1)
-    gt = g(t)
-    cuts = []
-    for k in np.nonzero(np.sign(gt[:-1]) != np.sign(gt[1:]))[0]:
-        lo, hi = t[k], t[k + 1]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if np.sign(g(mid)) == np.sign(gt[k]) else (lo, mid)
-        cuts.append(0.5 * (lo + hi))
+    cuts = _unit_crossings(c)
     points = sorted(set(np.linspace(0.0, 1.0, 2 * (p.degree + 1) + 1)) | set(cuts))
     coeffs = [complex(x) for x in c[::-1]]
 
@@ -702,18 +743,20 @@ class TestMahlerPlusInterval:
             mp, _ = mahler_plus(p)
         assert math.isfinite(mp.hi)
 
-    def test_certify_calls_mahler_plus_once(self, monkeypatch):
+    def test_certify_samples_the_level_grid_once(self, monkeypatch):
+        # |E| and both m+ levels come from one pass over the level grid.
         littlewood = make_family(FamilySpec("littlewood", 32, seed=4))
         calls = []
+        grid_cells = norms._grid_cells
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return mahler_plus(*args, **kwargs)
+        def counted(p, n_points):
+            calls.append(n_points)
+            return grid_cells(p, n_points)
 
-        monkeypatch.setattr(norms, "mahler_plus", counted)
+        monkeypatch.setattr(norms, "_grid_cells", counted)
         cfg = SweepConfig(disk_centers=32)
         certify(littlewood, cfg)
-        assert len(calls) == 1
+        assert calls == [2 * norms._initial_grid(32)]
         certify(littlewood.scaled(2.0), cfg)
         assert len(calls) == 2
 
@@ -874,7 +917,7 @@ def _level_case(kind: str, n: int) -> Polynomial:
     if kind == "wrap":
         p = make_family(FamilySpec("unimodular", n, seed=11))
         n_points = norms._initial_grid(n)
-        return p.rotated(int(np.argmax(np.abs(circle_samples(p, n_points)))) / n_points)
+        return rotated(p, int(np.argmax(np.abs(circle_samples(p, n_points)))) / n_points)
     return make_family(FamilySpec(kind, n, seed=11))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import polyzero.roots as roots_mod
-from conftest import match_multisets
+from conftest import match_multisets, rotated
 from polyzero.poly import FamilySpec, Polynomial, lehmer_polynomial, make_family, power_minus_one
 from polyzero.roots import (
     RootFindingError,
@@ -125,9 +125,8 @@ class TestAlgebraicInvariants:
     @pytest.mark.parametrize("phi", [0.1, 0.37, 0.81])
     def test_rotation_equivariance(self, phi):
         p = make_family(FamilySpec("littlewood", 14, seed=4))
-        rotated = p.rotated(phi)
         base = find_roots(p, tol=1e-11).roots
-        rot = find_roots(rotated, tol=1e-11).roots
+        rot = find_roots(rotated(p, phi), tol=1e-11).roots
         match_multisets(rot, base * np.exp(-2j * np.pi * phi), 1e-9)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import polyzero.zerostats as zerostats_mod
+from conftest import rotated
 from polyzero import geometry
 from polyzero.harness import stratified_center_angles
 from polyzero.poly import FamilySpec, Polynomial, make_family
@@ -197,7 +198,7 @@ class TestAngularDiscrepancy:
     def test_rotation_invariance(self):
         p = make_family(FamilySpec("littlewood", 12, seed=31))
         a = angular_discrepancy(find_roots(p, tol=1e-11))
-        b = angular_discrepancy(find_roots(p.rotated(0.3), tol=1e-11))
+        b = angular_discrepancy(find_roots(rotated(p, 0.3), tol=1e-11))
         assert abs(a - b) <= 1e-9
 
     def test_multiplicity_grouping(self):
