@@ -38,19 +38,22 @@ iterate.  Only supplied roots and the ``max_iter`` fallback take a separate
 pass, the same kernel with the reciprocals off.
 
 A confirming sweep whose rows span several blocks runs in float32 first
-(:func:`_single_pair_sums` with ``bounds``), and each row's sums come with
-proven bounds: ``E_j`` on the coupling sum's distance from the exact sum
-(and from the complex128 kernel's), ``A_j`` on the log sum's
-(:func:`_single_bounds`).  A root is decided still when every coupling sum
-within ``E_j`` gives a step below ``_STALL`` (:func:`_single_confirms`).
-When every root is decided so, the sweep confirms exactly where the
-complex128 sweep would; otherwise, or when a sum is not finite or a
-coordinate is at or above ``2**62``, the sweep is redone in complex128
-before any step is taken.  The certificate is then decided on the upper
-bounds ``|P(a_j)| / (|c_n| exp(L_j - A_j))`` of the residuals, and only when
-one exceeds ``tol`` on the double log sums of :func:`_log_scales`, so it
-passes no root set that the double sums would reject.  The iterates and the
-roots returned are therefore exactly those of a sweep in complex128.
+(:func:`_single_pair_sums` with ``bounds``; from ``_FAR_DEGREE`` roots the
+sector route below, :func:`_far_pair_sums` with ``bounds``, where it
+applies), and each row's sums come with proven bounds: ``E_j`` on the
+coupling sum's distance from the exact sum (and from the complex128
+kernel's), and ``A_j`` with ``L~_j - A_j`` below the log sum
+(:func:`_single_bounds`; the route's log sums are lower bounds).  A root
+is decided still when every coupling sum within ``E_j`` gives a step below
+``_STALL`` (:func:`_single_confirms`).  When every root is decided so, the
+sweep confirms exactly where the complex128 sweep would; otherwise, or when
+a sum is not finite or a coordinate is at or above ``2**62``, the sweep is
+redone in complex128 before any step is taken.  The certificate is then
+decided on the upper bounds ``|P(a_j)| / (|c_n| exp(L~_j - A_j))`` of the
+residuals, and only when one exceeds ``tol`` on the double log sums of
+:func:`_log_scales`, so it passes no root set that the double sums would
+reject.  The iterates, the roots returned and the worst residual reported
+are therefore exactly those of a sweep in complex128.
 
 The pair kernel uses each pair of rows once, since the pair's two coupling
 terms differ only in sign and its two log terms are equal.  It runs in row
@@ -79,20 +82,26 @@ every sweep in one block and never take the float32 path; from 105 to 128
 only the confirming sweep spans blocks (its blocks hold logs too, so they
 are two thirds as long).
 
-From degree ``_FAR_DEGREE`` (1024), a steering sweep with at least a
-quarter of the rows active takes its coupling sums by sector expansions
-(:func:`_far_pair_sums`, the first stage of the fast multipole method in
-complex form): the points near the median modulus are cut by angle into
-``_FAR_SECTORS`` sectors, each summed into ``_FAR_ORDER`` Laurent moments,
-and a point takes the sectors beyond its neighbours from those moments and
-the rest term by term in float32.  On the steering iterates of n = 2048
-solves its largest relative error was 9.5e-4, against 1.0e-3 for the dense
-float32 kernel (the truncation alone reached 5.6e-4), so steering takes it
-as it takes float32's rounding.  Where the route
-does not apply (too many points off the band, a far pair of sectors not
-admissible, a sum not finite), the dense float32 kernel runs, and then
-complex128, as before.  Sweeps over fewer rows, the confirming sweeps and
-every degree below ``_FAR_DEGREE`` never take it.
+From degree ``_FAR_DEGREE`` (1024), a steering sweep with at least
+``_FAR_ROWS`` (256) rows active, and every confirming sweep, takes its
+coupling sums by sector expansions (:func:`_far_pair_sums`, one level of
+the fast multipole method in complex form): the points near the median
+modulus are cut by angle into ``_FAR_SECTORS`` sectors, each summed into
+``_FAR_ORDER`` Laurent moments about its centre, and the moments of the
+sectors beyond a sector's neighbours are translated into ``_FAR_LOCAL``
+Taylor coefficients about that sector's centre, from which each of its
+points takes its far terms; the rest is summed term by term in float32.
+On the steering iterates of n = 2048 solves (48 sweeps, three families,
+seeds 1-2) its largest relative error was 9.5e-4, against 9.9e-4 for the
+dense float32 kernel, so steering takes it as it takes float32's rounding.
+A confirming sweep takes it with the bounds above; ``L~_j`` is then
+``sum_A m_A log max(1, |z_j - c_A| - r_A)`` over the sectors for a point in
+the band (every term is at least 0, so the points off the band are
+dropped), and float32 sums for a point off it.  Where the route does not apply
+(too many points off the band, a far pair of sectors not admissible, a sum
+not finite), the dense float32 kernel runs, and then complex128, as before.
+Steering sweeps over fewer rows and every degree below ``_FAR_DEGREE``
+never take it.
 """
 from __future__ import annotations
 
@@ -115,13 +124,15 @@ ROOT_TOL = 1e-9  # default bound on the certified residuals
 _LOG_HUGE = math.log(sys.float_info.max)  # exp of it is still finite
 _LOG_TINY = math.log(sys.float_info.min)  # the least normal float
 _Z_MAX = 2.0**1020  # iterates stay below this in each coordinate, so their differences and reciprocals do not overflow
-_FAR_DEGREE = 1024  # steering sweeps take sector expansions from this degree,
-_FAR_ROWS = 4  # ... with at least 1 / _FAR_ROWS of the rows active
+_FAR_DEGREE = 1024  # sweeps take sector expansions from this degree (steering ones
+_FAR_ROWS = 256  # ... with at least this many rows active)
 _FAR_OFF = 16  # ... and at most 1 / _FAR_OFF of the points off the band
 _FAR_BAND = 0.05  # half-width, in log |z| about the median, of the band cut into sectors
 _FAR_SECTORS = 24  # sectors of equal count, by angle
 _FAR_ORDER = 8  # Laurent moments per sector
-_FAR_CHUNK = 128  # targets per evaluation of the moments, which bounds its buffers
+_FAR_LOCAL = 12  # Taylor coefficients per target sector
+# (-1)**l binom(p + l, l), [l, p]: the weight of moment p in local coefficient l
+_M2L_WEIGHTS = np.array([[(-1) ** l * math.comb(p + l, l) for p in range(_FAR_ORDER)] for l in range(_FAR_LOCAL)])
 _FAR_BUF = 3 * _PAIR_ELEMS  # float32 entries per plane of the direct sums' buffer (384 KiB): a sector's rows at n = 2048
 
 
@@ -189,7 +200,7 @@ def _pair_sums(z: np.ndarray, rows: np.ndarray, reciprocals: bool = True, logs: 
     With ``single`` (for steering sweeps: reciprocals and no logs), reordered
     rows take the same blocks in float32 (:func:`_single_pair_sums`), and
     the complex128 kernel runs only when those sums are not all finite.
-    From ``_FAR_DEGREE`` points, with at least ``1 / _FAR_ROWS`` of them
+    From ``_FAR_DEGREE`` points, with at least ``_FAR_ROWS`` of them
     requested, the sector expansions of :func:`_far_pair_sums` come first:
     their error is of the dense float32 kernel's size, and when they do not
     apply (points off the band, an inadmissible sector
@@ -207,7 +218,7 @@ def _pair_sums(z: np.ndarray, rows: np.ndarray, reciprocals: bool = True, logs: 
         rest[rows] = False
         z = np.concatenate((z[rows], z[rest]))
         if single:
-            out = _far_pair_sums(z, m) if n >= _FAR_DEGREE and m * _FAR_ROWS >= n else None
+            out = _far_pair_sums(z, m) if n >= _FAR_DEGREE and m >= _FAR_ROWS else None
             if out is None:
                 out = _single_pair_sums(z, m, step)
             if out is not None:
@@ -298,105 +309,205 @@ def _single_pair_sums(z: np.ndarray, m: int, step: int, bounds: bool = False):
     return (out, logs, *_single_bounds(np.abs(z), extra[0].astype(float), logs, -(-m // step)))
 
 
-def _far_pair_sums(z: np.ndarray, m: int):
+def _far_pair_sums(z: np.ndarray, m: int, bounds: bool = False):
     """Coupling sums of the first ``m`` points of ``z`` against all of
-    ``z`` by sector expansions, as complex128; ``None`` when more than
-    ``1 / _FAR_OFF`` of the points lie off the band, a far pair of sectors
-    is not admissible, a coordinate is too large for float32 or a sum is not
-    finite.
+    ``z`` by sector expansions, as complex128; ``None`` when the layout does
+    not apply (:func:`_sector_layout`) or a sum is not finite.  With
+    ``bounds`` (``m`` must then be ``len(z)``) the result is ``(S, L~, E,
+    A)``, as :func:`_single_pair_sums` gives it: the coupling sums ``S``,
+    ``E_j >= |S_j - S~_j|`` for the exact sums and for the complex128
+    kernel's, and log sums ``L~`` with ``L~_j - A_j <= L_j = sum_{k != j}
+    log max(1, |z_j - z_k|)``.
 
-    The points whose ``log |z|`` lies within ``_FAR_BAND`` of the median form
-    the band; sorted by angle, they are cut into ``_FAR_SECTORS`` sectors of
-    equal count.  Sector ``A`` has centre ``c_A`` (its mean), radius ``r_A``
-    (its largest ``|z_k - c_A|``) and the moments ``M_p = sum (z_k -
-    c_A)**p`` for ``p < P = _FAR_ORDER``.  A point of a sector ``B`` two or
-    more sectors away (around the circle) takes ``A``'s terms as ``sum_p M_p
-    / (z - c_A)**(p + 1)`` (:func:`_moment_terms`).  Every such pair is
-    checked before any moment is formed: ``|c_A - c_B| > r_A + 2 r_B`` both
-    ways round, so ``|z_k - c_A| / |z - c_A| < 1/2`` and the truncation is
-    below ``2**(1 - P) M_0 / |z - c_A|``, and far smaller on near-circular
-    layouts.  The rest is summed term by term in float32, as in
-    :func:`_single_pair_sums` (:func:`_direct32`): a band point against its
-    own and the two neighbouring sectors and against the points off the
-    band, a point off the band against every point.  The self-term is left
-    out by position, so a coincident pair, or one closer than float32
-    resolves, makes a sum infinite or nan and the call ``None``; no term is
-    ever dropped.  Buffers: ``_FAR_BUF`` float32 entries per plane for the
-    direct sums (more where one target's sources need more, as a point off
-    the band does from about ``n = 26000``), ``_FAR_CHUNK`` targets'
-    weights for the moments.
+    Sector ``A`` of the band has ``m_A`` points, centre ``c_A``, radius
+    ``r_A`` and the moments ``M_p = sum (z_k - c_A)**p``, ``p < P =
+    _FAR_ORDER``.  Sectors two or more apart (around the circle) are far
+    from each other, and every far pair is admissible, ``|c_A - c_B| > r_A +
+    2 r_B`` both ways round: a point of ``B`` has ``|z - c_A| >= |c_A - c_B|
+    - r_B > 2 r_A``, and ``x = r_B / |c_A - c_B| < 1/2``.  A band point takes
+    the far sectors' terms from the local expansion about its own sector's
+    centre (:func:`_local_expansions`, ``L = _FAR_LOCAL`` coefficients, by
+    Horner in ``t = z - c_B``).  The rest is summed term by term in float32,
+    as in :func:`_single_pair_sums` (:func:`_direct32`): a band point
+    against its own and the two neighbouring sectors and against the points
+    off the band, a point off the band against every point.  The self-term
+    is left out by position, so a coincident pair, or one closer than
+    float32 resolves, makes a sum infinite or nan and the call ``None``; no
+    term is ever dropped.  Buffers: ``_FAR_BUF`` float32 entries per plane
+    for the direct sums (more where one target's sources need more, as a
+    point off the band does from about ``n = 26000``); nothing of ``n``
+    rows by sectors, as the log bounds are taken a sector at a time.
+
+    ``E_j`` is the sum of four parts; only the first applies to a point off
+    the band.  For a point of sector ``B`` and a far sector ``A``, write
+    ``r = r_A``, ``D = c_B - c_A`` and ``d = |D| - r_B``, so ``|z_j - c_A| >=
+    d > 2 r`` and ``|z_j - z_k| >= d - r`` for ``k`` in ``A``.
+
+    * The direct columns' float32 error: :func:`_single_bounds`' ``E_j``,
+      with ``Q~_j`` the float32 sum of ``1 / q`` over those columns (one
+      more product with ones in :func:`_direct32`) and one addition more
+      per term (the off-band columns' sums are added to the others).  Its
+      derivation holds for any set of columns.
+    * Per far sector, the multipole truncation: ``|M_p| <= m_A r**p``, so
+      ``|sum_{p>=P} M_p / (z_j - c_A)**(p + 1)| <= m_A (r / d)**P / (d -
+      r)``.
+    * Per far sector, the local truncation: the truncated multipole field is
+      ``sum_l a_l t**l`` with ``a_l = (-1)**l sum_p binom(p + l, l) M_p /
+      D**(p + l + 1)`` and ``|t| <= r_B``, so the terms ``l >= L`` sum to at
+      most ``(m_A / |D|) sum_{p<P} (r / |D|)**p sum_{l>=L} binom(p + l, l)
+      x**l``.  The inner tail is at most its first term over ``1 - x (p + L
+      + 1) / (L + 1)``, the largest ratio of successive terms (``inf``
+      where that is not below 1).
+    * Per far sector, the roundings.  Each far term as computed (moments,
+      translation, Horner), and each of the complex128 kernel's terms of
+      ``A``, is a sum of products through at most ``K = n + 64 (P + L +
+      sectors)`` complex operations, each within ``sqrt(5) 2**-53 <
+      2**-51`` relative.  The moduli of all those products sum to at most
+      ``m_A / (d - r)``: the double series above with ``r``, ``r_B`` and
+      ``|D|`` for the moduli sums to ``(m_A / (|D| - r_B)) sum_p (r / (|D| -
+      r_B))**p``.  So they err by at most ``K 2**-50 m_A / (d - r)``.
+
+    The far parts are summed per sector pair (:func:`_far_bounds`) and taken
+    times ``1 + 2**-20`` (``_SLACK``), which covers the rounding of the
+    bounds and of the radii.
+
+    ``L~_j - A_j`` bounds ``L_j`` from below.  A point off the band has its
+    log sums from every column in float32, and ``A_j`` from
+    :func:`_single_bounds`.  For a band point, every term of ``L_j`` is at
+    least 0, and a term of sector ``A`` at least ``log max(1, |z_j - c_A| -
+    r_A)`` (0 for its own sector), so ``L~_j = sum_A m_A log max(1, |z_j -
+    c_A| - r_A)`` over every sector drops the off-band terms and keeps a
+    lower bound on each of the others (:func:`_log_floor`).  ``|z_j - c_A|``
+    and ``r_A`` are computed within ``2**-51`` relative of the exact
+    distances to the stored centre, so :func:`_log_floor` takes them at a
+    margin of ``2**-50``; its logs, products and sum err by less than
+    ``2**-40 L~_j``, and ``A_j = 2**-40 (1 + n + 2 L~_j)`` also covers the
+    certificate's roundings, as in :func:`_single_bounds`.  It gives away
+    about ``0.06 n`` against ``L_j`` on near-circular layouts, which leaves
+    the band rows' residual bounds below 1e-8 by a factor above ``e**240``
+    on the three families at ``n >= 1024`` (seeds 1-3); the largest
+    residuals are those of points off the band, whose sums are near exact.
     """
-    n, sectors = len(z), _FAR_SECTORS
+    n = len(z)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if not (np.abs(z.real).max() < 2.0**62 and np.abs(z.imag).max() < 2.0**62):
+        layout = _sector_layout(z)
+        if layout is None:
             return None
-        log_mod = np.log(np.abs(z))
-        band = np.abs(log_mod - np.median(log_mod)) <= _FAR_BAND
-        inner, off = np.flatnonzero(band), np.flatnonzero(~band)
-        if len(off) * _FAR_OFF > n or len(inner) < sectors:
-            return None
-        order = inner[np.argsort(np.angle(z[inner]), kind="stable")]
-        zs = z[order]
-        cuts = np.arange(sectors + 1) * len(order) // sectors
-        counts = np.diff(cuts)
-        sector = np.repeat(np.arange(sectors), counts)
-        centres = np.add.reduceat(zs, cuts[:-1]) / counts
-        u = zs - centres[sector]
-        radii = np.maximum.reduceat(np.abs(u), cuts[:-1])
-        apart = (np.arange(sectors)[:, None] - np.arange(sectors)) % sectors
-        far = (apart > 1) & (apart < sectors - 1)  # [target sector, source sector]
-        if not (np.abs(centres[:, None] - centres) > radii + 2.0 * radii[:, None])[far].all():
-            return None
-        moments = np.empty((_FAR_ORDER, sectors), dtype=complex)
-        power = np.ones(len(zs), dtype=complex)
-        for p in range(_FAR_ORDER):
-            moments[p] = np.add.reduceat(power, cuts[:-1])
-            power *= u
-        del log_mod, band, inner, u, power  # before the buffers below, which set the peak
+        order, off, cuts, centres, radii, far, gap = layout
+        zs, counts = z[order], np.diff(cuts)
+        sector = np.repeat(np.arange(len(counts)), counts)
+        local = _local_expansions(zs, cuts, centres, far)
         targets = np.flatnonzero(order < m)  # band positions of the rows
+        at, t = sector[targets], zs[targets] - centres[sector[targets]]
+        acc = local[-1][at]
+        for coeff in local[-2::-1]:
+            acc *= t
+            acc += coeff[at]
         out = np.zeros(m, dtype=complex)
-        out[order[targets]] = _moment_terms(zs[targets], ~far[sector[targets]], centres, moments)
+        out[order[targets]] = acc
+        del at, t, acc  # before the buffers below, which set the peak
         # The band in angular order, wrapped by a sector on each side: the
         # near columns of sector b are ring[:, ends[b] : ends[b + 3]].
         pad = counts[-1]
         ring = _planes32(np.concatenate((zs[len(zs) - pad :], zs, zs[: counts[0]])))
         ends = np.concatenate(([0], cuts + pad, [len(ring[0])]))
         off_planes = _planes32(z[off])
-        near = np.zeros((2, m), dtype=np.float32)
+        # With bounds, band rows also sum 1 / q, and rows off the band log max(1, q) too.
+        band_extra, off_extra = (1, 2) if bounds else (0, 0)
+        near = np.zeros((2 + off_extra, m), dtype=np.float32)
+        logs = np.zeros(m) if bounds else None
         buf = np.empty((2, _FAR_BUF), dtype=np.float32)
         firsts = np.searchsorted(targets, cuts)
-        for b in range(sectors):
+        for b in range(len(counts)):
             pos = targets[firsts[b] : firsts[b + 1]]
             lo, hi = ends[b], ends[b + 3]
-            near[:, order[pos]] = _direct32(buf, ring[:, pos + pad], ring[:, lo:hi], pos + pad - lo)
+            near[: 2 + band_extra, order[pos]] = _direct32(buf, ring[:, pos + pad], ring[:, lo:hi], pos + pad - lo, band_extra)
+            if bounds:
+                logs[order[pos]] = _log_floor(zs[pos], centres, radii, counts)
         if len(off):
             rows = np.flatnonzero(off < m)
-            near[:, order[targets]] += _direct32(buf, ring[:, targets + pad], off_planes)
-            near[:, off[rows]] = _direct32(buf, off_planes[:, rows], ring[:, pad : pad + len(zs)])
-            near[:, off[rows]] += _direct32(buf, off_planes[:, rows], off_planes, rows)
+            near[: 2 + band_extra, order[targets]] += _direct32(buf, ring[:, targets + pad], off_planes, None, band_extra)
+            near[:, off[rows]] = _direct32(buf, off_planes[:, rows], ring[:, pad : pad + len(zs)], None, off_extra)
+            near[:, off[rows]] += _direct32(buf, off_planes[:, rows], off_planes, rows, off_extra)
         out.real += near[0]
         out.imag -= near[1]
-    return out if np.isfinite(out).all() else None
+        if not (np.isfinite(out).all() and np.isfinite(near[2:]).all()):
+            return None
+        if not bounds:
+            return out
+        logs[off] = 0.5 * near[3, off]
+        err, log_err = _single_bounds(np.abs(z), near[2].astype(float), logs, 1)
+        err[order] += _far_bounds(gap, radii, counts, far, n)[sector]
+        log_err[order] = 2.0**-40 * (1.0 + n + 2.0 * logs[order])
+    return out, logs, err, log_err
 
 
-def _moment_terms(zt: np.ndarray, near: np.ndarray, centres: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """``sum_A sum_p M_p(A) / (zt_i - c_A)**(p + 1)`` for each target
-    ``zt_i`` over the sectors ``A`` where ``near[i, A]`` does not hold, by
-    Horner in ``1 / (zt_i - c_A)``, ``_FAR_CHUNK`` targets at a time."""
-    out = np.empty(len(zt), dtype=complex)
-    w = np.empty((min(_FAR_CHUNK, len(zt)), len(centres)), dtype=complex)
-    for start in range(0, len(zt), _FAR_CHUNK):
-        stop = min(start + _FAR_CHUNK, len(zt))
-        v = w[: stop - start]
-        np.subtract(zt[start:stop, None], centres, out=v)
-        np.reciprocal(v, out=v)
-        np.copyto(v, 0.0, where=near[start:stop])
-        acc = v * moments[-1]
-        for p in range(len(moments) - 2, -1, -1):
-            acc += moments[p]
-            acc *= v
-        out[start:stop] = acc.sum(axis=1)
-    return out
+def _sector_layout(z: np.ndarray):
+    """The band of :func:`_far_pair_sums` and its sectors, ``(order, off,
+    cuts, centres, radii, far, gap)``, or ``None`` when the route does not
+    apply: a coordinate at or above ``2**62`` (float32 could overflow), more
+    than ``1 / _FAR_OFF`` of the points off the band, or a far pair of
+    sectors not admissible.  Runs under the caller's ``np.errstate``.
+
+    The points whose ``log |z|`` lies within ``_FAR_BAND`` of the median form
+    the band, ``z[order]`` sorted by angle, and ``off`` are the others.  The
+    band is cut into ``_FAR_SECTORS`` sectors of equal count, sector ``b``
+    at positions ``cuts[b]`` to ``cuts[b + 1]``.  Its centre is the midpoint
+    of the chord between its first and last point by angle, the centre of
+    the smallest circle about an arc; its radius is its largest ``|z_k -
+    c_b|``, and the moments are taken about that same centre.  (About the
+    sector's mean, radii differed by a factor 1.6 where the points crowd to
+    one end, and layouts such as the second sweep of ``z**2048 - 1`` were
+    declined.)  ``far[B, A]`` holds where ``A`` is two or more sectors from
+    ``B`` around the circle, ``gap[B, A] = |c_A - c_B|``, and every far pair
+    must satisfy ``gap > r_A + 2 r_B`` both ways round.
+    """
+    n, sectors = len(z), _FAR_SECTORS
+    if not (np.abs(z.real).max() < 2.0**62 and np.abs(z.imag).max() < 2.0**62):
+        return None
+    log_mod = np.log(np.abs(z))
+    band = np.abs(log_mod - np.median(log_mod)) <= _FAR_BAND
+    inner, off = np.flatnonzero(band), np.flatnonzero(~band)
+    if len(off) * _FAR_OFF > n or len(inner) < sectors:
+        return None
+    order = inner[np.argsort(np.angle(z[inner]))]
+    zs = z[order]
+    cuts = np.arange(sectors + 1) * len(order) // sectors
+    centres = 0.5 * (zs[cuts[:-1]] + zs[cuts[1:] - 1])
+    radii = np.maximum.reduceat(np.abs(zs - np.repeat(centres, np.diff(cuts))), cuts[:-1])
+    apart = (np.arange(sectors)[:, None] - np.arange(sectors)) % sectors
+    far = (apart > 1) & (apart < sectors - 1)  # [target sector, source sector]
+    gap = np.abs(centres[:, None] - centres)
+    if not (gap > radii + 2.0 * radii[:, None])[far].all():
+        return None
+    return order, off, cuts, centres, radii, far, gap
+
+
+def _local_expansions(zs: np.ndarray, cuts: np.ndarray, centres: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """Local (Taylor) coefficients ``a[l, B]``, ``l < _FAR_LOCAL``, of the far
+    sectors' fields about each sector centre ``c_B``.  Sector ``A`` (points
+    ``zs[cuts[A] : cuts[A + 1]]``) is first summed into the moments ``M_p =
+    sum (z_k - c_A)**p``, ``p < _FAR_ORDER``; its truncated multipole field
+    ``sum_p M_p / (z - c_A)**(p + 1)`` then translates to ``a[l, B] =
+    (-1)**l sum_p binom(p + l, l) M_p / D**(p + l + 1)``, ``D = c_B - c_A``,
+    summed over the ``A`` with ``far[B, A]`` (multipole-to-local
+    translation, Greengard–Rokhlin, J. Comput. Phys. 73, 1987)."""
+    order, size = _FAR_ORDER, _FAR_LOCAL
+    u = zs - np.repeat(centres, np.diff(cuts))
+    moments = np.empty((len(centres), order), dtype=complex)  # [A, p]
+    power = np.ones(len(zs), dtype=complex)
+    for p in range(order):
+        moments[:, p] = np.add.reduceat(power, cuts[:-1])
+        power *= u
+    w = np.zeros(far.shape, dtype=complex)
+    w[far] = 1.0 / (centres[:, None] - centres)[far]
+    powers = np.empty((order + size - 1,) + w.shape, dtype=complex)  # powers[k] = w**(k + 1)
+    powers[0] = w
+    for k in range(1, len(powers)):
+        np.multiply(powers[k - 1], w, out=powers[k])
+    sums = (powers.reshape(-1, len(w)) @ moments).reshape(len(powers), len(w), order)  # [k, B, p]: sum_A w**(k + 1) M_p
+    p, l = np.meshgrid(np.arange(order), np.arange(size))  # [l, p]
+    return np.einsum("lp,lpb->lb", _M2L_WEIGHTS, sums[p + l, :, p])
 
 
 def _planes32(z: np.ndarray) -> np.ndarray:
@@ -406,15 +517,17 @@ def _planes32(z: np.ndarray) -> np.ndarray:
     return planes
 
 
-def _direct32(buf: np.ndarray, targets: np.ndarray, sources: np.ndarray, own=None) -> np.ndarray:
+def _direct32(buf: np.ndarray, targets: np.ndarray, sources: np.ndarray, own=None, extra: int = 0) -> np.ndarray:
     """Float32 sums ``(sum dx / q, sum dy / q)`` of each target (a column of
     the planes ``targets``) against every column of ``sources``, leaving out
     column ``own[i]`` of target ``i`` (none when ``own`` is ``None``), in
     chunks of targets that fit the two planes of ``buf``, or one target at a
     time in a buffer of its own when not even one target's ``2 w`` entries
-    fit (``w`` sources)."""
+    fit (``w`` sources).  ``extra`` rows follow: ``sum 1 / q`` from 1, and
+    ``sum log max(1, q)`` (the self-term's ``q = 0`` gives 0) from 2, as in
+    :func:`_single_pair_sums`."""
     k, w = targets.shape[1], sources.shape[1]
-    out = np.empty((2, k), dtype=np.float32)
+    out = np.empty((2 + extra, k), dtype=np.float32)
     ones = np.ones(w, dtype=np.float32)
     if buf.shape[1] < 2 * w:
         buf = np.empty((2, 2 * w), dtype=np.float32)
@@ -426,12 +539,44 @@ def _direct32(buf: np.ndarray, targets: np.ndarray, sources: np.ndarray, own=Non
         np.subtract(targets[:, start:stop, None], sources[:, None, :], out=d)
         np.multiply(d, d, out=sq)
         q = np.add(sq[0], sq[1], out=sq[0])
+        if extra > 1:
+            out[3, start:stop] = np.matmul(np.log(np.maximum(q, 1.0, out=sq[1]), out=sq[1]), ones)
         if own is not None:
             q[np.arange(stop - start), own[start:stop]] = np.inf
         np.reciprocal(q, out=q)
+        if extra:
+            out[2, start:stop] = np.matmul(q, ones)
         np.multiply(d, q, out=d)
-        out[:, start:stop] = np.matmul(d, ones)
+        out[:2, start:stop] = np.matmul(d, ones)
     return out
+
+
+def _log_floor(zt: np.ndarray, centres: np.ndarray, radii: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``sum_A m_A log max(1, |zt_i - c_A| - r_A)`` for each target, the
+    distances shrunk and the radii grown by ``2**-50`` relative: the lower
+    bound of :func:`_far_pair_sums` on the log sums of ``zt``."""
+    d = np.abs(zt[:, None] - centres) * (1.0 - 2.0**-50) - radii * (1.0 + 2.0**-50)
+    return np.log(np.maximum(d, 1.0)) @ counts.astype(float)
+
+
+def _far_bounds(gap: np.ndarray, radii: np.ndarray, counts: np.ndarray, far: np.ndarray, n: int) -> np.ndarray:
+    """Per target sector ``B``, the far sectors' share of :func:`_far_pair_sums`'
+    ``E_j``: multipole truncation, local truncation and roundings, summed
+    over the sectors ``A`` with ``far[B, A]`` (``gap`` is ``|c_A - c_B|``).
+    Runs under the caller's ``np.errstate``: pairs that are not far may
+    divide by zero."""
+    order, size = _FAR_ORDER, _FAR_LOCAL
+    m_a, r, r_b = counts.astype(float), radii, radii[:, None]
+    d = gap - r_b
+    multipole = m_a * (r / d) ** order / (d - r)
+    x = r_b / gap
+    p = np.arange(order)[:, None, None]
+    ratio = x * (p + size + 1) / (size + 1)
+    first = np.array([math.comb(k + size, size) for k in range(order)])[:, None, None] * x**size
+    tail = np.where(ratio < 1.0, first / (1.0 - ratio), np.inf)
+    local = m_a / gap * ((r / gap) ** p * tail).sum(axis=0)
+    rounding = (n + 64 * (order + size + len(radii))) * 2.0**-50 * m_a / (d - r)
+    return _SLACK * np.where(far, multipole + local + rounding, 0.0).sum(axis=1)
 
 
 _U32 = 2.0**-24  # float32 unit roundoff
@@ -537,26 +682,42 @@ def _single_bounds(moduli: np.ndarray, inv_q: np.ndarray, logs: np.ndarray, bloc
 
 
 def _single_confirms(z: np.ndarray, newton: np.ndarray):
-    """``(L~, A)`` from :func:`_single_pair_sums` when its float32 sums prove
-    a confirming sweep over every root, else ``None``.  Needs ``len(z)``
-    rows to span several blocks (a single block stays complex128) and
-    finite Newton steps ``newton``.
+    """``(L~, A)`` when float32 sums prove a confirming sweep over every
+    root, else ``None``.  Needs ``len(z)`` rows to span several blocks (a
+    single block stays complex128) and finite Newton steps ``newton``.  From
+    ``_FAR_DEGREE`` roots the sums come from the sector route
+    (:func:`_far_pair_sums` with ``bounds``), and where it does not apply
+    from the dense float32 kernel (:func:`_single_pair_sums` with
+    ``bounds``).  Either gives coupling sums ``S~`` with ``|S - S~| <= E``
+    for the exact sums ``S`` and for the complex128 kernel's, and log sums
+    with ``L~ - A <= L``, the double log sums; their proofs are in those
+    functions' docstrings.
 
-    With ``|S - S~| <= E`` the Aberth step ``N / (1 - N S)`` is at most
-    ``|N| / (|1 - N S~| - |N| E)`` in modulus, and the relative step
-    ``|w| / (1 + |z - w|)`` at most ``|w| / (1 + |z| - |w|)``.  A root is
-    decided still when that bound, times ``1 + 2**-40`` for the double
-    roundings of the complex128 sweep's own step, is below ``_STALL``, with
-    ``|1 - N S~| - |N| E >= 1/2`` so that no guard of that sweep applies.
-    Since ``E`` also bounds the complex128 sums' distance, every root decided
-    still is one the complex128 sweep would have frozen.  A row the bounds
-    do not cover has ``E = inf`` and is never decided still.
+    Steps: the Aberth step ``N / (1 - N S)`` is at most ``|N| / (|1 - N S~|
+    - |N| E)`` in modulus, and the relative step ``|w| / (1 + |z - w|)`` at
+    most ``|w| / (1 + |z| - |w|)``.  A root is decided still when that
+    bound, times ``1 + 2**-40`` for the double roundings of the complex128
+    sweep's own step, is below ``_STALL``, with ``|1 - N S~| - |N| E >= 1/2``
+    so that no guard of that sweep applies.  Since ``E`` bounds the
+    complex128 sums' distance, every root decided still is one the
+    complex128 sweep would have frozen, and the sweep confirms only where
+    that sweep would.  A row the bounds do not cover has ``E = inf`` and is
+    never decided still.  At confirmation ``|N|`` is at the rounding level,
+    so a loose ``E`` only sends more sweeps to the complex128 redo.
+
+    Certificate: ``L~ - A <= L`` makes ``|P(a_j)| / (|c_n| exp(L~_j -
+    A_j))`` an upper bound on each residual, so :func:`find_roots` passes on
+    it only root sets the double sums pass, and otherwise decides on the
+    double sums themselves.  Either way the roots and the worst residual are
+    those of a complex128 sweep.
     """
     n = len(z)
     step = _block_rows(n, logs=True)
     if n <= step:
         return None
-    out = _single_pair_sums(z, n, step, True)  # with bounds
+    out = _far_pair_sums(z, n, bounds=True) if n >= _FAR_DEGREE else None
+    if out is None:
+        out = _single_pair_sums(z, n, step, True)  # with bounds
     if out is None:
         return None
     coupling, logs, err, log_err = out
@@ -734,9 +895,9 @@ def _aberth_sweep(c: np.ndarray, z: np.ndarray, active: np.ndarray, confirming: 
     """One sweep over the roots ``active``: their updated points, which of them
     still move (relative step not below ``stall``), and, in a confirming
     sweep, ``log |P|`` and the log pair sums at the current points (``None``
-    otherwise; no other sweep takes the logs), and the bound ``A`` on the
-    log sums' error when they are float32 sums (``None`` when they are the
-    complex128 kernel's).  Its temporaries end with it, so none is held
+    otherwise; no other sweep takes the logs), and, when the sums are
+    :func:`_single_confirms`', the allowance ``A`` with ``L~ - A`` at most
+    the double log sums (``None`` when they are the complex128 kernel's).  Its temporaries end with it, so none is held
     through the next sweep's evaluation.  The sweeps that freeze at
     ``_FREEZE``, all before the first confirming one, take their coupling
     sums in float32 where ``_pair_sums`` splits them into blocks; a
@@ -786,9 +947,10 @@ def find_roots(p: Polynomial, tol: float = ROOT_TOL, max_iter: int = 400) -> Roo
     their differences and reciprocals would overflow.
 
     When the confirming sweep was decided in float32, the certificate is
-    decided on upper bounds of the residuals, from the float32 log sums less
-    their error bound ``A_j``; only when a bound exceeds ``tol`` is it
-    decided on the double log sums of :func:`_log_scales`.
+    decided on upper bounds of the residuals, from lower bounds ``L~_j -
+    A_j`` on the log sums (the float32 sums less their error bound, or from
+    ``_FAR_DEGREE`` roots the sector route's); only when a bound exceeds
+    ``tol`` is it decided on the double log sums of :func:`_log_scales`.
     """
     n = p.degree
     if n < 1:

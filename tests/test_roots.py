@@ -504,6 +504,28 @@ def _ring_points(rng, n):
     return np.exp(rng.normal(scale=0.01, size=n)) * np.exp(2j * np.pi * (np.arange(n) + rng.random(n)) / n)
 
 
+def _local_terms(z):
+    """The sector layout of ``z``, the sector of each band point in angular
+    order, and the far terms the local expansions give it."""
+    with np.errstate(all="ignore"):
+        layout = roots_mod._sector_layout(z)
+    order, _, cuts, centres, _, far, _ = layout
+    sector = np.repeat(np.arange(len(centres)), np.diff(cuts))
+    local = roots_mod._local_expansions(z[order], cuts, centres, far)
+    t = z[order] - centres[sector]
+    got = local[-1][sector]
+    for coeff in local[-2::-1]:
+        got = got * t + coeff[sector]
+    return layout, sector, got
+
+
+def _two_density_points(rng, n, share):
+    """``share`` of the points on the upper half of the unit circle, the
+    rest on the lower half: sectors of two widths."""
+    k = int(share * n)
+    return np.exp(1j * np.pi * np.concatenate(((np.arange(k) + rng.random(k)) / k, 1.0 + (np.arange(n - k) + rng.random(n - k)) / (n - k))))
+
+
 @pytest.mark.usefixtures("warnings_are_errors")
 class TestFarFieldSteering:
     """From degree ``_FAR_DEGREE``, steering sweeps with many active rows take
@@ -558,8 +580,7 @@ class TestFarFieldSteering:
         if layout == "off the band":  # moduli spread by 5%: about a third lie off a band of 0.05
             z = _near_circle_points(rng, n)
         else:  # three quarters of the points on one half of the circle: sectors of two widths
-            k = 3 * n // 4
-            z = np.exp(1j * np.pi * np.concatenate(((np.arange(k) + rng.random(k)) / k, 1.0 + (np.arange(n - k) + rng.random(n - k)) / (n - k))))
+            z = _two_density_points(rng, n, 0.75)
         far = self._count(monkeypatch, "_far_pair_sums")
         single = self._count(monkeypatch, "_single_pair_sums")
         got = roots_mod._pair_sums(z, np.arange(n), single=True)[0]
@@ -613,6 +634,135 @@ class TestFarFieldSteering:
         for family in ("g_class", "littlewood", "unimodular"):
             find_roots(make_family(FamilySpec(family, n, seed=1)), tol=1e-9)
         assert not far
+
+    @pytest.mark.parametrize("n", [2048, 4096])
+    def test_local_expansions_match_per_target_moments(self, n, rng):
+        # The reference is the per-target Horner in 1 / (z - c_A) that the
+        # local expansions replaced, on the same sectors and moments.
+        z = _ring_points(rng, n)
+        (order, _, cuts, centres, _, far, _), sector, got = _local_terms(z)
+        zs = z[order]
+        u = zs - centres[sector]
+        moments = np.array([np.add.reduceat(u**p, cuts[:-1]) for p in range(roots_mod._FAR_ORDER)])
+        v = np.where(far[sector], 1.0 / (zs[:, None] - centres), 0.0)
+        want = v * moments[-1]
+        for p in range(len(moments) - 2, -1, -1):
+            want = (want + moments[p]) * v
+        want = want.sum(axis=1)
+        np.testing.assert_allclose(got, want, rtol=1e-6)
+
+
+def _confirming_layout(layout, rng):
+    if layout.startswith("ring"):
+        return _ring_points(rng, int(layout.split()[1]))
+    if layout == "clusters":  # one sector per disk of radius 1e-3, where the log floor is tight
+        n = 43 * roots_mod._FAR_SECTORS
+        centres = 3.0 * np.exp(2j * np.pi * (np.arange(n) // 43 + 0.5) / roots_mod._FAR_SECTORS)
+        return centres + 1e-3 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    if layout == "off-band rows":  # 100 of 2048 points, under 1/16, at 1.5 times the modulus
+        z = _ring_points(rng, 2048)
+        z[::20][:100] *= 1.5
+        return z
+    # The most uneven two-density layout the route still takes.
+    shares = np.linspace(0.5, 0.75, 51)
+    with np.errstate(all="ignore"):
+        admitted = [roots_mod._sector_layout(_two_density_points(np.random.default_rng(1), 2048, s)) is not None for s in shares]
+    return _two_density_points(np.random.default_rng(1), 2048, shares[np.flatnonzero(admitted)[-1]])
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+class TestFarFieldConfirming:
+    """From degree ``_FAR_DEGREE``, the confirming sweep takes the sector
+    route with proven bounds, and falls back to the dense float32 kernel,
+    then to complex128, wherever the route does not apply."""
+
+    @pytest.mark.parametrize("layout", ["ring 1024", "ring 2048", "clusters", "off-band rows", "admissibility edge"])
+    def test_bounds_hold_on_every_row(self, layout, rng):
+        z = _confirming_layout(layout, rng)
+        n = len(z)
+        if layout == "admissibility edge":  # some far pair within 5% of the limit
+            with np.errstate(all="ignore"):
+                _, _, _, _, radii, far, gap = roots_mod._sector_layout(z)
+            assert ((gap - radii - 2.0 * radii[:, None])[far] / gap[far]).min() < 0.05
+        out = roots_mod._far_pair_sums(z, n, bounds=True)
+        assert out is not None
+        coupling, floor, err, floor_err = out
+        exact, logs = roots_mod._pair_sums(z, np.arange(n), logs=True)
+        assert np.isfinite(err).all()
+        assert np.all(np.abs(coupling - _dense_pairwise(z)) <= err)
+        assert np.all(np.abs(coupling - exact) <= err)
+        assert np.all(floor - floor_err <= logs)
+        off = roots_mod._sector_layout(z)[1]  # rows off the band take float32 log sums, within A_j both ways
+        assert np.all(np.abs(floor - logs)[off] <= floor_err[off])
+        if layout == "off-band rows":
+            assert len(off) == 100
+        # The far terms alone lie within the far sectors' share of E_j.
+        (order, _, cuts, _, radii, far, gap), sector, got = _local_terms(z)
+        with np.errstate(all="ignore"):  # pairs that are not far divide by zero
+            share = roots_mod._far_bounds(gap, radii, np.diff(cuts), far, n)
+        zs = z[order]
+        for b in range(len(radii)):
+            rows = sector == b
+            want = (1.0 / (zs[rows, None] - zs[far[b][sector]])).sum(axis=1)
+            assert np.all(np.abs(got[rows] - want) <= share[b])
+
+    @pytest.mark.parametrize("family", ["g_class", "littlewood", "unimodular"])
+    def test_route_leaves_the_roots_bit_identical(self, family, monkeypatch):
+        p = make_family(FamilySpec(family, 2048, seed=1))
+        route, kernel = [], roots_mod._far_pair_sums
+
+        def counted(z, m, bounds=False):
+            out = kernel(z, m, bounds)
+            if bounds:
+                route.append(out is not None)
+            return out
+
+        monkeypatch.setattr(roots_mod, "_far_pair_sums", counted)
+        with_route = find_roots(p, tol=1e-8).roots
+        assert route and all(route)
+        monkeypatch.setattr(roots_mod, "_far_pair_sums", lambda z, m, bounds=False: None if bounds else kernel(z, m))
+        assert np.array_equal(with_route, find_roots(p, tol=1e-8).roots)
+
+    def test_declined_layout_takes_the_dense_kernel(self, monkeypatch):
+        # 128 of 1024 roots on a circle of radius 1/2: more than 1/16 off the band.
+        p = _times(np.concatenate(([-(2.0**-128)], np.zeros(127), [1.0])), FamilySpec("littlewood", 896, seed=1))
+        calls, far, dense = [], roots_mod._far_pair_sums, roots_mod._single_pair_sums
+
+        def counted_far(z, m, bounds=False):
+            out = far(z, m, bounds)
+            if bounds:
+                calls.append(("route", out is not None))
+            return out
+
+        def counted_dense(z, m, step, bounds=False):
+            out = dense(z, m, step, bounds)
+            if bounds:
+                calls.append(("dense", out is not None))
+            return out
+
+        monkeypatch.setattr(roots_mod, "_far_pair_sums", counted_far)
+        monkeypatch.setattr(roots_mod, "_single_pair_sums", counted_dense)
+        roots = find_roots(p, tol=1e-8).roots
+        assert calls == [("route", False), ("dense", True)]
+        monkeypatch.setattr(roots_mod, "_far_pair_sums", lambda z, m, bounds=False: None if bounds else far(z, m))
+        assert np.array_equal(roots, find_roots(p, tol=1e-8).roots)
+        assert np.sum(np.abs(np.abs(roots) - 0.5) < 1e-12) == 128
+
+
+@pytest.mark.parametrize("family", ["littlewood", "g_class"])
+def test_find_roots_memory_at_degree_2048(family):
+    # The confirming route's bounds are taken a sector of targets at a time.
+    # With the dense confirming pass the peak was 1.21-1.22 MiB here, set
+    # outside the pair sums, and the route keeps it there.
+    p = make_family(FamilySpec(family, 2048, seed=1))
+    find_roots(p, tol=1e-8)  # numpy's lazy imports stay out of the peak
+    tracemalloc.start()
+    try:
+        find_roots(p, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.30 * 2**20
 
 
 def test_find_roots_memory_does_not_grow_with_the_degree():
